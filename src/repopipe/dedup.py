@@ -18,6 +18,7 @@ from .deps import RepoSample
 
 _MERSENNE_PRIME = np.uint64((1 << 61) - 1)
 _TOKEN = re.compile(r"\w+")
+_SIGN_CHUNK = 4096  # shingles per block of the running minimum
 
 
 def shingle_set(text: str, width: int) -> set[str]:
@@ -70,10 +71,16 @@ def minhash_signature(
         raise ValueError("cannot sign an empty sample")
     hashes = _hash_shingles(shingle_set(sample.text, shingle_width))
     a, b = _permutations(num_perm, seed)
-    # (num_perm, n) table of permuted hashes; uint64 wraparound in the
-    # multiply is deliberate, matching common MinHash implementations.
-    table = (a[:, None] * hashes[None, :] + b[:, None]) % _MERSENNE_PRIME
-    values = table.min(axis=1)
+    # Running minimum over (num_perm, _SIGN_CHUNK) tables of permuted
+    # hashes, so memory stays bounded however many shingles there are;
+    # uint64 wraparound in the multiply is deliberate, matching common
+    # MinHash implementations.
+    values = np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
+    for i in range(0, len(hashes), _SIGN_CHUNK):
+        table = a[:, None] * hashes[None, i : i + _SIGN_CHUNK]
+        table += b[:, None]
+        table %= _MERSENNE_PRIME
+        np.minimum(values, table.min(axis=1), out=values)
     return MinHashSignature(
         repo_id=sample.repo_id,
         values=tuple(int(v) for v in values),

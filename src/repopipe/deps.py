@@ -10,10 +10,11 @@ repository with a path comment heading each file.
 
 from __future__ import annotations
 
+import heapq
 import posixpath
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import SourceFile
 
@@ -73,37 +74,70 @@ def _module_candidates(module: str, extensions: Sequence[str]) -> list[str]:
     return cands
 
 
-def _match_suffix(candidate: str, repo_paths: Sequence[str]) -> list[str]:
-    tail = "/" + candidate
-    return [p for p in repo_paths if p == candidate or p.endswith(tail)]
+def _slash_suffixes(path: str) -> Iterator[str]:
+    """`path` and every tail that follows one of its `/`: exactly the
+    strings c with path == c or path.endswith("/" + c)."""
+    yield path
+    i = path.find("/")
+    while i >= 0:
+        yield path[i + 1 :]
+        i = path.find("/", i + 1)
 
 
-def _resolve_modules(modules: Iterable[str], extensions: Sequence[str], repo_paths: Sequence[str]) -> list[str]:
+class _PathIndex:
+    """One repo's paths keyed for reference resolution, each list in
+    sorted-path order. Iterating it yields the paths, sorted.
+
+    by_suffix maps every `/`-suffix of a path to the paths ending with
+    it. Looked up with a basename, it yields the paths of that basename,
+    which serves the C include fallback. go_by_dir_suffix maps every
+    `/`-suffix of a `.go` file's parent directory to its files, and
+    go_by_dir maps the parent directory itself.
+    """
+
+    def __init__(self, repo_paths: Iterable[str]) -> None:
+        self.by_suffix: dict[str, list[str]] = {}
+        self.go_by_dir_suffix: dict[str, list[str]] = {}
+        self.go_by_dir: dict[str, list[str]] = {}
+        self.paths = sorted(repo_paths)
+        for p in self.paths:
+            for tail in _slash_suffixes(p):
+                self.by_suffix.setdefault(tail, []).append(p)
+            parent = posixpath.dirname(p)
+            if p.endswith(".go") and parent:
+                for tail in _slash_suffixes(parent):
+                    self.go_by_dir_suffix.setdefault(tail, []).append(p)
+                self.go_by_dir.setdefault(parent, []).append(p)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.paths)
+
+    def match(self, candidate: str) -> list[str]:
+        return self.by_suffix.get(candidate, [])
+
+
+def _resolve_modules(modules: Iterable[str], extensions: Sequence[str], index: _PathIndex) -> list[str]:
     out: list[str] = []
     for module in modules:
         for cand in _module_candidates(module, extensions):
-            out.extend(_match_suffix(cand, repo_paths))
+            out.extend(index.match(cand))
     return out
 
 
-def _resolve_includes(refs: Iterable[str], repo_paths: Sequence[str]) -> list[str]:
+def _resolve_includes(refs: Iterable[str], index: _PathIndex) -> list[str]:
     out: list[str] = []
     for ref in refs:
         ref = ref.strip()
         if not ref:
             continue
-        hits = _match_suffix(ref, repo_paths)
-        if not hits:
-            base = posixpath.basename(ref)
-            hits = [p for p in repo_paths if posixpath.basename(p) == base]
-        out.extend(hits)
+        out.extend(index.match(ref) or index.match(posixpath.basename(ref)))
     return out
 
 
 _JS_EXTS = (".ts", ".tsx", ".js", ".jsx", ".mjs", ".cjs")
 
 
-def _resolve_js(refs: Iterable[str], from_path: str, repo_paths: Sequence[str]) -> list[str]:
+def _resolve_js(refs: Iterable[str], from_path: str, index: _PathIndex) -> list[str]:
     here = posixpath.dirname(from_path)
     out: list[str] = []
     for ref in refs:
@@ -116,57 +150,51 @@ def _resolve_js(refs: Iterable[str], from_path: str, repo_paths: Sequence[str]) 
             *(posixpath.join(target, "index" + ext) for ext in _JS_EXTS),
         ]
         for cand in cands:
-            out.extend(_match_suffix(cand, repo_paths))
+            out.extend(index.match(cand))
     return out
 
 
-def _resolve_go(refs: Iterable[str], repo_paths: Sequence[str]) -> list[str]:
+def _resolve_go(refs: Iterable[str], index: _PathIndex) -> list[str]:
     # Go import paths carry an unknown module prefix, so match the
-    # package directory by suffix in either direction.
+    # package directory by suffix in either direction: directories
+    # ending with the ref, and directories the ref ends with.
     out: list[str] = []
     for ref in refs:
         ref = ref.strip("/")
         if not ref:
             continue
-        for p in repo_paths:
-            if not p.endswith(".go"):
-                continue
-            parent = posixpath.dirname(p)
-            if not parent:
-                continue
-            if (
-                parent == ref
-                or parent.endswith("/" + ref)
-                or ref.endswith("/" + parent)
-            ):
-                out.append(p)
+        hits = set(index.go_by_dir_suffix.get(ref, ()))
+        for tail in _slash_suffixes(ref):
+            hits.update(index.go_by_dir.get(tail, ()))
+        out.extend(sorted(hits))
     return out
 
 
 def extract_dependencies(file: SourceFile, repo_paths: Iterable[str]) -> list[str]:
     """Paths inside the repo that `file` references, first-seen order,
     duplicates and self-references removed. Unsupported languages
-    yield no edges.
+    yield no edges. `order_repo_files` passes a `_PathIndex` of the
+    repo's paths, so the index is built once per repo, not per file.
     """
-    paths = sorted(repo_paths)
+    index = repo_paths if isinstance(repo_paths, _PathIndex) else _PathIndex(repo_paths)
     lang = file.language
     if lang == "Python":
-        hits = _resolve_modules(_python_refs(file.content), (".py",), paths)
+        hits = _resolve_modules(_python_refs(file.content), (".py",), index)
     elif lang in ("C", "C++"):
         hits = _resolve_includes(
-            (m.group(1) for m in _C_INCLUDE.finditer(file.content)), paths
+            (m.group(1) for m in _C_INCLUDE.finditer(file.content)), index
         )
     elif lang == "C#":
         hits = _resolve_modules(
-            (m.group(1) for m in _CSHARP_USING.finditer(file.content)), (".cs",), paths
+            (m.group(1) for m in _CSHARP_USING.finditer(file.content)), (".cs",), index
         )
     elif lang == "Java":
         modules = [m.group(1).removesuffix(".*") for m in _JAVA_IMPORT.finditer(file.content)]
-        hits = _resolve_modules(modules, (".java",), paths)
+        hits = _resolve_modules(modules, (".java",), index)
     elif lang in ("TypeScript", "JavaScript"):
-        hits = _resolve_js(_js_refs(file.content), file.path, paths)
+        hits = _resolve_js(_js_refs(file.content), file.path, index)
     elif lang == "Go":
-        hits = _resolve_go(_go_refs(file.content), paths)
+        hits = _resolve_go(_go_refs(file.content), index)
     else:
         return []
     seen: set[str] = set()
@@ -251,23 +279,31 @@ def topological_sort(graph: DependencyGraph) -> list[list[str]]:
     order) and decrementing the in-degrees of its dependents.
 
     Selecting by minimum rather than zero makes cycles harmless: the
-    procedure always performs exactly one selection per node.
+    procedure always performs exactly one selection per node. The
+    minimum comes from a heap of (in_degree, input index, node) with
+    lazy invalidation: a node whose degree falls gets a fresh entry.
+    Degrees only fall, so a node's current entry pops before its stale
+    ones, which by then belong to a selected node and are skipped.
+    Cost is O((V + E) log V).
     """
     index = {p: i for i, p in enumerate(graph.nodes)}
     in_degree = dict(graph.in_degree)
     results: list[list[str]] = []
     for component in _connected_components(graph):
+        heap = [(in_degree[p], index[p], p) for p in component]
+        heapq.heapify(heap)
         selected: set[str] = set()
         order: list[str] = []
-        for _ in range(len(component)):
-            node = min(
-                (p for p in component if p not in selected),
-                key=lambda p: (in_degree[p], index[p]),
-            )
+        while heap:
+            node = heapq.heappop(heap)[2]
+            if node in selected:
+                continue
             # Decrement dependents unconditionally, selected ones included;
             # already-selected nodes are never re-chosen so this is benign.
             for dependent in graph.adjacency[node]:
                 in_degree[dependent] -= 1
+                if dependent not in selected:
+                    heapq.heappush(heap, (in_degree[dependent], index[dependent], dependent))
             selected.add(node)
             order.append(node)
         results.append(order)
@@ -372,9 +408,10 @@ def order_repo_files(files: Sequence[SourceFile]) -> tuple[list[SourceFile], lis
     """
     paths = [f.path for f in files]
     by_path = {f.path: f for f in files}
+    index = _PathIndex(paths)
     edges: list[tuple[str, str]] = []
     for f in files:
-        for dep in extract_dependencies(f, paths):
+        for dep in extract_dependencies(f, index):
             edges.append((f.path, dep))
     graph = build_graph(paths, edges)
     ordered: list[SourceFile] = []

@@ -106,8 +106,8 @@ def pack_entries(
     if entry_len < 2:
         raise ValueError(f"entry_len must be >= 2, got {entry_len}")
     result = PackResult()
-    buffer: list[int] = []
-    starts: list[int] = []  # doc-start offsets within the current buffer
+    buffer: list[int] = []  # the leftover (< entry_len tokens) plus the current doc
+    starts: list[int] = []  # doc-start offsets within the buffer
     for doc in docs:
         try:
             ids = tokenizer.encode(doc)
@@ -117,12 +117,16 @@ def pack_entries(
         starts.append(len(buffer))
         buffer.extend(ids)
         result.total_tokens += len(ids)
-        while len(buffer) >= entry_len:
-            chunk = buffer[:entry_len]
-            bounds = tuple(s for s in starts if s < entry_len)
-            result.entries.append(PackedEntry(tuple(chunk), bounds))
-            buffer = buffer[entry_len:]
-            starts = [s - entry_len for s in starts if s >= entry_len]
+        # Cut every full entry by offset, then keep the leftover once.
+        # Every start lies within the leftover that preceded this doc,
+        # so all of them fall in the first entry cut.
+        cut = len(buffer) - len(buffer) % entry_len
+        for lo in range(0, cut, entry_len):
+            bounds = tuple(starts) if lo == 0 else ()
+            result.entries.append(PackedEntry(tuple(buffer[lo : lo + entry_len]), bounds))
+        if cut:
+            buffer = buffer[cut:]
+            starts = []
     if buffer:
         if pad_final:
             pad = entry_len - len(buffer)

@@ -19,6 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .config import PipelineConfig, config_hash, require_valid
 from .corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
 from .decontam import ContaminationIndex, build_contamination_index, scan_text
@@ -305,6 +307,17 @@ def _order_repo_worker(args: tuple[str, list[dict], bool]) -> tuple[dict | None,
     return record, edges
 
 
+def graph_file_name(repo_id: str) -> str:
+    """Edge-list file name for a repo: `%`, `/`, `\\` and a leading `.`
+    are percent-encoded, so distinct ids give distinct names and every
+    name is a plain file directly under reports/graphs/.
+    """
+    name = repo_id.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
+    if name.startswith("."):
+        name = "%2E" + name[1:]
+    return f"{name}.deps.txt"
+
+
 def stage_order(cfg: PipelineConfig, upstream: str) -> dict:
     file_records = _read_jsonl(os.path.join(cfg.output_dir, FILES_OUT))
     by_repo: dict[str, list[dict]] = {}
@@ -319,7 +332,7 @@ def stage_order(cfg: PipelineConfig, upstream: str) -> dict:
         graphs_dir = os.path.join(cfg.output_dir, "reports", "graphs")
         os.makedirs(graphs_dir, exist_ok=True)
         for (rid, _, _), (_, edges) in zip(tasks, results):
-            rel = f"reports/graphs/{rid}.deps.txt"
+            rel = f"reports/graphs/{graph_file_name(rid)}"
             with open(os.path.join(cfg.output_dir, rel), "w", encoding="utf-8") as fh:
                 for dependent, dependency in edges:
                     fh.write(f"{dependent}\t{dependency}\n")
@@ -551,12 +564,9 @@ def stage_build(cfg: PipelineConfig, upstream: str) -> dict:
             outputs.append(_outputs_entry(cfg, rel, len(shard)))
         else:
             rel = f"{ENTRIES_DIR}/entries-{shard_idx:05d}.bin"
-            flat = bytearray()
-            for e in shard:
-                for tid in e.token_ids:
-                    flat += tid.to_bytes(4, "little")
+            flat = np.array([e.token_ids for e in shard], dtype="<u4")
             with open(os.path.join(cfg.output_dir, rel), "wb") as fh:
-                fh.write(bytes(flat))
+                fh.write(flat.tobytes())
             outputs.append(_outputs_entry(cfg, rel, len(shard)))
             rel_b = f"{ENTRIES_DIR}/entries-{shard_idx:05d}.boundaries.jsonl"
             _write_jsonl(
@@ -564,6 +574,11 @@ def stage_build(cfg: PipelineConfig, upstream: str) -> dict:
                 ({"doc_boundaries": list(e.doc_boundaries)} for e in shard),
             )
             outputs.append(_outputs_entry(cfg, rel_b, len(shard)))
+    # Shards of an earlier build with other sharding or format are stale.
+    listed = {os.path.basename(o["path"]) for o in outputs}
+    for name in os.listdir(entries_dir):
+        if name.startswith("entries-") and name not in listed:
+            os.remove(os.path.join(entries_dir, name))
 
     manifest = {
         "stage": "build",

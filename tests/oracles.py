@@ -1,0 +1,187 @@
+"""Brute-force reference implementations, kept as oracles for the
+indexed, heap-based, offset-based and chunked code in `repopipe`.
+
+Each is the straightforward form of its algorithm: a linear scan of
+every repo path per candidate reference, a `min` over the unselected
+nodes per toposort step, a packer that slices and copies its buffer per
+entry, and a MinHash that materialises the full permutation table.
+"""
+
+from __future__ import annotations
+
+import posixpath
+from typing import Iterable, Sequence
+
+from repopipe.corpus import SourceFile
+from repopipe.dedup import _hash_shingles, _permutations, _MERSENNE_PRIME, shingle_set
+from repopipe.deps import (
+    _C_INCLUDE,
+    _CSHARP_USING,
+    _JAVA_IMPORT,
+    _JS_EXTS,
+    DependencyGraph,
+    _connected_components,
+    _go_refs,
+    _js_refs,
+    _module_candidates,
+    _python_refs,
+    build_graph,
+)
+from repopipe.packing import PackedEntry, PackResult, Tokenizer
+
+
+def match_suffix(candidate: str, repo_paths: Sequence[str]) -> list[str]:
+    tail = "/" + candidate
+    return [p for p in repo_paths if p == candidate or p.endswith(tail)]
+
+
+def resolve_modules(modules: Iterable[str], extensions: Sequence[str], repo_paths: Sequence[str]) -> list[str]:
+    out: list[str] = []
+    for module in modules:
+        for cand in _module_candidates(module, extensions):
+            out.extend(match_suffix(cand, repo_paths))
+    return out
+
+
+def resolve_includes(refs: Iterable[str], repo_paths: Sequence[str]) -> list[str]:
+    out: list[str] = []
+    for ref in refs:
+        ref = ref.strip()
+        if not ref:
+            continue
+        hits = match_suffix(ref, repo_paths)
+        if not hits:
+            base = posixpath.basename(ref)
+            hits = [p for p in repo_paths if posixpath.basename(p) == base]
+        out.extend(hits)
+    return out
+
+
+def resolve_js(refs: Iterable[str], from_path: str, repo_paths: Sequence[str]) -> list[str]:
+    here = posixpath.dirname(from_path)
+    out: list[str] = []
+    for ref in refs:
+        if ref.startswith("."):
+            target = posixpath.normpath(posixpath.join(here, ref))
+        else:
+            target = ref
+        cands = [target] if posixpath.splitext(target)[1] else [
+            *(target + ext for ext in _JS_EXTS),
+            *(posixpath.join(target, "index" + ext) for ext in _JS_EXTS),
+        ]
+        for cand in cands:
+            out.extend(match_suffix(cand, repo_paths))
+    return out
+
+
+def resolve_go(refs: Iterable[str], repo_paths: Sequence[str]) -> list[str]:
+    out: list[str] = []
+    for ref in refs:
+        ref = ref.strip("/")
+        if not ref:
+            continue
+        for p in repo_paths:
+            if not p.endswith(".go"):
+                continue
+            parent = posixpath.dirname(p)
+            if not parent:
+                continue
+            if parent == ref or parent.endswith("/" + ref) or ref.endswith("/" + parent):
+                out.append(p)
+    return out
+
+
+def extract_dependencies(file: SourceFile, repo_paths: Iterable[str]) -> list[str]:
+    paths = sorted(repo_paths)
+    lang = file.language
+    if lang == "Python":
+        hits = resolve_modules(_python_refs(file.content), (".py",), paths)
+    elif lang in ("C", "C++"):
+        hits = resolve_includes((m.group(1) for m in _C_INCLUDE.finditer(file.content)), paths)
+    elif lang == "C#":
+        hits = resolve_modules(
+            (m.group(1) for m in _CSHARP_USING.finditer(file.content)), (".cs",), paths
+        )
+    elif lang == "Java":
+        modules = [m.group(1).removesuffix(".*") for m in _JAVA_IMPORT.finditer(file.content)]
+        hits = resolve_modules(modules, (".java",), paths)
+    elif lang in ("TypeScript", "JavaScript"):
+        hits = resolve_js(_js_refs(file.content), file.path, paths)
+    elif lang == "Go":
+        hits = resolve_go(_go_refs(file.content), paths)
+    else:
+        return []
+    seen: set[str] = set()
+    deps: list[str] = []
+    for p in hits:
+        if p != file.path and p not in seen:
+            seen.add(p)
+            deps.append(p)
+    return deps
+
+
+def topological_sort(graph: DependencyGraph) -> list[list[str]]:
+    index = {p: i for i, p in enumerate(graph.nodes)}
+    in_degree = dict(graph.in_degree)
+    results: list[list[str]] = []
+    for component in _connected_components(graph):
+        selected: set[str] = set()
+        order: list[str] = []
+        for _ in range(len(component)):
+            node = min(
+                (p for p in component if p not in selected),
+                key=lambda p: (in_degree[p], index[p]),
+            )
+            for dependent in graph.adjacency[node]:
+                in_degree[dependent] -= 1
+            selected.add(node)
+            order.append(node)
+        results.append(order)
+    return results
+
+
+def order_repo_files(files: Sequence[SourceFile]) -> tuple[list[SourceFile], list[tuple[str, str]]]:
+    paths = [f.path for f in files]
+    by_path = {f.path: f for f in files}
+    edges = [(f.path, dep) for f in files for dep in extract_dependencies(f, paths)]
+    graph = build_graph(paths, edges)
+    ordered = [by_path[p] for sub in topological_sort(graph) for p in sub]
+    return ordered, edges
+
+
+def pack_entries(docs: Iterable[str], tokenizer: Tokenizer, entry_len: int, pad_final: bool = False) -> PackResult:
+    result = PackResult()
+    buffer: list[int] = []
+    starts: list[int] = []
+    for doc in docs:
+        try:
+            ids = tokenizer.encode(doc)
+        except Exception:
+            result.skipped_docs += 1
+            continue
+        starts.append(len(buffer))
+        buffer.extend(ids)
+        result.total_tokens += len(ids)
+        while len(buffer) >= entry_len:
+            chunk = buffer[:entry_len]
+            bounds = tuple(s for s in starts if s < entry_len)
+            result.entries.append(PackedEntry(tuple(chunk), bounds))
+            buffer = buffer[entry_len:]
+            starts = [s - entry_len for s in starts if s >= entry_len]
+    if buffer:
+        if pad_final:
+            pad = entry_len - len(buffer)
+            result.padded_tokens = pad
+            chunk = buffer + [tokenizer.eos_id] * pad
+            result.entries.append(PackedEntry(tuple(chunk), tuple(starts)))
+        else:
+            result.dropped_tokens = len(buffer)
+    return result
+
+
+def minhash_values(text: str, num_perm: int, shingle_width: int, seed: int) -> tuple[int, ...]:
+    hashes = _hash_shingles(shingle_set(text, shingle_width))
+    a, b = _permutations(num_perm, seed)
+    table = (a[:, None] * hashes[None, :] + b[:, None]) % _MERSENNE_PRIME
+    return tuple(int(v) for v in table.min(axis=1))
+

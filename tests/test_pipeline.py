@@ -5,14 +5,17 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import build_fixture_corpus, fixture_config, write_repo
+from conftest import build_fixture_corpus, code_lines, fixture_config, write_repo
 from repopipe.config import PipelineConfig
 from repopipe.pipeline import (
     CLEAN_OUT,
     DEDUP_OUT,
     FILES_OUT,
     SAMPLES_OUT,
+    graph_file_name,
     run_pipeline,
 )
 
@@ -184,6 +187,83 @@ class TestGraphDump:
         run_pipeline(cfg)
         dump = Path(cfg.output_dir) / "reports" / "graphs" / "repo_delta.deps.txt"
         assert dump.read_text() == "main.py\tutil.py\n"
+
+
+class TestGraphDumpFileNames:
+    """Repo ids come from input data, so they may hold `/`, `..` or `%`;
+    each must land in exactly one file directly under reports/graphs/."""
+
+    @staticmethod
+    def run_jsonl(tmp_path, repo_ids):
+        rows = [
+            {"repo_id": rid, "path": path, "content": content}
+            for rid in repo_ids
+            for path, content in (
+                ("main.py", "import util\n\n" + code_lines(seed=37, n_lines=30)),
+                ("util.py", code_lines(seed=41, n_lines=25) + f"# {rid}\n"),
+            )
+        ]
+        inputs = tmp_path / "in.jsonl"
+        inputs.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        cfg = PipelineConfig(inputs=[str(inputs)], output_dir=str(tmp_path / "out"), dump_graphs=True)
+        cfg.stages.dedup = False
+        run_pipeline(cfg)
+        return Path(cfg.output_dir)
+
+    def test_slash_in_repo_id(self, tmp_path):
+        out = self.run_jsonl(tmp_path, ["owner/name"])
+        dump = out / "reports" / "graphs" / "owner%2Fname.deps.txt"
+        assert dump.read_text() == "main.py\tutil.py\n"
+
+    def test_parent_reference_stays_inside_graphs_dir(self, tmp_path):
+        out = self.run_jsonl(tmp_path, ["../escape"])
+        assert not (out / "reports" / "escape.deps.txt").exists()
+        assert [p.name for p in (out / "reports" / "graphs").iterdir()] == ["%2E.%2Fescape.deps.txt"]
+
+    def test_distinct_ids_get_distinct_files(self, tmp_path):
+        ids = ["a/b", "a%2Fb", "a%b", ".a", "%2Ea", "..", "a\\b", "a%5Cb"]
+        out = self.run_jsonl(tmp_path, ids)
+        names = sorted(p.name for p in (out / "reports" / "graphs").iterdir())
+        assert names == sorted(graph_file_name(rid) for rid in ids)
+        assert len(set(names)) == len(ids)
+        for rid in ids:
+            assert (out / "reports" / "graphs" / graph_file_name(rid)).read_text().endswith(
+                "main.py\tutil.py\n"
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(min_size=0, max_size=12), st.text(min_size=0, max_size=12))
+    def test_names_are_injective_and_flat(self, a, b):
+        for rid in (a, b):
+            name = graph_file_name(rid)
+            assert "/" not in name and "\\" not in name
+            assert not name.startswith(".") or rid == ""  # only "" gives ".deps.txt"
+        if a != b:
+            assert graph_file_name(a) != graph_file_name(b)
+
+
+class TestBuildOwnsEntriesDir:
+    def test_stale_shards_removed_when_sharding_changes(self, tmp_path):
+        cfg = fixture_config(tmp_path)
+        cfg.build.entry_len = 16
+        cfg.build.entries_per_shard = 5
+        run_pipeline(cfg)
+        entries = Path(cfg.output_dir) / "entries"
+        assert len(list(entries.iterdir())) > 1
+        cfg.build.entries_per_shard = 5000
+        run_pipeline(cfg)
+        listed = {o["path"] for o in read_manifest(cfg, "build")["outputs"]}
+        assert {f"entries/{p.name}" for p in entries.iterdir()} == listed
+
+    def test_stale_sidecars_removed_when_format_changes(self, tmp_path):
+        cfg = fixture_config(tmp_path)
+        cfg.build.output_format = "bin"
+        run_pipeline(cfg)
+        cfg.build.output_format = "jsonl"
+        run_pipeline(cfg)
+        entries = Path(cfg.output_dir) / "entries"
+        listed = {o["path"] for o in read_manifest(cfg, "build")["outputs"]}
+        assert {f"entries/{p.name}" for p in entries.iterdir()} == listed
 
 
 class TestStageFailure:

@@ -26,7 +26,6 @@ from .decontam import (
 from .dedup import (
     DuplicateCluster,
     MinHashSignature,
-    dedup_repos,
     find_near_duplicates,
     minhash_signature,
 )
@@ -48,7 +47,7 @@ from .filters import (
 )
 from .fim import DEFAULT_SENTINELS, FimConfig, SentinelSet, fim_split, fim_transform
 from .packing import ByteTokenizer, PackedEntry, PackResult, Tokenizer, pack_entries
-from .pipeline import RunSummary, StageFailure, emit_stats, run_pipeline
+from .pipeline import RunSummary, StageFailure, emit_stats, run_pipeline, run_stage
 from .stats import CorpusStats, compute_corpus_stats, render_stats_table
 
 __version__ = "0.1.0"
@@ -88,7 +87,6 @@ __all__ = [
     "compute_corpus_stats",
     "compute_file_stats",
     "concatenate_with_paths",
-    "dedup_repos",
     "default_config",
     "detect_language",
     "emit_stats",
@@ -104,6 +102,7 @@ __all__ = [
     "pack_entries",
     "render_stats_table",
     "run_pipeline",
+    "run_stage",
     "topological_sort",
     "validate_config",
 ]

@@ -13,34 +13,26 @@ from .config import (
     ConfigError,
     PipelineConfig,
     config_to_dict,
+    covers,
     default_config,
     load_config,
     require_valid,
 )
-from .pipeline import (
-    StageFailure,
-    emit_stats,
-    ingest_and_fingerprint,
-    run_pipeline,
-    stage_build,
-    stage_decontaminate,
-    stage_dedup,
-    stage_filter,
-    stage_order,
-    _manifest_path,
-    _outputs_hash,
-)
+from .pipeline import STAGES, StageFailure, emit_stats, run_pipeline, run_stage
 from .stats import render_stats_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 
-_UPSTREAM_OF = {
-    "order": "filter",
-    "dedup": "order",
-    "decontaminate": "dedup",
-    "build": "decontaminate",
+# Flags that set one config field. `run` takes them all, a stage command
+# those whose field its stage reads.
+_FIELD_FLAGS = {
+    "dump_graphs": ("--dump-graphs", {"action": "store_true", "help": "dump per-repo edge lists"}),
+    "dedup.report": (
+        "--dedup-report", {"action": "store_true", "help": "emit the dedup report JSONL"}
+    ),
+    "build.output_format": ("--output-format", {"choices": ("jsonl", "bin"), "default": None}),
 }
 
 
@@ -64,38 +56,6 @@ def _load(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
-def _upstream_hash(cfg: PipelineConfig, stage: str) -> str:
-    prev = _UPSTREAM_OF[stage]
-    path = _manifest_path(cfg, prev)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise StageFailure(
-            stage, RuntimeError(f"stage {prev!r} has not completed (missing {path})")
-        ) from exc
-    return _outputs_hash(manifest)
-
-
-def _run_single_stage(cfg: PipelineConfig, stage: str) -> None:
-    try:
-        if stage == "filter":
-            raw_repos, ingest_counters, fingerprint = ingest_and_fingerprint(cfg)
-            stage_filter(cfg, fingerprint, raw_repos, ingest_counters)
-        elif stage == "order":
-            stage_order(cfg, _upstream_hash(cfg, stage))
-        elif stage == "dedup":
-            stage_dedup(cfg, _upstream_hash(cfg, stage))
-        elif stage == "decontaminate":
-            stage_decontaminate(cfg, _upstream_hash(cfg, stage))
-        elif stage == "build":
-            stage_build(cfg, _upstream_hash(cfg, stage))
-    except StageFailure:
-        raise
-    except Exception as exc:
-        raise StageFailure(stage, exc) from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repopipe",
@@ -108,39 +68,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_command(name: str, help: str, fields: tuple[str, ...]) -> None:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="path to a JSON config file")
         p.add_argument("--inputs", nargs="+", help="input repo directories or JSONL files")
         p.add_argument("--output-dir", help="pipeline output directory")
         p.add_argument("--workers", type=int, default=None, help="worker process count")
         p.add_argument("--seed", type=int, default=None, help="global seed")
+        for field_name, (flag, kwargs) in _FIELD_FLAGS.items():
+            if covers(fields, field_name):
+                p.add_argument(flag, **kwargs)
 
-    p_run = sub.add_parser("run", help="run the full pipeline")
-    add_common(p_run)
-    p_run.add_argument("--dump-graphs", action="store_true", help="dump per-repo edge lists")
-    p_run.add_argument("--dedup-report", action="store_true", help="emit the dedup report JSONL")
-    p_run.add_argument("--output-format", choices=("jsonl", "bin"), default=None)
-
-    p_filter = sub.add_parser("filter", help="stage 1: quality filtering")
-    add_common(p_filter)
-
-    p_order = sub.add_parser("order", help="stage 2: dependency-ordered concatenation")
-    add_common(p_order)
-    p_order.add_argument("--dump-graphs", action="store_true", help="dump per-repo edge lists")
-
-    p_dedup = sub.add_parser("dedup", help="stage 3: repo-level near-deduplication")
-    add_common(p_dedup)
-    p_dedup.add_argument("--dedup-report", action="store_true", help="emit the dedup report JSONL")
-
-    p_decon = sub.add_parser("decontaminate", help="stage 4: screening + decontamination")
-    add_common(p_decon)
-
-    p_build = sub.add_parser("build", help="stage 5: FIM transform + packing")
-    add_common(p_build)
-    p_build.add_argument("--output-format", choices=("jsonl", "bin"), default=None)
-
-    p_stats = sub.add_parser("stats", help="emit the corpus summary table")
-    add_common(p_stats)
+    add_command("run", "run the full pipeline", tuple(_FIELD_FLAGS))
+    for number, stage in enumerate(STAGES, 1):
+        add_command(stage.name, f"stage {number}: {stage.about}", stage.config)
+    add_command("stats", "emit the corpus summary table", ())
     return parser
 
 
@@ -164,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "stats":
             print(render_stats_table(emit_stats(cfg)), end="")
         else:
-            _run_single_stage(cfg, args.command)
+            run_stage(cfg, args.command)
             print(f"stage {args.command} completed")
     except ConfigError as exc:
         print(exc, file=sys.stderr)

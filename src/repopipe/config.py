@@ -1,6 +1,6 @@
 """Pipeline configuration: typed sections, JSON round-trip, validation
-that reports every violation at once, and a content hash used by the
-stage checkpoints.
+that reports every violation at once, and the content hashes that key
+the stage checkpoints.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .filters import FilterThresholds
 from .fim import PSM, SPM, SentinelSet
@@ -197,13 +198,43 @@ def require_valid(cfg: PipelineConfig) -> None:
         raise ConfigError(violations)
 
 
+# Fields that never change output bytes, so the checkpoint key leaves them out.
+UNKEYED_FIELDS = ("workers", "output_dir")
+# Fields that name files; the key covers the files' contents too.
+PATH_FIELDS = ("language_map", "decontaminate.benchmark_files")
+
+
+def sha256_file(path: str) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def config_field(raw: dict, name: str):
+    """The value of a dotted field, such as "build.entry_len", in a
+    config_to_dict() dict."""
+    for part in name.split("."):
+        raw = raw[part]
+    return raw
+
+
+def covers(fields: Sequence[str], name: str) -> bool:
+    """Whether the dotted field `name` is one of `fields` or inside one."""
+    return any(name == f or name.startswith(f + ".") for f in fields)
+
+
 def config_hash(cfg: PipelineConfig) -> str:
-    """Hash of every field that affects output content. Worker count is
-    excluded (results are worker-invariant) and so is the output
-    location itself; neither may invalidate checkpoints.
+    """Hash of every field but UNKEYED_FIELDS, plus the contents of each
+    file a PATH_FIELDS entry names: the key of every stage's checkpoint.
     """
-    payload = config_to_dict(cfg)
-    payload.pop("workers", None)
-    payload.pop("output_dir", None)
+    raw = config_to_dict(cfg)
+    payload = {name: value for name, value in raw.items() if name not in UNKEYED_FIELDS}
+    for name in PATH_FIELDS:
+        paths = config_field(raw, name) or []
+        if isinstance(paths, str):
+            paths = [paths]
+        payload[f"{name} sha256"] = [sha256_file(path) for path in paths]
     canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -81,22 +81,6 @@ class SourceFile:
     content: str
     byte_size: int
 
-    @classmethod
-    def create(
-        cls,
-        repo_id: str,
-        path: str,
-        content: str,
-        lang_map: LanguageMap | None = None,
-    ) -> "SourceFile":
-        return cls(
-            repo_id=repo_id,
-            path=path,
-            language=detect_language(path, lang_map),
-            content=content,
-            byte_size=len(content.encode("utf-8")),
-        )
-
 
 @dataclass(frozen=True)
 class FileStats:
@@ -123,7 +107,7 @@ def compute_file_stats(content: str) -> FileStats:
     else:
         avg_line_len = 0.0
         max_line_len = 0
-    alpha = sum(1 for ch in content if ch.isalpha())
+    alpha = sum(map(str.isalpha, content))
     return FileStats(
         avg_line_len=avg_line_len,
         max_line_len=max_line_len,

@@ -190,18 +190,3 @@ def find_near_duplicates(
         clusters.append(DuplicateCluster(member_repo_ids=ids, representative=rep))
     return clusters
 
-
-def dedup_repos(
-    samples: Sequence[RepoSample],
-    clusters: Sequence[DuplicateCluster],
-) -> list[RepoSample]:
-    """Keep one representative per cluster (largest char_count, ties by
-    lexicographic repo_id) and every non-clustered sample, preserving
-    input order. Samples survive or drop whole.
-    """
-    char_counts = {s.repo_id: s.char_count for s in samples}
-    drop: set[str] = set()
-    for cluster in clusters:
-        rep = choose_representative(cluster.member_repo_ids, char_counts)
-        drop.update(rid for rid in cluster.member_repo_ids if rid != rep)
-    return [s for s in samples if s.repo_id not in drop]

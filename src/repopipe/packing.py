@@ -44,10 +44,6 @@ class ByteTokenizer:
         self._splitter = re.compile("(" + "|".join(map(re.escape, longest_first)) + ")")
         self.eos_id = self._sentinel_ids[sentinels.eos]
 
-    @property
-    def vocab_size(self) -> int:
-        return 256 + len(self._sentinel_ids)
-
     def encode(self, text: str) -> list[int]:
         ids: list[int] = []
         for part in self._splitter.split(text):

@@ -16,12 +16,12 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import PipelineConfig, config_hash, require_valid
+from .config import PipelineConfig, config_hash, require_valid, sha256_file
 from .corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
 from .decontam import ContaminationIndex, build_contamination_index, scan_text
 from .dedup import (
@@ -44,14 +44,58 @@ from .ingest import RawRepo, load_repos
 from .packing import ByteTokenizer, pack_entries
 from .stats import CorpusStats, compute_corpus_stats, render_stats_table, stats_to_dict
 
-STAGE_ORDER = ("filter", "order", "dedup", "decontaminate", "build")
-
 FILES_OUT = "work/files.jsonl"
 SAMPLES_OUT = "work/samples.jsonl"
 DEDUP_OUT = "work/samples_dedup.jsonl"
 CLEAN_OUT = "work/samples_clean.jsonl"
 ENTRIES_DIR = "entries"
 UNKNOWN_LANGUAGE = "(unknown)"
+_GRAPH_SUFFIX = ".deps.txt"
+_NAME_MAX = 255  # bytes in one file name
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One step of the pipeline. The runner hands `stage_<name>` the
+    records of `reads` (None: the ingested repos) and writes the rows it
+    returns to `writes`. `config` lists the dotted config fields the
+    stage reads; its command takes the CLI flags that set them.
+    """
+
+    name: str
+    reads: str | None
+    writes: str
+    config: tuple[str, ...]
+    about: str
+
+
+STAGES = (
+    Stage("filter", None, FILES_OUT,
+          ("inputs", "language_map", "filters", "stages.filter"), "quality filtering"),
+    Stage("order", FILES_OUT, SAMPLES_OUT,
+          ("stages.order", "dump_graphs"), "dependency-ordered concatenation"),
+    Stage("dedup", SAMPLES_OUT, DEDUP_OUT,
+          ("dedup", "stages.dedup"), "repo-level near-deduplication"),
+    Stage("decontaminate", DEDUP_OUT, CLEAN_OUT,
+          ("decontaminate", "filters", "stages.decontaminate"), "screening + decontamination"),
+    Stage("build", CLEAN_OUT, ENTRIES_DIR,
+          ("build", "seed", "stages.build"), "FIM transform + packing"),
+)
+
+
+@dataclass
+class StageResult:
+    """What a stage function returns: `rows` for its main output (None
+    when it writes that itself, as build does), the other files it wrote
+    as (path, records), and the manifest fields only it has.
+    """
+
+    rows: list[dict] | None
+    input_records: int
+    output_records: int | None = None  # None: len(rows)
+    counters: dict[str, int] = field(default_factory=dict)
+    outputs: list[tuple[str, int]] = field(default_factory=list)
+    fields: dict = field(default_factory=dict)
 
 
 class StageFailure(Exception):
@@ -72,14 +116,6 @@ class RunSummary:
 # -----------------------
 # Small IO helpers
 # -----------------------
-
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
 
 def _write_jsonl(path: str, records: Iterable[dict]) -> int:
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -106,51 +142,17 @@ def _manifest_path(cfg: PipelineConfig, stage: str) -> str:
     return os.path.join(cfg.output_dir, "manifests", f"{stage}.json")
 
 
-def _write_manifest(cfg: PipelineConfig, stage: str, manifest: dict) -> dict:
-    path = _manifest_path(cfg, stage)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
-    return manifest
-
-
-def _outputs_entry(cfg: PipelineConfig, rel_path: str, records: int) -> dict:
-    return {
-        "path": rel_path,
-        "sha256": _sha256_file(os.path.join(cfg.output_dir, rel_path)),
-        "records": records,
-    }
+def _load_manifest(cfg: PipelineConfig, stage: str) -> dict | None:
+    try:
+        with open(_manifest_path(cfg, stage), "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return None
 
 
 def _outputs_hash(manifest: dict) -> str:
     canonical = json.dumps(manifest.get("outputs", []), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _stage_is_current(cfg: PipelineConfig, stage: str, upstream: str) -> dict | None:
-    """The stage's manifest, when it proves the stage needs no re-run:
-    same config, same upstream bytes, outputs intact on disk.
-    """
-    path = _manifest_path(cfg, stage)
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not manifest.get("completed"):
-        return None
-    if manifest.get("config_hash") != config_hash(cfg):
-        return None
-    if manifest.get("upstream") != upstream:
-        return None
-    for entry in manifest.get("outputs", []):
-        out_path = os.path.join(cfg.output_dir, entry["path"])
-        if not os.path.exists(out_path) or _sha256_file(out_path) != entry["sha256"]:
-            return None
-    return manifest
 
 
 # -----------------------
@@ -206,15 +208,7 @@ def _filter_repo_worker(args: tuple[RawRepo, FilterThresholds, str | None, bool]
             if not verdict.accepted:
                 _bump(counters, verdict.rule_fired)
                 continue
-        kept.append(
-            {
-                "repo_id": sf.repo_id,
-                "path": sf.path,
-                "language": sf.language,
-                "byte_size": sf.byte_size,
-                "content": sf.content,
-            }
-        )
+        kept.append(asdict(sf))
     return kept, counters
 
 
@@ -237,34 +231,22 @@ def ingest_and_fingerprint(cfg: PipelineConfig) -> tuple[list[RawRepo], dict[str
 
 
 def stage_filter(
-    cfg: PipelineConfig,
-    upstream: str,
-    raw_repos: list[RawRepo],
-    ingest_counters: dict[str, int],
-) -> dict:
+    cfg: PipelineConfig, ingested: tuple[list[RawRepo], dict[str, int]]
+) -> StageResult:
+    raw_repos, ingest_counters = ingested
+    _lang_map.cache_clear()  # the table file may have changed since the last run
     tasks = [(repo, cfg.filters, cfg.language_map, cfg.stages.filter) for repo in raw_repos]
-    results = _pmap(_filter_repo_worker, tasks, cfg.workers)
     counters: dict[str, int] = {}
-    records: list[dict] = []
-    for kept, repo_counters in results:
-        records.extend(kept)
+    rows: list[dict] = []
+    for kept, repo_counters in _pmap(_filter_repo_worker, tasks, cfg.workers):
+        rows.extend(kept)
         for key, count in repo_counters.items():
             _bump(counters, key, count)
-    out_path = os.path.join(cfg.output_dir, FILES_OUT)
-    n = _write_jsonl(out_path, records)
-    manifest = {
-        "stage": "filter",
-        "completed": True,
-        "config_hash": config_hash(cfg),
-        "upstream": upstream,
-        "raw_records": sum(len(r.files) for r in raw_repos) + sum(ingest_counters.values()),
-        "input_records": sum(len(r.files) for r in raw_repos),
-        "output_records": n,
+    n_files = sum(len(r.files) for r in raw_repos)
+    return StageResult(rows, n_files, counters=counters, fields={
+        "raw_records": n_files + sum(ingest_counters.values()),
         "ingest_counters": dict(sorted(ingest_counters.items())),
-        "counters": dict(sorted(counters.items())),
-        "outputs": [_outputs_entry(cfg, FILES_OUT, n)],
-    }
-    return _write_manifest(cfg, "filter", manifest)
+    })
 
 
 # -----------------------
@@ -273,16 +255,7 @@ def stage_filter(
 
 def _order_repo_worker(args: tuple[str, list[dict], bool]) -> tuple[dict | None, list[tuple[str, str]]]:
     repo_id, file_records, enabled = args
-    files = [
-        SourceFile(
-            repo_id=rec["repo_id"],
-            path=rec["path"],
-            language=rec["language"],
-            content=rec["content"],
-            byte_size=rec["byte_size"],
-        )
-        for rec in file_records
-    ]
+    files = [SourceFile(**rec) for rec in file_records]
     if not files:
         return None, []
     if enabled:
@@ -310,24 +283,29 @@ def _order_repo_worker(args: tuple[str, list[dict], bool]) -> tuple[dict | None,
 def graph_file_name(repo_id: str) -> str:
     """Edge-list file name for a repo: `%`, `/`, `\\` and a leading `.`
     are percent-encoded, so distinct ids give distinct names and every
-    name is a plain file directly under reports/graphs/.
+    name is a plain file directly under reports/graphs/. A name over the
+    255-byte limit keeps a prefix, then `%%` (which percent-encoding never
+    emits) and the sha256 of the id.
     """
     name = repo_id.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
     if name.startswith("."):
         name = "%2E" + name[1:]
-    return f"{name}.deps.txt"
+    if len(name.encode("utf-8")) > _NAME_MAX - len(_GRAPH_SUFFIX):
+        digest = hashlib.sha256(repo_id.encode("utf-8")).hexdigest()
+        keep = _NAME_MAX - len(_GRAPH_SUFFIX) - 2 - len(digest)
+        name = name.encode("utf-8")[:keep].decode("utf-8", "ignore") + "%%" + digest
+    return name + _GRAPH_SUFFIX
 
 
-def stage_order(cfg: PipelineConfig, upstream: str) -> dict:
-    file_records = _read_jsonl(os.path.join(cfg.output_dir, FILES_OUT))
+def stage_order(cfg: PipelineConfig, file_records: list[dict]) -> StageResult:
     by_repo: dict[str, list[dict]] = {}
     for rec in file_records:
         by_repo.setdefault(rec["repo_id"], []).append(rec)
     tasks = [(rid, by_repo[rid], cfg.stages.order) for rid in sorted(by_repo)]
     results = _pmap(_order_repo_worker, tasks, cfg.workers)
 
-    records = [rec for rec, _ in results if rec is not None]
-    extra_outputs = []
+    rows = [rec for rec, _ in results if rec is not None]
+    outputs = []
     if cfg.dump_graphs:
         graphs_dir = os.path.join(cfg.output_dir, "reports", "graphs")
         os.makedirs(graphs_dir, exist_ok=True)
@@ -336,21 +314,10 @@ def stage_order(cfg: PipelineConfig, upstream: str) -> dict:
             with open(os.path.join(cfg.output_dir, rel), "w", encoding="utf-8") as fh:
                 for dependent, dependency in edges:
                     fh.write(f"{dependent}\t{dependency}\n")
-            extra_outputs.append(_outputs_entry(cfg, rel, len(edges)))
-    out_path = os.path.join(cfg.output_dir, SAMPLES_OUT)
-    n = _write_jsonl(out_path, records)
-    manifest = {
-        "stage": "order",
-        "completed": True,
-        "config_hash": config_hash(cfg),
-        "upstream": upstream,
-        "input_records": len(file_records),
-        "output_records": n,
-        "output_file_total": sum(len(r["ordered_paths"]) for r in records),
-        "counters": {},
-        "outputs": [_outputs_entry(cfg, SAMPLES_OUT, n), *extra_outputs],
-    }
-    return _write_manifest(cfg, "order", manifest)
+            outputs.append((rel, len(edges)))
+    return StageResult(rows, len(file_records), outputs=outputs, fields={
+        "output_file_total": sum(len(r["ordered_paths"]) for r in rows),
+    })
 
 
 # -----------------------
@@ -364,65 +331,47 @@ def _signature_worker(args: tuple[str, str, int, int, int, int]) -> tuple[str, t
     return sig.repo_id, sig.values, sig.num_perm
 
 
-def stage_dedup(cfg: PipelineConfig, upstream: str) -> dict:
-    records = _read_jsonl(os.path.join(cfg.output_dir, SAMPLES_OUT))
-    counters: dict[str, int] = {}
+def stage_dedup(cfg: PipelineConfig, records: list[dict]) -> StageResult:
+    if not (cfg.stages.dedup and records):
+        return StageResult(records, len(records))
+    d = cfg.dedup
+    tasks = [
+        (rec["repo_id"], rec["text"], rec["char_count"], d.num_perm, d.shingle_width, d.seed)
+        for rec in records
+    ]
+    sig_rows = _pmap(_signature_worker, tasks, cfg.workers)
+    signatures = [
+        MinHashSignature(repo_id=rid, values=vals, num_perm=num) for rid, vals, num in sig_rows
+    ]
+    char_counts = {rec["repo_id"]: rec["char_count"] for rec in records}
+    clusters = find_near_duplicates(
+        signatures, threshold=d.threshold, bands=d.bands, rows=d.rows, char_counts=char_counts
+    )
+    drop: set[str] = set()
+    for cluster in clusters:
+        drop.update(rid for rid in cluster.member_repo_ids if rid != cluster.representative)
+    retained = [rec for rec in records if rec["repo_id"] not in drop]
     outputs = []
-    if cfg.stages.dedup and records:
-        d = cfg.dedup
-        tasks = [
-            (rec["repo_id"], rec["text"], rec["char_count"], d.num_perm, d.shingle_width, d.seed)
-            for rec in records
+    if d.report:
+        sig_by_id = {s.repo_id: s for s in signatures}
+        report_rows = [
+            {
+                "members": list(c.member_repo_ids),
+                "representative": c.representative,
+                "similarity_to_representative": {
+                    rid: round(
+                        signature_similarity(sig_by_id[rid], sig_by_id[c.representative]), 4
+                    )
+                    for rid in c.member_repo_ids
+                    if rid != c.representative
+                },
+            }
+            for c in clusters
         ]
-        sig_rows = _pmap(_signature_worker, tasks, cfg.workers)
-        signatures = [
-            MinHashSignature(repo_id=rid, values=vals, num_perm=num) for rid, vals, num in sig_rows
-        ]
-        char_counts = {rec["repo_id"]: rec["char_count"] for rec in records}
-        clusters = find_near_duplicates(
-            signatures, threshold=d.threshold, bands=d.bands, rows=d.rows, char_counts=char_counts
-        )
-        drop: set[str] = set()
-        for cluster in clusters:
-            drop.update(rid for rid in cluster.member_repo_ids if rid != cluster.representative)
-        if drop:
-            _bump(counters, "near_duplicate", len(drop))
-        retained = [rec for rec in records if rec["repo_id"] not in drop]
-        if d.report:
-            sig_by_id = {s.repo_id: s for s in signatures}
-            report_rows = [
-                {
-                    "members": list(c.member_repo_ids),
-                    "representative": c.representative,
-                    "similarity_to_representative": {
-                        rid: round(
-                            signature_similarity(sig_by_id[rid], sig_by_id[c.representative]), 4
-                        )
-                        for rid in c.member_repo_ids
-                        if rid != c.representative
-                    },
-                }
-                for c in clusters
-            ]
-            rel = "reports/dedup_report.jsonl"
-            n_rep = _write_jsonl(os.path.join(cfg.output_dir, rel), report_rows)
-            outputs.append(_outputs_entry(cfg, rel, n_rep))
-    else:
-        retained = records
-    out_path = os.path.join(cfg.output_dir, DEDUP_OUT)
-    n = _write_jsonl(out_path, retained)
-    outputs.insert(0, _outputs_entry(cfg, DEDUP_OUT, n))
-    manifest = {
-        "stage": "dedup",
-        "completed": True,
-        "config_hash": config_hash(cfg),
-        "upstream": upstream,
-        "input_records": len(records),
-        "output_records": n,
-        "counters": dict(sorted(counters.items())),
-        "outputs": outputs,
-    }
-    return _write_manifest(cfg, "dedup", manifest)
+        rel = "reports/dedup_report.jsonl"
+        outputs.append((rel, _write_jsonl(os.path.join(cfg.output_dir, rel), report_rows)))
+    counters = {"near_duplicate": len(drop)} if drop else {}
+    return StageResult(retained, len(records), counters=counters, outputs=outputs)
 
 
 # -----------------------
@@ -462,52 +411,30 @@ def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
     return rows
 
 
-def stage_decontaminate(cfg: PipelineConfig, upstream: str) -> dict:
-    records = _read_jsonl(os.path.join(cfg.output_dir, DEDUP_OUT))
+def stage_decontaminate(cfg: PipelineConfig, records: list[dict]) -> StageResult:
+    if not (cfg.stages.decontaminate and records):
+        return StageResult(records, len(records), fields={"benchmark_strings_skipped_short": 0})
+    index: ContaminationIndex | None = None
+    if cfg.decontaminate.benchmark_files:
+        index = build_contamination_index(load_benchmark_strings(cfg.decontaminate.benchmark_files))
+    tasks = [(rec, cfg.filters, cfg.decontaminate.quality_heuristics, index) for rec in records]
     counters: dict[str, int] = {}
+    clean: list[dict] = []
+    report_rows: list[dict] = []
+    for rec, (passed, reason, entry) in zip(records, _pmap(_screen_worker, tasks, cfg.workers)):
+        if passed:
+            clean.append(rec)
+        else:
+            _bump(counters, reason)
+            if entry is not None:
+                report_rows.append(entry)
     outputs = []
-    skipped_short = 0
-    if cfg.stages.decontaminate and records:
-        index: ContaminationIndex | None = None
-        if cfg.decontaminate.benchmark_files:
-            index = build_contamination_index(
-                load_benchmark_strings(cfg.decontaminate.benchmark_files)
-            )
-            skipped_short = index.skipped_short
-        tasks = [
-            (rec, cfg.filters, cfg.decontaminate.quality_heuristics, index) for rec in records
-        ]
-        results = _pmap(_screen_worker, tasks, cfg.workers)
-        clean: list[dict] = []
-        report_rows: list[dict] = []
-        for rec, (passed, reason, entry) in zip(records, results):
-            if passed:
-                clean.append(rec)
-            else:
-                _bump(counters, reason)
-                if entry is not None:
-                    report_rows.append(entry)
-        if cfg.decontaminate.report and cfg.decontaminate.benchmark_files:
-            rel = "reports/contamination_report.jsonl"
-            n_rep = _write_jsonl(os.path.join(cfg.output_dir, rel), report_rows)
-            outputs.append(_outputs_entry(cfg, rel, n_rep))
-    else:
-        clean = records
-    out_path = os.path.join(cfg.output_dir, CLEAN_OUT)
-    n = _write_jsonl(out_path, clean)
-    outputs.insert(0, _outputs_entry(cfg, CLEAN_OUT, n))
-    manifest = {
-        "stage": "decontaminate",
-        "completed": True,
-        "config_hash": config_hash(cfg),
-        "upstream": upstream,
-        "input_records": len(records),
-        "output_records": n,
-        "benchmark_strings_skipped_short": skipped_short,
-        "counters": dict(sorted(counters.items())),
-        "outputs": outputs,
-    }
-    return _write_manifest(cfg, "decontaminate", manifest)
+    if cfg.decontaminate.report and index is not None:
+        rel = "reports/contamination_report.jsonl"
+        outputs.append((rel, _write_jsonl(os.path.join(cfg.output_dir, rel), report_rows)))
+    return StageResult(clean, len(records), counters=counters, outputs=outputs, fields={
+        "benchmark_strings_skipped_short": index.skipped_short if index is not None else 0,
+    })
 
 
 # -----------------------
@@ -519,8 +446,13 @@ def _fim_worker(args: tuple[str, int, FimConfig, tuple[str, str, str, str]]) -> 
     return fim_transform(text, doc_index, fim_cfg, SentinelSet(*sentinel_tuple))
 
 
-def stage_build(cfg: PipelineConfig, upstream: str) -> dict:
-    records = _read_jsonl(os.path.join(cfg.output_dir, CLEAN_OUT))
+def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
+    """Disabled, the stage writes no entries and drops any it wrote before."""
+    if not cfg.stages.build:
+        return StageResult(None, len(records), 0, fields={
+            "entry_len": cfg.build.entry_len, "fim_applied": 0, "total_tokens": 0,
+            "dropped_tokens": 0, "padded_tokens": 0,
+        })
     sentinels = cfg.build.sentinel_set()
     fim_cfg = FimConfig(fim_rate=cfg.build.fim_rate, mode=cfg.build.fim_mode, seed=cfg.seed)
     counters: dict[str, int] = {}
@@ -552,50 +484,35 @@ def stage_build(cfg: PipelineConfig, upstream: str) -> dict:
         pack.entries[i : i + per_shard] for i in range(0, len(pack.entries), per_shard)
     ] or [[]]
     for shard_idx, shard in enumerate(shards):
-        if cfg.build.output_format == "jsonl":
-            rel = f"{ENTRIES_DIR}/entries-{shard_idx:05d}.jsonl"
-            _write_jsonl(
-                os.path.join(cfg.output_dir, rel),
-                (
-                    {"token_ids": list(e.token_ids), "doc_boundaries": list(e.doc_boundaries)}
-                    for e in shard
-                ),
-            )
-            outputs.append(_outputs_entry(cfg, rel, len(shard)))
-        else:
-            rel = f"{ENTRIES_DIR}/entries-{shard_idx:05d}.bin"
+        stem = f"{ENTRIES_DIR}/entries-{shard_idx:05d}"
+        if cfg.build.output_format == "bin":
             flat = np.array([e.token_ids for e in shard], dtype="<u4")
-            with open(os.path.join(cfg.output_dir, rel), "wb") as fh:
+            with open(os.path.join(cfg.output_dir, stem + ".bin"), "wb") as fh:
                 fh.write(flat.tobytes())
-            outputs.append(_outputs_entry(cfg, rel, len(shard)))
-            rel_b = f"{ENTRIES_DIR}/entries-{shard_idx:05d}.boundaries.jsonl"
-            _write_jsonl(
-                os.path.join(cfg.output_dir, rel_b),
-                ({"doc_boundaries": list(e.doc_boundaries)} for e in shard),
+            outputs.append((stem + ".bin", len(shard)))
+            rel = stem + ".boundaries.jsonl"
+            rows = ({"doc_boundaries": list(e.doc_boundaries)} for e in shard)
+        else:
+            rel = stem + ".jsonl"
+            rows = (
+                {"token_ids": list(e.token_ids), "doc_boundaries": list(e.doc_boundaries)}
+                for e in shard
             )
-            outputs.append(_outputs_entry(cfg, rel_b, len(shard)))
+        outputs.append((rel, _write_jsonl(os.path.join(cfg.output_dir, rel), rows)))
     # Shards of an earlier build with other sharding or format are stale.
-    listed = {os.path.basename(o["path"]) for o in outputs}
+    listed = {os.path.basename(rel) for rel, _ in outputs}
     for name in os.listdir(entries_dir):
         if name.startswith("entries-") and name not in listed:
             os.remove(os.path.join(entries_dir, name))
 
-    manifest = {
-        "stage": "build",
-        "completed": True,
-        "config_hash": config_hash(cfg),
-        "upstream": upstream,
-        "input_records": len(records),
-        "output_records": len(pack.entries),
+    fields = {
         "entry_len": cfg.build.entry_len,
         "fim_applied": fim_applied,
         "total_tokens": pack.total_tokens,
         "dropped_tokens": pack.dropped_tokens,
         "padded_tokens": pack.padded_tokens,
-        "counters": dict(sorted(counters.items())),
-        "outputs": outputs,
     }
-    return _write_manifest(cfg, "build", manifest)
+    return StageResult(None, len(records), len(pack.entries), counters, outputs, fields)
 
 
 # -----------------------
@@ -613,16 +530,12 @@ def best_stats_source(cfg: PipelineConfig) -> str | None:
 
 def collect_drop_counters(cfg: PipelineConfig) -> dict[str, dict[str, int]]:
     counters: dict[str, dict[str, int]] = {}
-    for stage in STAGE_ORDER:
-        path = _manifest_path(cfg, stage)
-        if not os.path.exists(path):
-            continue
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+    for stage in STAGES:
+        manifest = _load_manifest(cfg, stage.name) or {}
         if manifest.get("ingest_counters"):
             counters["ingest"] = dict(manifest["ingest_counters"])
         if manifest.get("counters"):
-            counters[stage] = dict(manifest["counters"])
+            counters[stage.name] = dict(manifest["counters"])
     return counters
 
 
@@ -660,6 +573,101 @@ def emit_stats(cfg: PipelineConfig) -> CorpusStats:
 # Orchestration
 # -----------------------
 
+def _ingest(cfg: PipelineConfig) -> tuple[tuple[list[RawRepo], dict[str, int]], str]:
+    try:
+        raw_repos, counters, fingerprint = ingest_and_fingerprint(cfg)
+    except Exception as exc:
+        raise StageFailure(STAGES[0].name, exc) from exc
+    return (raw_repos, counters), fingerprint
+
+
+def _stage_is_current(cfg: PipelineConfig, stage: Stage, upstream: str, key: str) -> dict | None:
+    """The stage's manifest, when it proves the stage needs no re-run:
+    same config key, same upstream bytes, outputs intact on disk.
+    """
+    manifest = _load_manifest(cfg, stage.name)
+    if (
+        manifest is None
+        or not manifest.get("completed")
+        or manifest.get("config_hash") != key
+        or manifest.get("upstream") != upstream
+    ):
+        return None
+    for entry in manifest.get("outputs", []):
+        out_path = os.path.join(cfg.output_dir, entry["path"])
+        if not os.path.exists(out_path) or sha256_file(out_path) != entry["sha256"]:
+            return None
+    return manifest
+
+
+def _execute(cfg: PipelineConfig, stage: Stage, upstream: str, key: str, ingested=None) -> dict:
+    """Run one stage and write its manifest. The manifest goes last, so a
+    stage cut short leaves none and the next run redoes it; files the
+    stage's previous manifest listed and the new one does not are deleted.
+    """
+    try:
+        if stage.reads is None:
+            records = ingested
+        else:
+            records = _read_jsonl(os.path.join(cfg.output_dir, stage.reads))
+        # Looked up at call time, so the stage functions can be wrapped.
+        result = globals()[f"stage_{stage.name}"](cfg, records)
+        outputs = list(result.outputs)
+        if result.rows is not None:
+            n = _write_jsonl(os.path.join(cfg.output_dir, stage.writes), result.rows)
+            outputs.insert(0, (stage.writes, n))
+        manifest = {
+            "stage": stage.name,
+            "completed": True,
+            "config_hash": key,
+            "upstream": upstream,
+            "input_records": result.input_records,
+            "output_records": (
+                len(result.rows) if result.output_records is None else result.output_records
+            ),
+            "counters": dict(sorted(result.counters.items())),
+            "outputs": [
+                {"path": rel, "sha256": sha256_file(os.path.join(cfg.output_dir, rel)),
+                 "records": n}
+                for rel, n in outputs
+            ],
+            **result.fields,
+        }
+        listed = {rel for rel, _ in outputs}
+        for entry in (_load_manifest(cfg, stage.name) or {}).get("outputs", []):
+            stale = os.path.join(cfg.output_dir, entry["path"])
+            if entry["path"] not in listed and os.path.isfile(stale):
+                os.remove(stale)
+        path = _manifest_path(cfg, stage.name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2, ensure_ascii=False)
+            fh.write("\n")
+        return manifest
+    except Exception as exc:  # halt with the stage name attached
+        raise StageFailure(stage.name, exc) from exc
+
+
+def run_stage(cfg: PipelineConfig, name: str) -> dict:
+    """Run the named stage now, whatever its manifest says, and return
+    its new manifest. Every stage after the first needs the manifest of
+    the one before it; without it, StageFailure names the stage.
+    """
+    require_valid(cfg)
+    i = [stage.name for stage in STAGES].index(name)
+    if i == 0:
+        ingested, upstream = _ingest(cfg)
+        return _execute(cfg, STAGES[0], upstream, config_hash(cfg), ingested)
+    previous = STAGES[i - 1].name
+    manifest = _load_manifest(cfg, previous)
+    if manifest is None:
+        missing = _manifest_path(cfg, previous)
+        raise StageFailure(
+            name, RuntimeError(f"stage {previous!r} has not completed (missing {missing})")
+        )
+    return _execute(cfg, STAGES[i], _outputs_hash(manifest), config_hash(cfg))
+
+
 def run_pipeline(cfg: PipelineConfig) -> RunSummary:
     """Execute every stage in order, skipping stages whose checkpoint
     manifest is still valid; a re-run after interruption therefore
@@ -668,38 +676,23 @@ def run_pipeline(cfg: PipelineConfig) -> RunSummary:
     require_valid(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     summary = RunSummary()
+    key = config_hash(cfg)
 
-    raw_repos, ingest_counters, upstream = ingest_and_fingerprint(cfg)
-    for stage in STAGE_ORDER:
-        if stage == "build" and not cfg.stages.build:
-            break
-        manifest = _stage_is_current(cfg, stage, upstream)
-        if manifest is not None:
-            summary.skipped_stages.append(stage)
+    ingested, upstream = _ingest(cfg)
+    for stage in STAGES:
+        manifest = _stage_is_current(cfg, stage, upstream, key)
+        if manifest is None:
+            manifest = _execute(cfg, stage, upstream, key, ingested)
+            summary.completed_stages.append(stage.name)
         else:
-            try:
-                if stage == "filter":
-                    manifest = stage_filter(cfg, upstream, raw_repos, ingest_counters)
-                elif stage == "order":
-                    manifest = stage_order(cfg, upstream)
-                elif stage == "dedup":
-                    manifest = stage_dedup(cfg, upstream)
-                elif stage == "decontaminate":
-                    manifest = stage_decontaminate(cfg, upstream)
-                else:
-                    manifest = stage_build(cfg, upstream)
-            except Exception as exc:  # halt with the stage name attached
-                raise StageFailure(stage, exc) from exc
-            summary.completed_stages.append(stage)
+            summary.skipped_stages.append(stage.name)
+        ingested = None  # only the first stage reads the raw repos
         upstream = _outputs_hash(manifest)
-        if stage == "build":
-            summary.output_files = [
-                entry["path"] for entry in manifest["outputs"]
-            ]
+    summary.output_files = [entry["path"] for entry in manifest["outputs"]]
 
     summary.stats = emit_stats(cfg)
     run_record = {
-        "config_hash": config_hash(cfg),
+        "config_hash": key,
         "stages_completed": summary.completed_stages,
         "stages_skipped": summary.skipped_stages,
         "output_files": summary.output_files,

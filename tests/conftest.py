@@ -8,6 +8,7 @@ file that gamma leaks.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -97,6 +98,15 @@ def fixture_config(tmp: Path, out_name: str = "out", workers: int = 1) -> Pipeli
     cfg.build.entry_len = 64
     cfg.build.entries_per_shard = 8
     return cfg
+
+
+def output_digest(out: Path) -> dict[str, str]:
+    """sha256 of every output file but run.json, which records what ran."""
+    return {
+        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "run.json"
+    }
 
 
 @pytest.fixture

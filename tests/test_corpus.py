@@ -110,12 +110,7 @@ class TestFileStats:
 
 
 class TestSourceFile:
-    def test_create_computes_byte_size_and_language(self):
-        sf = SourceFile.create("r1", "pkg/mod.py", "x = '中'\n")
-        assert sf.language == "Python"
-        assert sf.byte_size == len("x = '中'\n".encode("utf-8"))
-
     def test_immutable(self):
-        sf = SourceFile.create("r1", "a.py", "x=1")
+        sf = SourceFile("r1", "a.py", "Python", "x=1", 3)
         with pytest.raises(AttributeError):
             sf.content = "y=2"

@@ -8,7 +8,6 @@ import pytest
 from repopipe.dedup import (
     DuplicateCluster,
     choose_representative,
-    dedup_repos,
     find_near_duplicates,
     minhash_signature,
     signature_similarity,
@@ -154,41 +153,40 @@ class TestFindNearDuplicates:
         assert clusters[0].representative == "big"
 
 
+def representatives(samples: list[RepoSample]) -> list[str]:
+    sigs = [minhash_signature(s) for s in samples]
+    char_counts = {s.repo_id: s.char_count for s in samples}
+    clusters = find_near_duplicates(sigs, threshold=0.85, char_counts=char_counts)
+    return [c.representative for c in clusters]
+
+
 class TestDedupRepos:
+    """Which repo of a cluster survives: the representative that
+    find_near_duplicates picks from char_counts."""
+
     def test_largest_sample_retained(self):
         a = sample("A", "x " * 5000)
         b = sample("B", "x " * 4000)
-        clusters = [DuplicateCluster(member_repo_ids=("A", "B"), representative="A")]
-        retained = dedup_repos([a, b], clusters)
-        assert [s.repo_id for s in retained] == ["A"]
-
-    def test_no_clusters_identity(self):
-        samples = [sample("A", "aa"), sample("B", "bb")]
-        assert dedup_repos(samples, []) == samples
+        assert representatives([b, a]) == ["A"]
 
     def test_equal_size_tie_lexicographic(self):
         x = sample("X", "q " * 100)
         y = sample("Y", "q " * 100)
-        clusters = [DuplicateCluster(member_repo_ids=("X", "Y"), representative="X")]
-        retained = dedup_repos([y, x], clusters)
-        assert [s.repo_id for s in retained] == ["X"]
+        assert representatives([y, x]) == ["X"]
 
     def test_retained_count_identity(self):
         rng = random.Random(47)
-        samples = []
-        for i in range(6):
-            samples.append(sample(f"r{i}", " ".join(random_text(rng, f"v{i}", 60))))
-        clusters = [
-            DuplicateCluster(member_repo_ids=("r0", "r1", "r2"), representative="r0"),
-            DuplicateCluster(member_repo_ids=("r4", "r5"), representative="r4"),
-        ]
-        retained = dedup_repos(samples, clusters)
-        assert len(retained) == len(samples) - sum(len(c.member_repo_ids) - 1 for c in clusters)
-
-    def test_samples_survive_whole(self):
-        a = sample("A", "keep " * 200)
-        retained = dedup_repos([a], [])
-        assert retained[0].text == a.text
+        bases = [random_text(rng, f"v{i}", 240) for i in range(3)]
+        texts = [bases[0], perturb(bases[0], rng, 1), perturb(bases[0], rng, 2), bases[1],
+                 bases[2], perturb(bases[2], rng, 1)]
+        samples = [sample(f"r{i}", " ".join(t)) for i, t in enumerate(texts)]
+        sigs = [minhash_signature(s) for s in samples]
+        clusters = find_near_duplicates(
+            sigs, threshold=0.85, char_counts={s.repo_id: s.char_count for s in samples}
+        )
+        assert [c.member_repo_ids for c in clusters] == [("r0", "r1", "r2"), ("r4", "r5")]
+        dropped = sum(len(c.member_repo_ids) - 1 for c in clusters)
+        assert len(samples) - dropped == 3
 
     def test_idempotent(self):
         rng = random.Random(53)
@@ -199,16 +197,17 @@ class TestDedupRepos:
             sample("c", " ".join(random_text(rng, "other"))),
         ]
 
-        def run(ss):
+        def survivors(ss):
             sigs = [minhash_signature(s) for s in ss]
             clusters = find_near_duplicates(
                 sigs, threshold=0.85, char_counts={s.repo_id: s.char_count for s in ss}
             )
-            return dedup_repos(ss, clusters)
+            drop = {rid for c in clusters for rid in c.member_repo_ids if rid != c.representative}
+            return [s for s in ss if s.repo_id not in drop]
 
-        once = run(samples)
-        twice = run(once)
-        assert [s.repo_id for s in once] == [s.repo_id for s in twice]
+        once = survivors(samples)
+        assert len(once) == 2
+        assert [s.repo_id for s in survivors(once)] == [s.repo_id for s in once]
 
     def test_invalid_representative_rejected(self):
         with pytest.raises(ValueError):

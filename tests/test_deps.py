@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repopipe.corpus import SourceFile
+from repopipe.corpus import SourceFile, detect_language
 from repopipe.deps import (
     build_graph,
     concatenate_with_paths,
@@ -17,7 +17,7 @@ from repopipe.deps import (
 
 
 def sf(path: str, content: str, repo_id: str = "r") -> SourceFile:
-    return SourceFile.create(repo_id, path, content)
+    return SourceFile(repo_id, path, detect_language(path), content, len(content.encode("utf-8")))
 
 
 def flat_order(subgraphs: list[list[str]]) -> list[str]:

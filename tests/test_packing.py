@@ -29,9 +29,6 @@ class TestByteTokenizer:
         tok = ByteTokenizer()
         assert len(tok.encode("中")) == 3
 
-    def test_vocab_size(self):
-        assert ByteTokenizer().vocab_size == 260
-
     def test_custom_sentinels(self):
         s = SentinelSet(fim_start="<1>", fim_hole="<2>", fim_end="<3>", eos="<4>")
         tok = ByteTokenizer(s)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import os
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_fixture_corpus, code_lines, fixture_config, write_repo
+from conftest import build_fixture_corpus, code_lines, fixture_config, output_digest, write_repo
 from repopipe.config import PipelineConfig
 from repopipe.pipeline import (
     CLEAN_OUT,
@@ -30,6 +31,14 @@ def read_manifest(cfg: PipelineConfig, stage: str) -> dict:
         return json.load(fh)
 
 
+def fresh_run(cfg: PipelineConfig, out: Path) -> Path:
+    """The same config run from scratch into `out`."""
+    fresh = copy.deepcopy(cfg)
+    fresh.output_dir = str(out)
+    run_pipeline(fresh)
+    return out
+
+
 class TestFixtureRun:
     @pytest.fixture(autouse=True)
     def run(self, tmp_path):
@@ -46,6 +55,12 @@ class TestFixtureRun:
     def test_survivors_are_representative_and_clean_repo(self):
         clean = read_jsonl(self.out / CLEAN_OUT)
         assert [rec["repo_id"] for rec in clean] == ["repo_alpha", "repo_delta"]
+
+    def test_survivors_pass_dedup_whole(self):
+        samples = {rec["repo_id"]: rec for rec in read_jsonl(self.out / SAMPLES_OUT)}
+        kept = read_jsonl(self.out / DEDUP_OUT)
+        assert [rec["repo_id"] for rec in kept] == ["repo_alpha", "repo_delta", "repo_gamma"]
+        assert all(rec == samples[rec["repo_id"]] for rec in kept)
 
     def test_delta_ordered_dependency_first(self):
         samples = {rec["repo_id"]: rec for rec in read_jsonl(self.out / SAMPLES_OUT)}
@@ -102,6 +117,17 @@ class TestFixtureRun:
         assert summary2.completed_stages == []
         assert set(summary2.skipped_stages) == {"filter", "order", "dedup", "decontaminate", "build"}
         assert (self.out / CLEAN_OUT).read_bytes() == before
+
+
+class TestFileRecords:
+    def test_file_record_has_utf8_byte_size_and_language(self, tmp_path):
+        content = "name = '中文'\n"
+        write_repo(tmp_path / "corpus", "r1", {"pkg/mod.py": content})
+        cfg = PipelineConfig(inputs=[str(tmp_path / "corpus")], output_dir=str(tmp_path / "out"))
+        run_pipeline(cfg)
+        [rec] = read_jsonl(tmp_path / "out" / FILES_OUT)
+        assert rec["language"] == "Python"
+        assert rec["byte_size"] == len(content.encode("utf-8")) == 16
 
 
 class TestVacuousRun:
@@ -170,7 +196,42 @@ class TestResume:
         run_pipeline(cfg)
         cfg.build.entry_len = 32
         summary = run_pipeline(cfg)
-        assert "build" in summary.completed_stages
+        assert summary.completed_stages == ["filter", "order", "dedup", "decontaminate", "build"]
+        fresh = fresh_run(cfg, tmp_path / "fresh")
+        assert output_digest(Path(cfg.output_dir)) == output_digest(fresh)
+
+    def test_emptied_benchmark_file_invalidates_checkpoints(self, tmp_path):
+        cfg = fixture_config(tmp_path)
+        run_pipeline(cfg)
+        Path(cfg.decontaminate.benchmark_files[0]).write_text("", encoding="utf-8")
+        summary = run_pipeline(cfg)
+        assert summary.completed_stages == ["filter", "order", "dedup", "decontaminate", "build"]
+        clean = [rec["repo_id"] for rec in read_jsonl(Path(cfg.output_dir) / CLEAN_OUT)]
+        assert "repo_gamma" in clean
+        fresh = fresh_run(cfg, tmp_path / "fresh")
+        assert output_digest(Path(cfg.output_dir)) == output_digest(fresh)
+
+    def test_edited_language_map_invalidates_checkpoints(self, tmp_path):
+        from repopipe.corpus import LanguageMap
+
+        table = LanguageMap.load()
+        lang_map = tmp_path / "languages.json"
+        raw = {
+            "languages": sorted(table.languages),
+            "extensions": dict(table.extensions),
+            "basenames": dict(table.basenames),
+        }
+        lang_map.write_text(json.dumps(raw), encoding="utf-8")
+        cfg = fixture_config(tmp_path)
+        cfg.language_map = str(lang_map)
+        run_pipeline(cfg)
+        del raw["extensions"][".py"]
+        lang_map.write_text(json.dumps(raw), encoding="utf-8")
+        summary = run_pipeline(cfg)
+        assert summary.completed_stages == ["filter", "order", "dedup", "decontaminate", "build"]
+        assert read_jsonl(Path(cfg.output_dir) / FILES_OUT) == []
+        fresh = fresh_run(cfg, tmp_path / "fresh")
+        assert output_digest(Path(cfg.output_dir)) == output_digest(fresh)
 
     def test_deleted_output_forces_rerun(self, tmp_path):
         cfg = fixture_config(tmp_path)
@@ -178,6 +239,51 @@ class TestResume:
         os.remove(Path(cfg.output_dir) / DEDUP_OUT)
         summary = run_pipeline(cfg)
         assert "dedup" in summary.completed_stages
+
+
+class TestInterruptedStage:
+    """A stage killed half way through writing its records leaves no
+    manifest, so the next run redoes it and ends with the same bytes as
+    a run that was never interrupted."""
+
+    @pytest.mark.parametrize(
+        "stage, prefix", [("dedup", DEDUP_OUT), ("build", "entries/entries-")]
+    )
+    def test_resume_matches_uninterrupted_run(self, tmp_path, monkeypatch, stage, prefix):
+        import repopipe.pipeline as pipeline_module
+        from repopipe.pipeline import StageFailure
+
+        cfg = fixture_config(tmp_path)
+        fresh = fresh_run(cfg, tmp_path / "fresh")
+        manifest = json.loads((fresh / "manifests" / f"{stage}.json").read_text())
+        limit = manifest["output_records"] // 2
+        assert limit > 0
+        written = 0
+        real_write = pipeline_module._write_jsonl
+
+        def interrupted_write(path, records):
+            if not os.path.relpath(path, cfg.output_dir).startswith(prefix):
+                return real_write(path, records)
+
+            def until_limit():
+                nonlocal written
+                for rec in records:
+                    if written == limit:
+                        raise RuntimeError("interrupted mid-write")
+                    written += 1
+                    yield rec
+
+            return real_write(path, until_limit())
+
+        monkeypatch.setattr(pipeline_module, "_write_jsonl", interrupted_write)
+        with pytest.raises(StageFailure) as exc_info:
+            run_pipeline(cfg)
+        assert exc_info.value.stage == stage
+        assert written == limit
+        monkeypatch.undo()
+        summary = run_pipeline(cfg)
+        assert summary.completed_stages[0] == stage
+        assert output_digest(Path(cfg.output_dir)) == output_digest(fresh)
 
 
 class TestGraphDump:
@@ -231,13 +337,38 @@ class TestGraphDumpFileNames:
                 "main.py\tutil.py\n"
             )
 
+    def test_long_and_non_ascii_ids_fit_one_file_name(self, tmp_path):
+        ids = ["r" * 300, "r" * 299, "é" * 200, "é" * 199 + "e", "目录/" * 60, "a" * 246]
+        out = self.run_jsonl(tmp_path, ids)
+        names = sorted(p.name for p in (out / "reports" / "graphs").iterdir())
+        assert names == sorted(graph_file_name(rid) for rid in ids)
+        assert len(set(names)) == len(ids)
+        assert all(len(name.encode("utf-8")) <= 255 for name in names)
+        for rid in ids:
+            assert (out / "reports" / "graphs" / graph_file_name(rid)).read_text().endswith(
+                "main.py\tutil.py\n"
+            )
+
+    def test_short_names_unchanged(self):
+        # An id whose encoded name fits keeps it exactly, digest-free.
+        assert graph_file_name("a" * 246) == "a" * 246 + ".deps.txt"
+        assert graph_file_name("%" * 82) == "%25" * 82 + ".deps.txt"
+
     @settings(max_examples=300, deadline=None)
-    @given(st.text(min_size=0, max_size=12), st.text(min_size=0, max_size=12))
-    def test_names_are_injective_and_flat(self, a, b):
+    @given(
+        st.text(min_size=0, max_size=12),
+        st.text(min_size=0, max_size=12),
+        st.sampled_from(["", "x" * 120, "ü" * 120, "%" * 80, "/" * 90]),
+    )
+    def test_names_are_injective_and_flat(self, a, b, shared):
+        # A long shared head pushes both ids past the name limit, where
+        # only their tails tell them apart.
+        a, b = shared + a, shared + b
         for rid in (a, b):
             name = graph_file_name(rid)
             assert "/" not in name and "\\" not in name
             assert not name.startswith(".") or rid == ""  # only "" gives ".deps.txt"
+            assert len(name.encode("utf-8")) <= 255
         if a != b:
             assert graph_file_name(a) != graph_file_name(b)
 

@@ -10,6 +10,7 @@ case, so spacing tricks cannot evade detection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import Iterable
 
 from .deps import RepoSample
@@ -32,6 +33,8 @@ class ContaminationIndex:
     source_labels: dict[str, str] = field(default_factory=dict)
     exact_lengths: set[int] = field(default_factory=set)
     skipped_short: int = 0
+    # first token of an entry -> the lengths of the entries it starts
+    first_tokens: dict[str, set[int]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.ten_gram_set) + len(self.exact_set)
@@ -54,11 +57,13 @@ def build_contamination_index(
                 gram = " ".join(tokens[i : i + NGRAM_SIZE])
                 index.ten_gram_set.add(gram)
                 index.source_labels.setdefault(gram, benchmark)
+                index.first_tokens.setdefault(tokens[i], set()).add(NGRAM_SIZE)
         else:
             entry = " ".join(tokens)
             index.exact_set.add(entry)
             index.exact_lengths.add(len(tokens))
             index.source_labels.setdefault(entry, benchmark)
+            index.first_tokens.setdefault(tokens[0], set()).add(len(tokens))
     return index
 
 
@@ -70,22 +75,27 @@ class ContaminationReport:
 
 
 def scan_text(text: str, index: ContaminationIndex) -> ContaminationReport:
-    """All matches found in one pass over the token stream."""
+    """All matches in the token stream: 10-grams by position, then exact
+    strings by ascending length and position. A window is joined and
+    looked up only at positions whose token starts an indexed entry of
+    that length.
+    """
     tokens = tokenize(text)
+    starts: dict[int, list[int]] = {}  # entry length -> candidate positions, ascending
+    for i in compress(count(), map(index.first_tokens.__contains__, tokens)):
+        for n in index.first_tokens[tokens[i]]:
+            starts.setdefault(n, []).append(i)
     matched: list[str] = []
     seen: set[str] = set()
-    if index.ten_gram_set and len(tokens) >= NGRAM_SIZE:
-        for i in range(len(tokens) - NGRAM_SIZE + 1):
-            gram = " ".join(tokens[i : i + NGRAM_SIZE])
-            if gram in index.ten_gram_set and gram not in seen:
-                seen.add(gram)
-                matched.append(gram)
-    for n in sorted(index.exact_lengths):
-        if len(tokens) < n:
-            continue
-        for i in range(len(tokens) - n + 1):
+    passes = [(NGRAM_SIZE, index.ten_gram_set)]
+    passes += [(n, index.exact_set) for n in sorted(index.exact_lengths)]
+    for n, entries in passes:
+        last = len(tokens) - n
+        for i in starts.get(n, ()):
+            if i > last:
+                break
             window = " ".join(tokens[i : i + n])
-            if window in index.exact_set and window not in seen:
+            if window in entries and window not in seen:
                 seen.add(window)
                 matched.append(window)
     benchmarks = sorted({index.source_labels[m] for m in matched})

@@ -33,11 +33,9 @@ def shingle_set(text: str, width: int) -> set[str]:
 
 
 def _hash_shingles(shingles: Iterable[str]) -> np.ndarray:
-    hashes = [
-        int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "little")
-        for s in shingles
-    ]
-    return np.array(hashes, dtype=np.uint64)
+    """The 8-byte blake2b digest of each shingle, read little-endian."""
+    digests = b"".join([hashlib.blake2b(s.encode(), digest_size=8).digest() for s in shingles])
+    return np.frombuffer(digests, dtype="<u8")
 
 
 def _permutations(num_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -45,10 +45,11 @@ def _python_refs(content: str) -> list[str]:
     for match in _PY_FROM.finditer(content):
         module = match.group(1)
         refs.append(module)
+        sep = "." if module.strip(".") else ""  # `from . import b` names `.b`
         for name in match.group(2).split(","):
             name = name.strip()
             if name and name != "*":
-                refs.append(f"{module}.{name}")
+                refs.append(f"{module}{sep}{name}")
     return refs
 
 
@@ -72,6 +73,25 @@ def _module_candidates(module: str, extensions: Sequence[str]) -> list[str]:
     if ".py" in extensions:
         cands.append(f"{base}/__init__.py")
     return cands
+
+
+def _relative_candidates(ref: str, from_path: str) -> list[str]:
+    """Repo paths a relative Python module (`.b`, `..pkg.c`, `.`) may
+    name from the file at `from_path`. The first dot is the file's own
+    directory and each further dot climbs one level; a climb above the
+    repo root names nothing. A bare run of dots names the package's
+    `__init__.py`.
+    """
+    module = ref.lstrip(".")
+    up = len(ref) - len(module) - 1
+    parts = from_path.split("/")[:-1]
+    if up > len(parts):
+        return []
+    parts = parts[: len(parts) - up]
+    if not module:
+        return ["/".join([*parts, "__init__.py"])]
+    base = "/".join([*parts, *module.split(".")])
+    return [f"{base}.py", f"{base}/__init__.py"]
 
 
 def _slash_suffixes(path: str) -> Iterator[str]:
@@ -100,6 +120,7 @@ class _PathIndex:
         self.go_by_dir_suffix: dict[str, list[str]] = {}
         self.go_by_dir: dict[str, list[str]] = {}
         self.paths = sorted(repo_paths)
+        self.path_set = frozenset(self.paths)
         for p in self.paths:
             for tail in _slash_suffixes(p):
                 self.by_suffix.setdefault(tail, []).append(p)
@@ -121,6 +142,18 @@ def _resolve_modules(modules: Iterable[str], extensions: Sequence[str], index: _
     for module in modules:
         for cand in _module_candidates(module, extensions):
             out.extend(index.match(cand))
+    return out
+
+
+def _resolve_python(refs: Iterable[str], from_path: str, index: _PathIndex) -> list[str]:
+    """Absolute modules match by path suffix, relative ones (leading
+    dots) only the exact paths they name."""
+    out: list[str] = []
+    for ref in refs:
+        if ref.startswith("."):
+            out.extend(c for c in _relative_candidates(ref, from_path) if c in index.path_set)
+        else:
+            out.extend(_resolve_modules((ref,), (".py",), index))
     return out
 
 
@@ -179,7 +212,7 @@ def extract_dependencies(file: SourceFile, repo_paths: Iterable[str]) -> list[st
     index = repo_paths if isinstance(repo_paths, _PathIndex) else _PathIndex(repo_paths)
     lang = file.language
     if lang == "Python":
-        hits = _resolve_modules(_python_refs(file.content), (".py",), index)
+        hits = _resolve_python(_python_refs(file.content), file.path, index)
     elif lang in ("C", "C++"):
         hits = _resolve_includes(
             (m.group(1) for m in _C_INCLUDE.finditer(file.content)), index

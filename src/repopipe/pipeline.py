@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import PipelineConfig, config_hash, require_valid, sha256_file
 from .corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
-from .decontam import ContaminationIndex, build_contamination_index, scan_text
+from .decontam import ContaminationIndex, ContaminationReport, build_contamination_index, scan_text
 from .dedup import (
     MinHashSignature,
     find_near_duplicates,
@@ -159,13 +159,30 @@ def _outputs_hash(manifest: dict) -> str:
 # Parallel fan-out
 # -----------------------
 
-def _pmap(fn: Callable, items: Sequence, workers: int) -> list:
-    """Order-preserving map, optionally over a process pool."""
+_shared: tuple = ()  # (fn, args) in a pool worker, set once by _init_shared
+
+
+def _init_shared(fn: Callable, args: tuple) -> None:
+    global _shared
+    _shared = (fn, args)
+
+
+def _call_shared(item):
+    fn, args = _shared
+    return fn(item, *args)
+
+
+def _pmap(fn: Callable, items: Sequence, workers: int, shared: tuple = ()) -> list:
+    """Order-preserving map of fn(item, *shared), optionally over a
+    process pool. `shared` reaches each pool worker once, through the
+    pool initializer, not with every task."""
     if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
+        return [fn(item, *shared) for item in items]
     chunksize = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_shared, initargs=(fn, shared)
+    ) as pool:
+        return list(pool.map(_call_shared, items, chunksize=chunksize))
 
 
 @functools.lru_cache(maxsize=4)
@@ -181,8 +198,9 @@ def _bump(counters: dict[str, int], key: str, by: int = 1) -> None:
 # Stage 1: filter
 # -----------------------
 
-def _filter_repo_worker(args: tuple[RawRepo, FilterThresholds, str | None, bool]) -> tuple[list[dict], dict[str, int]]:
-    raw_repo, thresholds, lang_map_path, enabled = args
+def _filter_repo_worker(
+    raw_repo: RawRepo, thresholds: FilterThresholds, lang_map_path: str | None, enabled: bool
+) -> tuple[list[dict], dict[str, int]]:
     lang_map = _lang_map(lang_map_path)
     kept: list[dict] = []
     counters: dict[str, int] = {}
@@ -235,10 +253,10 @@ def stage_filter(
 ) -> StageResult:
     raw_repos, ingest_counters = ingested
     _lang_map.cache_clear()  # the table file may have changed since the last run
-    tasks = [(repo, cfg.filters, cfg.language_map, cfg.stages.filter) for repo in raw_repos]
+    shared = (cfg.filters, cfg.language_map, cfg.stages.filter)
     counters: dict[str, int] = {}
     rows: list[dict] = []
-    for kept, repo_counters in _pmap(_filter_repo_worker, tasks, cfg.workers):
+    for kept, repo_counters in _pmap(_filter_repo_worker, raw_repos, cfg.workers, shared):
         rows.extend(kept)
         for key, count in repo_counters.items():
             _bump(counters, key, count)
@@ -253,8 +271,10 @@ def stage_filter(
 # Stage 2: order
 # -----------------------
 
-def _order_repo_worker(args: tuple[str, list[dict], bool]) -> tuple[dict | None, list[tuple[str, str]]]:
-    repo_id, file_records, enabled = args
+def _order_repo_worker(
+    repo: tuple[str, list[dict]], enabled: bool
+) -> tuple[dict | None, list[tuple[str, str]]]:
+    repo_id, file_records = repo
     files = [SourceFile(**rec) for rec in file_records]
     if not files:
         return None, []
@@ -301,15 +321,15 @@ def stage_order(cfg: PipelineConfig, file_records: list[dict]) -> StageResult:
     by_repo: dict[str, list[dict]] = {}
     for rec in file_records:
         by_repo.setdefault(rec["repo_id"], []).append(rec)
-    tasks = [(rid, by_repo[rid], cfg.stages.order) for rid in sorted(by_repo)]
-    results = _pmap(_order_repo_worker, tasks, cfg.workers)
+    tasks = [(rid, by_repo[rid]) for rid in sorted(by_repo)]
+    results = _pmap(_order_repo_worker, tasks, cfg.workers, (cfg.stages.order,))
 
     rows = [rec for rec, _ in results if rec is not None]
     outputs = []
     if cfg.dump_graphs:
         graphs_dir = os.path.join(cfg.output_dir, "reports", "graphs")
         os.makedirs(graphs_dir, exist_ok=True)
-        for (rid, _, _), (_, edges) in zip(tasks, results):
+        for (rid, _), (_, edges) in zip(tasks, results):
             rel = f"reports/graphs/{graph_file_name(rid)}"
             with open(os.path.join(cfg.output_dir, rel), "w", encoding="utf-8") as fh:
                 for dependent, dependency in edges:
@@ -324,24 +344,23 @@ def stage_order(cfg: PipelineConfig, file_records: list[dict]) -> StageResult:
 # Stage 3: dedup
 # -----------------------
 
-def _signature_worker(args: tuple[str, str, int, int, int, int]) -> tuple[str, tuple[int, ...], int]:
-    repo_id, text, char_count, num_perm, shingle_width, seed = args
+def _signature_worker(
+    rec: tuple[str, str, int], num_perm: int, shingle_width: int, seed: int
+) -> tuple[int, ...]:
+    repo_id, text, char_count = rec
     sample = RepoSample(repo_id=repo_id, ordered_paths=(), text=text, char_count=char_count)
-    sig = minhash_signature(sample, num_perm=num_perm, shingle_width=shingle_width, seed=seed)
-    return sig.repo_id, sig.values, sig.num_perm
+    return minhash_signature(sample, num_perm=num_perm, shingle_width=shingle_width, seed=seed).values
 
 
 def stage_dedup(cfg: PipelineConfig, records: list[dict]) -> StageResult:
     if not (cfg.stages.dedup and records):
         return StageResult(records, len(records))
     d = cfg.dedup
-    tasks = [
-        (rec["repo_id"], rec["text"], rec["char_count"], d.num_perm, d.shingle_width, d.seed)
-        for rec in records
-    ]
-    sig_rows = _pmap(_signature_worker, tasks, cfg.workers)
+    tasks = [(rec["repo_id"], rec["text"], rec["char_count"]) for rec in records]
+    sig_values = _pmap(_signature_worker, tasks, cfg.workers, (d.num_perm, d.shingle_width, d.seed))
     signatures = [
-        MinHashSignature(repo_id=rid, values=vals, num_perm=num) for rid, vals, num in sig_rows
+        MinHashSignature(repo_id=rid, values=vals, num_perm=d.num_perm)
+        for (rid, _, _), vals in zip(tasks, sig_values)
     ]
     char_counts = {rec["repo_id"]: rec["char_count"] for rec in records}
     clusters = find_near_duplicates(
@@ -378,24 +397,19 @@ def stage_dedup(cfg: PipelineConfig, records: list[dict]) -> StageResult:
 # Stage 4: quality screening + decontamination
 # -----------------------
 
-def _screen_worker(
-    args: tuple[dict, FilterThresholds, bool, ContaminationIndex | None]
-) -> tuple[bool, str | None, dict | None]:
-    record, thresholds, heuristics_on, index = args
+def _screen(
+    text: str, thresholds: FilterThresholds, heuristics_on: bool, index: ContaminationIndex | None
+) -> tuple[str | None, ContaminationReport | None]:
+    """Why a sample is dropped (None: kept), with its contamination report."""
     if heuristics_on:
-        verdict = apply_quality_heuristics(record["text"], thresholds)
+        verdict = apply_quality_heuristics(text, thresholds)
         if not verdict.accepted:
-            return False, verdict.rule_fired, None
+            return verdict.rule_fired, None
     if index is not None and len(index):
-        report = scan_text(record["text"], index)
+        report = scan_text(text, index)
         if report.hit:
-            entry = {
-                "repo_id": record["repo_id"],
-                "benchmarks": list(report.benchmarks),
-                "matched_entries": list(report.matched_entries),
-            }
-            return False, "contaminated", entry
-    return True, None, None
+            return "contaminated", report
+    return None, None
 
 
 def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
@@ -417,17 +431,22 @@ def stage_decontaminate(cfg: PipelineConfig, records: list[dict]) -> StageResult
     index: ContaminationIndex | None = None
     if cfg.decontaminate.benchmark_files:
         index = build_contamination_index(load_benchmark_strings(cfg.decontaminate.benchmark_files))
-    tasks = [(rec, cfg.filters, cfg.decontaminate.quality_heuristics, index) for rec in records]
+    texts = [rec["text"] for rec in records]
+    shared = (cfg.filters, cfg.decontaminate.quality_heuristics, index)
     counters: dict[str, int] = {}
     clean: list[dict] = []
     report_rows: list[dict] = []
-    for rec, (passed, reason, entry) in zip(records, _pmap(_screen_worker, tasks, cfg.workers)):
-        if passed:
+    for rec, (reason, report) in zip(records, _pmap(_screen, texts, cfg.workers, shared)):
+        if reason is None:
             clean.append(rec)
-        else:
-            _bump(counters, reason)
-            if entry is not None:
-                report_rows.append(entry)
+            continue
+        _bump(counters, reason)
+        if report is not None:
+            report_rows.append({
+                "repo_id": rec["repo_id"],
+                "benchmarks": list(report.benchmarks),
+                "matched_entries": list(report.matched_entries),
+            })
     outputs = []
     if cfg.decontaminate.report and index is not None:
         rel = "reports/contamination_report.jsonl"
@@ -441,9 +460,9 @@ def stage_decontaminate(cfg: PipelineConfig, records: list[dict]) -> StageResult
 # Stage 5: build (FIM + packing)
 # -----------------------
 
-def _fim_worker(args: tuple[str, int, FimConfig, tuple[str, str, str, str]]) -> str | None:
-    text, doc_index, fim_cfg, sentinel_tuple = args
-    return fim_transform(text, doc_index, fim_cfg, SentinelSet(*sentinel_tuple))
+def _fim_worker(doc: tuple[str, int], fim_cfg: FimConfig, sentinels: SentinelSet) -> str | None:
+    text, doc_index = doc
+    return fim_transform(text, doc_index, fim_cfg, sentinels)
 
 
 def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
@@ -457,10 +476,8 @@ def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
     fim_cfg = FimConfig(fim_rate=cfg.build.fim_rate, mode=cfg.build.fim_mode, seed=cfg.seed)
     counters: dict[str, int] = {}
 
-    tasks = [
-        (rec["text"], idx, fim_cfg, sentinels.as_tuple()) for idx, rec in enumerate(records)
-    ]
-    transformed = _pmap(_fim_worker, tasks, cfg.workers)
+    tasks = [(rec["text"], idx) for idx, rec in enumerate(records)]
+    transformed = _pmap(_fim_worker, tasks, cfg.workers, (fim_cfg, sentinels))
     docs: list[str] = []
     fim_applied = 0
     for rec, doc in zip(records, transformed):

@@ -1,19 +1,25 @@
 """Brute-force reference implementations, kept as oracles for the
-indexed, heap-based, offset-based and chunked code in `repopipe`.
+indexed, heap-based, offset-based, chunked and filtered code in `repopipe`.
 
 Each is the straightforward form of its algorithm: a linear scan of
 every repo path per candidate reference, a `min` over the unselected
 nodes per toposort step, a packer that slices and copies its buffer per
-entry, and a MinHash that materialises the full permutation table.
+entry, shingle hashes read one Python int at a time, a MinHash that
+materialises the full permutation table, and a contamination scan that
+looks up a window at every token position for every indexed length.
 """
 
 from __future__ import annotations
 
+import hashlib
 import posixpath
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repopipe.corpus import SourceFile
-from repopipe.dedup import _hash_shingles, _permutations, _MERSENNE_PRIME, shingle_set
+from repopipe.decontam import NGRAM_SIZE, ContaminationIndex, ContaminationReport, tokenize
+from repopipe.dedup import _permutations, _MERSENNE_PRIME, shingle_set
 from repopipe.deps import (
     _C_INCLUDE,
     _CSHARP_USING,
@@ -25,6 +31,7 @@ from repopipe.deps import (
     _js_refs,
     _module_candidates,
     _python_refs,
+    _relative_candidates,
     build_graph,
 )
 from repopipe.packing import PackedEntry, PackResult, Tokenizer
@@ -40,6 +47,17 @@ def resolve_modules(modules: Iterable[str], extensions: Sequence[str], repo_path
     for module in modules:
         for cand in _module_candidates(module, extensions):
             out.extend(match_suffix(cand, repo_paths))
+    return out
+
+
+def resolve_python(refs: Iterable[str], from_path: str, repo_paths: Sequence[str]) -> list[str]:
+    out: list[str] = []
+    for ref in refs:
+        if ref.startswith("."):
+            for cand in _relative_candidates(ref, from_path):
+                out.extend(p for p in repo_paths if p == cand)
+        else:
+            out.extend(resolve_modules([ref], (".py",), repo_paths))
     return out
 
 
@@ -95,7 +113,7 @@ def extract_dependencies(file: SourceFile, repo_paths: Iterable[str]) -> list[st
     paths = sorted(repo_paths)
     lang = file.language
     if lang == "Python":
-        hits = resolve_modules(_python_refs(file.content), (".py",), paths)
+        hits = resolve_python(_python_refs(file.content), file.path, paths)
     elif lang in ("C", "C++"):
         hits = resolve_includes((m.group(1) for m in _C_INCLUDE.finditer(file.content)), paths)
     elif lang == "C#":
@@ -179,9 +197,43 @@ def pack_entries(docs: Iterable[str], tokenizer: Tokenizer, entry_len: int, pad_
     return result
 
 
+def hash_shingles(shingles: Iterable[str]) -> np.ndarray:
+    hashes = [
+        int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "little")
+        for s in shingles
+    ]
+    return np.array(hashes, dtype=np.uint64)
+
+
 def minhash_values(text: str, num_perm: int, shingle_width: int, seed: int) -> tuple[int, ...]:
-    hashes = _hash_shingles(shingle_set(text, shingle_width))
+    hashes = hash_shingles(shingle_set(text, shingle_width))
     a, b = _permutations(num_perm, seed)
     table = (a[:, None] * hashes[None, :] + b[:, None]) % _MERSENNE_PRIME
     return tuple(int(v) for v in table.min(axis=1))
 
+
+
+def scan_text(text: str, index: ContaminationIndex) -> ContaminationReport:
+    tokens = tokenize(text)
+    matched: list[str] = []
+    seen: set[str] = set()
+    if index.ten_gram_set and len(tokens) >= NGRAM_SIZE:
+        for i in range(len(tokens) - NGRAM_SIZE + 1):
+            gram = " ".join(tokens[i : i + NGRAM_SIZE])
+            if gram in index.ten_gram_set and gram not in seen:
+                seen.add(gram)
+                matched.append(gram)
+    for n in sorted(index.exact_lengths):
+        if len(tokens) < n:
+            continue
+        for i in range(len(tokens) - n + 1):
+            window = " ".join(tokens[i : i + n])
+            if window in index.exact_set and window not in seen:
+                seen.add(window)
+                matched.append(window)
+    benchmarks = sorted({index.source_labels[m] for m in matched})
+    return ContaminationReport(
+        hit=bool(matched),
+        matched_entries=tuple(matched),
+        benchmarks=tuple(benchmarks),
+    )

@@ -46,6 +46,36 @@ class TestExtractDependencies:
         deps = extract_dependencies(f, {"main.py", "pkg/tools.py", "pkg/__init__.py"})
         assert set(deps) == {"pkg/tools.py", "pkg/__init__.py"}
 
+    def test_python_relative_imports(self):
+        f = sf("pkg/a.py", "from . import b\nfrom .b import y\n")
+        assert extract_dependencies(f, {"pkg/a.py", "pkg/b.py"}) == ["pkg/b.py"]
+        files = [f, sf("pkg/b.py", "y = 1\n")]
+        ordered, edges = order_repo_files(files)
+        assert edges == [("pkg/a.py", "pkg/b.py")]
+        assert [g.path for g in ordered] == ["pkg/b.py", "pkg/a.py"]
+
+    def test_python_relative_import_forms(self):
+        paths = {
+            "__init__.py", "top.py", "pkg/__init__.py", "pkg/a.py", "pkg/b.py",
+            "pkg/sub/__init__.py", "pkg/sub/c.py", "pkg/sub/d/__init__.py", "other/pkg/b.py",
+        }
+        cases = {
+            "from . import b": ["pkg/__init__.py", "pkg/b.py"],
+            "from .b import y": ["pkg/b.py"],
+            "from .sub import c, d": ["pkg/sub/__init__.py", "pkg/sub/c.py", "pkg/sub/d/__init__.py"],
+            "from .sub.c import z": ["pkg/sub/c.py"],
+            "from .. import top": ["__init__.py", "top.py"],
+            "from ..pkg import b": ["pkg/__init__.py", "pkg/b.py"],
+            "from ... import top": [],  # climbs above the repo root
+            "from .missing import b": [],  # exact paths only, never a suffix match
+        }
+        for line, want in cases.items():
+            assert extract_dependencies(sf("pkg/a.py", line + "\n"), paths) == want, line
+
+    def test_python_relative_import_at_repo_root(self):
+        f = sf("a.py", "from . import b\nfrom .. import c\n")
+        assert extract_dependencies(f, {"a.py", "b.py", "c.py", "x/c.py"}) == ["b.py"]
+
     def test_python_external_import_dropped(self):
         f = sf("main.py", "import numpy\n")
         assert extract_dependencies(f, {"main.py"}) == []

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import oracles
 from repopipe import dedup
 from repopipe.corpus import SourceFile
-from repopipe.dedup import minhash_signature
+from repopipe.decontam import ContaminationReport, build_contamination_index, scan_text
+from repopipe.dedup import _hash_shingles, minhash_signature
 from repopipe.deps import RepoSample, build_graph, extract_dependencies, order_repo_files, topological_sort
 from repopipe.fim import DEFAULT_SENTINELS
 from repopipe.packing import ByteTokenizer, pack_entries
@@ -58,8 +59,21 @@ def import_line(draw, here: str, repo_paths: list[str]) -> str:
     package = posixpath.dirname(slashed)
     rel = posixpath.relpath(stem or ".", posixpath.dirname(here) or ".")
     module = package.replace("/", ".")
+    # Python relative form: keep `keep` of here's directories (-1 climbs
+    # out of the repo) and name a Python path below them.
+    here_dir = here.split("/")[:-1]
+    py_paths = [p for p in repo_paths if p.endswith(".py") and p != here] or repo_paths
+    target = posixpath.splitext(draw(st.sampled_from(py_paths)))[0].split("/")
+    keep = draw(st.integers(min_value=-1, max_value=len(posixpath.commonprefix([here_dir, target[:-1]]))))
+    dots = "." * (len(here_dir) - keep + 1)
+    below = target[max(keep, 0) :]
     by_language = {
-        "Python": [f"import {dotted}", f"from {module or dotted} import {posixpath.basename(stem) or '*'}"],
+        "Python": [
+            f"import {dotted}",
+            f"from {module or dotted} import {posixpath.basename(stem) or '*'}",
+            f"from {dots}{'.'.join(below[:-1])} import {below[-1] if below else '*'}",
+            f"from {dots}{'.'.join(below)} import x",
+        ],
         "C": [f'#include "{slashed}"', f"#include <other/{posixpath.basename(slashed)}>"],
         "Go": [
             f'import "{package or slashed}"',
@@ -184,3 +198,92 @@ def test_chunked_minhash_over_several_default_chunks():
     sample = RepoSample("r", (), text, len(text))
     got = minhash_signature(sample, num_perm=128, shingle_width=5, seed=1).values
     assert got == oracles.minhash_values(text, 128, 5, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=30)))
+def test_shingle_hashes_match_per_int_form(shingles):
+    got = _hash_shingles(shingles)
+    want = oracles.hash_shingles(shingles)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+# Common code tokens, a non-ASCII pair and a few rare ones: entries share
+# first tokens, prefix one another and overlap in the scanned text.
+SCAN_TOKENS = ["def", "return", "self", "=", "(x):", "für", "名前", "q1", "q2", "q3"]
+SPACES = [" ", "  ", "\t", "\n", "\u3000"]
+scan_tokens = st.sampled_from(SCAN_TOKENS)
+
+
+@st.composite
+def benchmark_rows(draw) -> list[tuple[str, str]]:
+    rows = []
+    for tokens in draw(st.lists(st.lists(scan_tokens, max_size=14), min_size=1, max_size=8)):
+        sep = draw(st.sampled_from(SPACES))
+        rows.append((sep.join(tokens), draw(st.sampled_from(["b1", "b2", "b3"]))))
+    return rows
+
+
+@st.composite
+def scanned_texts(draw, rows: list[tuple[str, str]]) -> str:
+    """Random tokens interleaved with benchmark strings, whole or sliced."""
+    pieces = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        if draw(st.booleans()):
+            tokens = draw(st.sampled_from(rows))[0].split()
+            lo = draw(st.sampled_from([0, 0, 1, len(tokens) // 2]))
+            hi = draw(st.sampled_from([len(tokens), len(tokens), len(tokens) - 1]))
+            pieces.extend(tokens[lo:hi])
+        else:
+            pieces.extend(draw(st.lists(scan_tokens, max_size=6)))
+    return "".join(tok + draw(st.sampled_from(SPACES)) for tok in pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scan_matches_every_position_scan(data):
+    rows = data.draw(benchmark_rows())
+    index = build_contamination_index(rows)
+    text = data.draw(scanned_texts(rows))
+    assert scan_text(text, index) == oracles.scan_text(text, index)
+
+
+def test_scan_named_cases_match_every_position_scan():
+    ten = " ".join(f"t{i}" for i in range(12))
+    shared_gram = " ".join(f"g{i}" for i in range(10))
+    cases = {
+        "shared first tokens": (
+            [("def f x", "b1"), ("def g y z", "b2"), ("def f x y z w v u t s r", "b3")],
+            "def g y z def f x y z w v u t s r def f x",
+        ),
+        "exact entry prefix of another": (
+            [("def f x", "b1"), ("def f x y", "b2")], "a def f x y b def f x",
+        ),
+        "overlapping and repeated": (
+            [("a a a", "b1"), ("a a a a", "b2")], "a a a a a a a",
+        ),
+        "mixed exact lengths": (
+            [(" ".join(["w"] * n), f"b{n}") for n in range(3, 10)], " ".join(["w"] * 12),
+        ),
+        "gram from two benchmarks": ([(shared_gram, "first"), (shared_gram, "second")], shared_gram),
+        "empty text": ([(ten, "b1"), ("p q r", "b2")], ""),
+        "short text, grams only": ([(ten, "b1")], "t0 t1 t2 t3 t4 t5 t6 t7 t8"),
+        "non-ASCII": ([("für 名前 ist", "b1"), ("ü " * 11, "b2")], "x für 名前 ist y " + "ü " * 10),
+        "common code first tokens": (
+            [("return self", "short"), ("return self . x", "b1"), ("def __init__ ( self ) :", "b2"),
+             ("= = = = = = = = = = =", "b3"), ("return return return", "b4")],
+            "def __init__ ( self ) : return self . x = = = = = = = = = = return return return",
+        ),
+    }
+    for name, (rows, text) in cases.items():
+        index = build_contamination_index(rows)
+        assert scan_text(text, index) == oracles.scan_text(text, index), name
+    index = build_contamination_index(cases["gram from two benchmarks"][0])
+    assert scan_text(shared_gram, index) == ContaminationReport(True, (shared_gram,), ("first",))
+    index = build_contamination_index(cases["short text, grams only"][0])
+    assert len(index.ten_gram_set) == 3 and not scan_text(cases["short text, grams only"][1], index).hit
+    index = build_contamination_index(cases["overlapping and repeated"][0])
+    assert scan_text("a a a a a a a", index).matched_entries == ("a a a", "a a a a")
+    index = build_contamination_index(cases["mixed exact lengths"][0])
+    report = scan_text(" ".join(["w"] * 12), index)
+    assert [len(m.split()) for m in report.matched_entries] == list(range(3, 10))

@@ -182,6 +182,29 @@ class TestStageToggles:
         assert not (out / "entries").exists()
 
 
+class TestWorkerCountInvariance:
+    def test_screening_bytes_same_at_one_and_two_workers(self, tmp_path):
+        # A second benchmark file adds an exact-length hit in repo_delta to
+        # the 10-gram hit in repo_gamma, so the pool workers find both kinds.
+        probes = tmp_path / "probes.jsonl"
+        probe = code_lines(seed=37, n_lines=30).splitlines()[0]
+        probes.write_text(json.dumps({"text": probe, "benchmark": "probe"}) + "\n", encoding="utf-8")
+        digests = {}
+        for workers in (1, 2):
+            cfg = fixture_config(tmp_path, out_name=f"w{workers}", workers=workers)
+            cfg.decontaminate.benchmark_files.append(str(probes))
+            run_pipeline(cfg)
+            digests[workers] = output_digest(Path(cfg.output_dir))
+        report = read_jsonl(tmp_path / "w2" / "reports" / "contamination_report.jsonl")
+        assert [(r["repo_id"], r["benchmarks"]) for r in report] == [
+            ("repo_delta", ["probe"]), ("repo_gamma", ["bench-a"]),
+        ]
+        for rel in ("work/samples_clean.jsonl", "reports/contamination_report.jsonl",
+                    "manifests/decontaminate.json"):
+            assert digests[1][rel] == digests[2][rel], rel
+        assert digests[1] == digests[2]
+
+
 class TestResume:
     def test_input_change_invalidates_checkpoints(self, tmp_path):
         cfg = fixture_config(tmp_path)

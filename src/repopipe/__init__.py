@@ -46,7 +46,7 @@ from .filters import (
     filter_html,
 )
 from .fim import DEFAULT_SENTINELS, FimConfig, SentinelSet, fim_split, fim_transform
-from .packing import ByteTokenizer, PackedEntry, PackResult, Tokenizer, pack_entries
+from .packing import ByteTokenizer, PackResult, Tokenizer, pack_entries
 from .pipeline import RunSummary, StageFailure, emit_stats, run_pipeline, run_stage
 from .stats import CorpusStats, compute_corpus_stats, render_stats_table
 
@@ -71,7 +71,6 @@ __all__ = [
     "LanguageMap",
     "MinHashSignature",
     "PackResult",
-    "PackedEntry",
     "PipelineConfig",
     "RepoSample",
     "RunSummary",

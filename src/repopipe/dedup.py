@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ def shingle_set(text: str, width: int) -> set[str]:
     tokens = _TOKEN.findall(text.lower())
     if len(tokens) < width:
         return {" ".join(tokens)}
-    return {" ".join(tokens[i : i + width]) for i in range(len(tokens) - width + 1)}
+    return set(map(" ".join, zip(*(islice(tokens, k, None) for k in range(width)))))
 
 
 def _hash_shingles(shingles: Iterable[str]) -> np.ndarray:

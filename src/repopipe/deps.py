@@ -24,8 +24,15 @@ EXTRACTION_LANGUAGES = frozenset(
     {"Python", "C", "C++", "C#", "Java", "TypeScript", "JavaScript", "Go"}
 )
 
-_PY_IMPORT = re.compile(r"^\s*import\s+([\w.]+(?:\s*,\s*[\w.]+)*)", re.MULTILINE)
-_PY_FROM = re.compile(r"^\s*from\s+([\w.]+)\s+import\s+([\w.*]+(?:\s*,\s*[\w.*]+)*)", re.MULTILINE)
+# A comma-separated name list, each name with an optional `as` alias. A
+# bracketed `from` list may span lines and hold `#` comments; any other
+# character ends it, so an unclosed bracket costs one scan to the next.
+_PY_NAMES = r"[\w.*]+(?:[ \t]+as[ \t]+\w+)?(?:\s*,\s*[\w.*]+(?:[ \t]+as[ \t]+\w+)?)*"
+_PY_IMPORT = re.compile(rf"^\s*import\s+({_PY_NAMES})", re.MULTILINE)
+_PY_FROM = re.compile(
+    rf"^\s*from\s+([\w.]+)\s+import\s+(?:\(((?:[\w.,\s]|#[^\n]*\n)*)\)|({_PY_NAMES}))", re.MULTILINE
+)
+_PY_COMMENT = re.compile(r"#[^\n]*")
 _C_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]', re.MULTILINE)
 _CSHARP_USING = re.compile(r"^\s*using\s+(?:static\s+)?([\w.]+)\s*;", re.MULTILINE)
 _JAVA_IMPORT = re.compile(r"^\s*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;", re.MULTILINE)
@@ -37,18 +44,22 @@ _GO_BLOCK = re.compile(r"^\s*import\s*\(([^)]*)\)", re.MULTILINE | re.DOTALL)
 _GO_IN_BLOCK = re.compile(r'"([^"]+)"')
 
 
+def _python_names(listing: str) -> list[str]:
+    """The names of an import list, without aliases and comments."""
+    items = _PY_COMMENT.sub("", listing).split(",")
+    return [item.split()[0] for item in items if item.strip()]
+
+
 def _python_refs(content: str) -> list[str]:
     refs: list[str] = []
     for match in _PY_IMPORT.finditer(content):
-        for name in match.group(1).split(","):
-            refs.append(name.strip())
+        refs += _python_names(match.group(1))
     for match in _PY_FROM.finditer(content):
         module = match.group(1)
         refs.append(module)
         sep = "." if module.strip(".") else ""  # `from . import b` names `.b`
-        for name in match.group(2).split(","):
-            name = name.strip()
-            if name and name != "*":
+        for name in _python_names(match.group(3) or match.group(2)):
+            if name != "*":
                 refs.append(f"{module}{sep}{name}")
     return refs
 

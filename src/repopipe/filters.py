@@ -12,6 +12,7 @@ counters are stable across runs. Threshold semantics:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from html.parser import HTMLParser
 
@@ -201,9 +202,7 @@ def apply_quality_heuristics(
         return _accept()
     tokens = content.split()
     if tokens:
-        counts: dict[str, int] = {}
-        for tok in tokens:
-            counts[tok] = counts.get(tok, 0) + 1
+        counts = Counter(tokens)
         top_tok, top_count = max(counts.items(), key=lambda kv: (kv[1] * len(kv[0]), kv[0]))
         covered = top_count * len(top_tok)
         if covered > thresholds.max_repeated_token_fraction * len(content):

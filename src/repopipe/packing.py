@@ -1,16 +1,20 @@
 """Tokenization interface and fixed-length entry packing.
 
-Token streams of all documents are concatenated in order and sliced
-into entries of exactly entry_len tokens. The trailing partial slice is
-dropped by default or padded with eos when configured; either way token
-accounting is exact: entry tokens + dropped tail = total tokens.
+Token streams of all documents are concatenated in order into one
+uint32 stream, viewed as entries of exactly entry_len tokens. The
+trailing partial slice is dropped by default or padded with eos when
+configured; either way token accounting is exact: entry tokens +
+dropped tail = total tokens.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Iterable, Protocol, runtime_checkable
+
+import numpy as np
 
 from .fim import DEFAULT_SENTINELS, SentinelSet
 
@@ -71,19 +75,14 @@ class ByteTokenizer:
         return "".join(out)
 
 
-@dataclass(frozen=True)
-class PackedEntry:
-    """Fixed-length token sequence; doc_boundaries are the in-entry
-    offsets where contained documents start.
+@dataclass(eq=False)
+class PackResult:
+    """`entries` is an (n, entry_len) uint32 matrix, one row per entry;
+    doc_boundaries[k] lists the offsets in row k where documents start.
     """
 
-    token_ids: tuple[int, ...]
-    doc_boundaries: tuple[int, ...]
-
-
-@dataclass
-class PackResult:
-    entries: list[PackedEntry] = field(default_factory=list)
+    entries: np.ndarray
+    doc_boundaries: list[list[int]]
     total_tokens: int = 0
     dropped_tokens: int = 0
     padded_tokens: int = 0
@@ -96,39 +95,38 @@ def pack_entries(
     entry_len: int,
     pad_final: bool = False,
 ) -> PackResult:
-    """Single ordered streaming pass with bounded buffering. A document
+    """Single ordered pass that appends every document's ids to one
+    uint32 stream and views it as rows of entry_len tokens. A document
     the tokenizer rejects is skipped and counted, never truncated.
+    `encode` must return a list of ids below 2**32.
     """
     if entry_len < 2:
         raise ValueError(f"entry_len must be >= 2, got {entry_len}")
-    result = PackResult()
-    buffer: list[int] = []  # the leftover (< entry_len tokens) plus the current doc
-    starts: list[int] = []  # doc-start offsets within the buffer
+    stream = array("I")
+    assert stream.itemsize == 4, "array('I') must hold 32-bit ids"
+    starts: list[int] = []  # stream offset where each document starts
+    skipped = 0
     for doc in docs:
         try:
             ids = tokenizer.encode(doc)
         except Exception:
-            result.skipped_docs += 1
+            skipped += 1
             continue
-        starts.append(len(buffer))
-        buffer.extend(ids)
-        result.total_tokens += len(ids)
-        # Cut every full entry by offset, then keep the leftover once.
-        # Every start lies within the leftover that preceded this doc,
-        # so all of them fall in the first entry cut.
-        cut = len(buffer) - len(buffer) % entry_len
-        for lo in range(0, cut, entry_len):
-            bounds = tuple(starts) if lo == 0 else ()
-            result.entries.append(PackedEntry(tuple(buffer[lo : lo + entry_len]), bounds))
-        if cut:
-            buffer = buffer[cut:]
-            starts = []
-    if buffer:
-        if pad_final:
-            pad = entry_len - len(buffer)
-            result.padded_tokens = pad
-            chunk = buffer + [tokenizer.eos_id] * pad
-            result.entries.append(PackedEntry(tuple(chunk), tuple(starts)))
-        else:
-            result.dropped_tokens = len(buffer)
-    return result
+        starts.append(len(stream))
+        stream.fromlist(ids)
+    total = len(stream)
+    tail = total % entry_len
+    padded = entry_len - tail if tail and pad_final else 0
+    stream.fromlist([tokenizer.eos_id] * padded)
+    n = len(stream) // entry_len
+    # Row k holds the starts in [k * entry_len, (k + 1) * entry_len).
+    offsets = np.asarray(starts, dtype=np.int64)
+    cuts = np.searchsorted(offsets, np.arange(1, n + 1) * entry_len)
+    return PackResult(
+        entries=np.frombuffer(stream, np.uint32)[: n * entry_len].reshape(n, entry_len),
+        doc_boundaries=[b.tolist() for b in np.split(offsets % entry_len, cuts)[:n]],
+        total_tokens=total,
+        dropped_tokens=0 if pad_final else tail,
+        padded_tokens=padded,
+        skipped_docs=skipped,
+    )

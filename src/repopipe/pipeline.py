@@ -19,8 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .config import PipelineConfig, config_hash, require_valid, sha256_file
 from .corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
 from .decontam import ContaminationIndex, ContaminationReport, build_contamination_index, scan_text
@@ -39,7 +37,7 @@ from .filters import (
     filter_data_file,
     filter_html,
 )
-from .fim import FimConfig, SentinelSet, fim_transform
+from .fim import FimConfig, fim_transform
 from .ingest import RawRepo, load_repos
 from .packing import ByteTokenizer, pack_entries
 from .stats import CorpusStats, compute_corpus_stats, render_stats_table, stats_to_dict
@@ -460,13 +458,10 @@ def stage_decontaminate(cfg: PipelineConfig, records: list[dict]) -> StageResult
 # Stage 5: build (FIM + packing)
 # -----------------------
 
-def _fim_worker(doc: tuple[str, int], fim_cfg: FimConfig, sentinels: SentinelSet) -> str | None:
-    text, doc_index = doc
-    return fim_transform(text, doc_index, fim_cfg, sentinels)
-
-
 def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
-    """Disabled, the stage writes no entries and drops any it wrote before."""
+    """Disabled, the stage writes no entries and drops any it wrote before.
+    Enabled, it pops each record's text as it transforms it, so no text
+    is held twice."""
     if not cfg.stages.build:
         return StageResult(None, len(records), 0, fields={
             "entry_len": cfg.build.entry_len, "fim_applied": 0, "total_tokens": 0,
@@ -476,11 +471,10 @@ def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
     fim_cfg = FimConfig(fim_rate=cfg.build.fim_rate, mode=cfg.build.fim_mode, seed=cfg.seed)
     counters: dict[str, int] = {}
 
-    tasks = [(rec["text"], idx) for idx, rec in enumerate(records)]
-    transformed = _pmap(_fim_worker, tasks, cfg.workers, (fim_cfg, sentinels))
     docs: list[str] = []
     fim_applied = 0
-    for rec, doc in zip(records, transformed):
+    for idx, rec in enumerate(records):
+        doc = fim_transform(rec.pop("text"), idx, fim_cfg, sentinels)
         if doc is None:
             _bump(counters, "sentinel_collision")
             continue
@@ -488,8 +482,7 @@ def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
             fim_applied += 1
         docs.append(doc)
 
-    tokenizer = ByteTokenizer(sentinels)
-    pack = pack_entries(docs, tokenizer, cfg.build.entry_len, pad_final=cfg.build.pad_final)
+    pack = pack_entries(docs, ByteTokenizer(sentinels), cfg.build.entry_len, cfg.build.pad_final)
     if pack.skipped_docs:
         _bump(counters, "tokenizer_failure", pack.skipped_docs)
 
@@ -497,24 +490,20 @@ def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
     os.makedirs(entries_dir, exist_ok=True)
     per_shard = cfg.build.entries_per_shard
     outputs = []
-    shards = [
-        pack.entries[i : i + per_shard] for i in range(0, len(pack.entries), per_shard)
-    ] or [[]]
-    for shard_idx, shard in enumerate(shards):
+    # An empty build still writes one (empty) shard.
+    for shard_idx, lo in enumerate(range(0, len(pack.entries) or 1, per_shard)):
+        shard = pack.entries[lo : lo + per_shard]
+        bounds = pack.doc_boundaries[lo : lo + per_shard]
         stem = f"{ENTRIES_DIR}/entries-{shard_idx:05d}"
         if cfg.build.output_format == "bin":
-            flat = np.array([e.token_ids for e in shard], dtype="<u4")
             with open(os.path.join(cfg.output_dir, stem + ".bin"), "wb") as fh:
-                fh.write(flat.tobytes())
+                shard.astype("<u4", copy=False).tofile(fh)
             outputs.append((stem + ".bin", len(shard)))
             rel = stem + ".boundaries.jsonl"
-            rows = ({"doc_boundaries": list(e.doc_boundaries)} for e in shard)
+            rows = ({"doc_boundaries": b} for b in bounds)
         else:
             rel = stem + ".jsonl"
-            rows = (
-                {"token_ids": list(e.token_ids), "doc_boundaries": list(e.doc_boundaries)}
-                for e in shard
-            )
+            rows = ({"token_ids": row.tolist(), "doc_boundaries": b} for row, b in zip(shard, bounds))
         outputs.append((rel, _write_jsonl(os.path.join(cfg.output_dir, rel), rows)))
     # Shards of an earlier build with other sharding or format are stale.
     listed = {os.path.basename(rel) for rel, _ in outputs}

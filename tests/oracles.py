@@ -1,12 +1,14 @@
 """Brute-force reference implementations, kept as oracles for the
-indexed, heap-based, offset-based, chunked and filtered code in `repopipe`.
+indexed, heap-based, stream-based, zipped, chunked and filtered code in
+`repopipe`.
 
 Each is the straightforward form of its algorithm: a linear scan of
 every repo path per candidate reference, a `min` over the unselected
 nodes per toposort step, a packer that slices and copies its buffer per
-entry, shingle hashes read one Python int at a time, a MinHash that
-materialises the full permutation table, and a contamination scan that
-looks up a window at every token position for every indexed length.
+entry, shingles joined from one list slice each, shingle hashes read one
+Python int at a time, a MinHash that materialises the full permutation
+table, and a contamination scan that looks up a window at every token
+position for every indexed length.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from repopipe.corpus import SourceFile
 from repopipe.decontam import NGRAM_SIZE, ContaminationIndex, ContaminationReport, tokenize
-from repopipe.dedup import _permutations, _MERSENNE_PRIME, shingle_set
+from repopipe.dedup import _TOKEN, _permutations, _MERSENNE_PRIME
 from repopipe.deps import (
     _C_INCLUDE,
     _CSHARP_USING,
@@ -34,7 +36,7 @@ from repopipe.deps import (
     _relative_candidates,
     build_graph,
 )
-from repopipe.packing import PackedEntry, PackResult, Tokenizer
+from repopipe.packing import PackResult, Tokenizer
 
 
 def match_suffix(candidate: str, repo_paths: Sequence[str]) -> list[str]:
@@ -168,33 +170,41 @@ def order_repo_files(files: Sequence[SourceFile]) -> tuple[list[SourceFile], lis
 
 
 def pack_entries(docs: Iterable[str], tokenizer: Tokenizer, entry_len: int, pad_final: bool = False) -> PackResult:
-    result = PackResult()
+    rows: list[list[int]] = []
+    bounds: list[list[int]] = []
+    skipped = total = dropped = padded = 0
     buffer: list[int] = []
     starts: list[int] = []
     for doc in docs:
         try:
             ids = tokenizer.encode(doc)
         except Exception:
-            result.skipped_docs += 1
+            skipped += 1
             continue
         starts.append(len(buffer))
         buffer.extend(ids)
-        result.total_tokens += len(ids)
+        total += len(ids)
         while len(buffer) >= entry_len:
-            chunk = buffer[:entry_len]
-            bounds = tuple(s for s in starts if s < entry_len)
-            result.entries.append(PackedEntry(tuple(chunk), bounds))
+            rows.append(buffer[:entry_len])
+            bounds.append([s for s in starts if s < entry_len])
             buffer = buffer[entry_len:]
             starts = [s - entry_len for s in starts if s >= entry_len]
     if buffer:
         if pad_final:
-            pad = entry_len - len(buffer)
-            result.padded_tokens = pad
-            chunk = buffer + [tokenizer.eos_id] * pad
-            result.entries.append(PackedEntry(tuple(chunk), tuple(starts)))
+            padded = entry_len - len(buffer)
+            rows.append(buffer + [tokenizer.eos_id] * padded)
+            bounds.append(starts)
         else:
-            result.dropped_tokens = len(buffer)
-    return result
+            dropped = len(buffer)
+    entries = np.array(rows, dtype=np.uint32).reshape(len(rows), entry_len)
+    return PackResult(entries, bounds, total, dropped, padded, skipped)
+
+
+def shingle_set(text: str, width: int) -> set[str]:
+    tokens = _TOKEN.findall(text.lower())
+    if len(tokens) < width:
+        return {" ".join(tokens)}
+    return {" ".join(tokens[i : i + width]) for i in range(len(tokens) - width + 1)}
 
 
 def hash_shingles(shingles: Iterable[str]) -> np.ndarray:

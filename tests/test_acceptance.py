@@ -317,10 +317,10 @@ def test_criterion_6_packing_conservation():
     result = pack_entries(docs, tokenizer, entry_len)
 
     independent_total = sum(len(tokenizer.encode(d)) for d in docs)
-    packed = sum(len(e.token_ids) for e in result.entries)
+    packed = sum(len(row) for row in result.entries)
     assert result.total_tokens == independent_total
     assert packed + result.dropped_tokens == independent_total
-    assert all(len(e.token_ids) == entry_len for e in result.entries)
+    assert all(len(row) == entry_len for row in result.entries)
     _report(
         f"criterion 6 — {len(result.entries)} entries x {entry_len} tokens "
         f"+ {result.dropped_tokens} dropped = {independent_total} total"

@@ -76,6 +76,27 @@ class TestExtractDependencies:
         f = sf("a.py", "from . import b\nfrom .. import c\n")
         assert extract_dependencies(f, {"a.py", "b.py", "c.py", "x/c.py"}) == ["b.py"]
 
+    def test_python_parenthesised_and_aliased_imports(self):
+        paths = {"main.py", "pkg/__init__.py", "pkg/a.py", "pkg/b.py", "c.py", "d.py"}
+        pkg_ab = ["pkg/__init__.py", "pkg/a.py", "pkg/b.py"]
+        cases = {
+            "from pkg import (a, b)": pkg_ab,
+            "from pkg import (\n    a,\n    b,\n)": pkg_ab,
+            "from pkg import (  # the two halves (see docs)\n    a as x,  # first\n    b,\n)": pkg_ab,
+            "from pkg import a as x, b": pkg_ab,
+            "from pkg import (a as x, b as y)": pkg_ab,
+            "import c as x, d": ["c.py", "d.py"],
+            "import pkg.a as pa, c": ["c.py", "pkg/a.py"],
+            "from pkg import ()": ["pkg/__init__.py"],
+        }
+        for text, want in cases.items():
+            assert sorted(extract_dependencies(sf("main.py", text + "\n"), paths)) == want, text
+
+    def test_python_parenthesised_relative_import(self):
+        paths = {"pkg/__init__.py", "pkg/a.py", "pkg/b.py"}
+        f = sf("pkg/a.py", "from . import (b)\n")
+        assert extract_dependencies(f, paths) == ["pkg/__init__.py", "pkg/b.py"]
+
     def test_python_external_import_dropped(self):
         f = sf("main.py", "import numpy\n")
         assert extract_dependencies(f, {"main.py"}) == []

@@ -1,6 +1,7 @@
 """Property tests: the indexed dependency resolver, heap toposort,
-offset packer and chunked MinHash give exactly the results of the
-brute-force oracles in `oracles.py` on generated inputs.
+uint32-stream packer, zipped shingling and chunked MinHash give exactly
+the results of the brute-force oracles in `oracles.py` on generated
+inputs.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import posixpath
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,7 @@ import oracles
 from repopipe import dedup
 from repopipe.corpus import SourceFile
 from repopipe.decontam import ContaminationReport, build_contamination_index, scan_text
-from repopipe.dedup import _hash_shingles, minhash_signature
+from repopipe.dedup import _hash_shingles, minhash_signature, shingle_set
 from repopipe.deps import RepoSample, build_graph, extract_dependencies, order_repo_files, topological_sort
 from repopipe.fim import DEFAULT_SENTINELS
 from repopipe.packing import ByteTokenizer, pack_entries
@@ -153,6 +155,15 @@ class RejectingTokenizer(ByteTokenizer):
         return super().encode(text)
 
 
+def assert_same_pack(got, want):
+    assert got.entries.dtype == np.uint32
+    assert got.entries.shape == want.entries.shape
+    assert got.entries.tolist() == want.entries.tolist()
+    assert got.doc_boundaries == want.doc_boundaries
+    counts = ("total_tokens", "dropped_tokens", "padded_tokens", "skipped_docs")
+    assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
+
+
 docs = st.lists(
     st.one_of(
         st.text(alphabet="ab!é\n", max_size=40),
@@ -167,9 +178,8 @@ docs = st.lists(
 @given(docs, st.integers(min_value=2, max_value=40), st.booleans())
 def test_pack_entries_matches_slice_and_copy(texts, entry_len, pad_final):
     tok = RejectingTokenizer()
-    assert pack_entries(texts, tok, entry_len, pad_final) == oracles.pack_entries(
-        texts, tok, entry_len, pad_final
-    )
+    assert_same_pack(pack_entries(texts, tok, entry_len, pad_final),
+                     oracles.pack_entries(texts, tok, entry_len, pad_final))
 
 
 def test_pack_document_longer_than_many_entries():
@@ -177,11 +187,18 @@ def test_pack_document_longer_than_many_entries():
     texts = ["", "y" * 5, "z" * 10_003, "", "w" * 3]
     for pad_final in (False, True):
         got = pack_entries(texts, tok, 7, pad_final)
-        assert got == oracles.pack_entries(texts, tok, 7, pad_final)
+        assert_same_pack(got, oracles.pack_entries(texts, tok, 7, pad_final))
         assert len(got.entries) >= 1430
 
 
 words = st.text(alphabet="abc xyz_.\n", max_size=200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words, st.integers(min_value=1, max_value=8))
+def test_zipped_shingles_match_slices(text, width):
+    # Includes texts of fewer tokens than one shingle, and of none.
+    assert shingle_set(text, width) == oracles.shingle_set(text, width)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import string
+import tracemalloc
 
 import pytest
 
@@ -41,7 +42,7 @@ class TestPackEntries:
         result = pack_entries(["abcdef", "abcd"], tok, entry_len=5)
         assert len(result.entries) == 2
         assert result.dropped_tokens == 0
-        assert all(len(e.token_ids) == 5 for e in result.entries)
+        assert all(len(row) == 5 for row in result.entries)
 
     def test_remainder_dropped(self):
         tok = ByteTokenizer()
@@ -60,17 +61,17 @@ class TestPackEntries:
         result = pack_entries(docs, tok, entry_len)
         total = sum(len(tok.encode(d)) for d in docs)
         assert result.total_tokens == total
-        assert sum(len(e.token_ids) for e in result.entries) + result.dropped_tokens == total
-        assert all(len(e.token_ids) == entry_len for e in result.entries)
+        assert sum(len(row) for row in result.entries) + result.dropped_tokens == total
+        assert all(len(row) == entry_len for row in result.entries)
 
     def test_doc_boundaries_are_doc_starts(self):
         tok = ByteTokenizer()
         result = pack_entries(["aaaa", "bbb", "cc"], tok, entry_len=4)
         # stream: aaaa|bbbc c -> entry0 starts: [0]; entry1 starts: [0, 3]
-        assert result.entries[0].doc_boundaries == (0,)
-        assert result.entries[1].doc_boundaries == (0, 3)
-        for entry in result.entries:
-            for b in entry.doc_boundaries:
+        assert result.doc_boundaries[0] == [0]
+        assert result.doc_boundaries[1] == [0, 3]
+        for bounds in result.doc_boundaries:
+            for b in bounds:
                 assert 0 <= b < 4
 
     def test_pad_final_with_eos(self):
@@ -78,7 +79,7 @@ class TestPackEntries:
         result = pack_entries(["abc"], tok, entry_len=5, pad_final=True)
         assert len(result.entries) == 1
         assert result.padded_tokens == 2
-        assert result.entries[0].token_ids[-2:] == (tok.eos_id, tok.eos_id)
+        assert result.entries[0][-2:].tolist() == [tok.eos_id, tok.eos_id]
 
     def test_entry_len_floor(self):
         with pytest.raises(ValueError):
@@ -102,7 +103,8 @@ class TestPackEntries:
 
     def test_empty_input(self):
         result = pack_entries([], ByteTokenizer(), entry_len=8)
-        assert result.entries == []
+        assert result.entries.shape == (0, 8)
+        assert result.doc_boundaries == []
         assert result.total_tokens == 0
 
     def test_boundaries_count_every_doc_once(self):
@@ -110,5 +112,19 @@ class TestPackEntries:
         docs = ["x" * rng.randint(1, 40) for _ in range(50)]
         tok = ByteTokenizer()
         result = pack_entries(docs, tok, entry_len=16, pad_final=True)
-        n_bounds = sum(len(e.doc_boundaries) for e in result.entries)
+        n_bounds = sum(len(b) for b in result.doc_boundaries)
         assert n_bounds == len(docs)
+
+    def test_result_holds_at_most_five_bytes_per_token(self):
+        # One uint32 per token plus the stream's over-allocation.
+        rng = random.Random(11)
+        docs = ["".join(rng.choices(string.ascii_letters, k=10_000)) for _ in range(200)]
+        tok = ByteTokenizer()
+        tracemalloc.start()
+        try:
+            result = pack_entries(docs, tok, entry_len=4096)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.total_tokens == 2_000_000
+        assert retained <= 5 * result.total_tokens, retained / result.total_tokens

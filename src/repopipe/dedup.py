@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .deps import RepoSample
+from .deps import RepoSample, connected_components
 
 _MERSENNE_PRIME = np.uint64((1 << 61) - 1)
 _TOKEN = re.compile(r"\w+")
@@ -112,22 +112,6 @@ def choose_representative(members: Sequence[str], char_counts: Mapping[str, int]
     return min(members, key=lambda rid: (-char_counts[rid], rid))
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def find_near_duplicates(
     signatures: Sequence[MinHashSignature],
     threshold: float = 0.85,
@@ -159,26 +143,20 @@ def find_near_duplicates(
             key = (band, arr[band * rows : (band + 1) * rows].tobytes())
             buckets.setdefault(key, []).append(idx)
 
-    uf = _UnionFind(len(signatures))
+    # Each bucket lists its indices in ascending order, so x < y.
     checked: set[tuple[int, int]] = set()
+    merged: list[tuple[int, int]] = []
     for bucket in buckets.values():
-        if len(bucket) < 2:
-            continue
         for i, x in enumerate(bucket):
             for y in bucket[i + 1 :]:
-                pair = (min(x, y), max(x, y))
-                if pair in checked:
+                if (x, y) in checked:
                     continue
-                checked.add(pair)
-                if signature_similarity(signatures[pair[0]], signatures[pair[1]]) >= threshold:
-                    uf.union(*pair)
+                checked.add((x, y))
+                if signature_similarity(signatures[x], signatures[y]) >= threshold:
+                    merged.append((x, y))
 
-    groups: dict[int, list[int]] = {}
-    for idx in range(len(signatures)):
-        groups.setdefault(uf.find(idx), []).append(idx)
     clusters: list[DuplicateCluster] = []
-    for root in sorted(groups):
-        members = groups[root]
+    for members in connected_components(len(signatures), merged):
         if len(members) < 2:
             continue
         ids = tuple(sorted(signatures[i].repo_id for i in members))

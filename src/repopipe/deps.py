@@ -24,23 +24,27 @@ EXTRACTION_LANGUAGES = frozenset(
     {"Python", "C", "C++", "C#", "Java", "TypeScript", "JavaScript", "Go"}
 )
 
+# Patterns anchored at a line start skip only that line's leading blanks
+# (`[^\S\n]*`, not `\s*`), so a run of blank lines is read once, not
+# again from every line start in it.
+#
 # A comma-separated name list, each name with an optional `as` alias. A
 # bracketed `from` list may span lines and hold `#` comments; any other
 # character ends it, so an unclosed bracket costs one scan to the next.
 _PY_NAMES = r"[\w.*]+(?:[ \t]+as[ \t]+\w+)?(?:\s*,\s*[\w.*]+(?:[ \t]+as[ \t]+\w+)?)*"
-_PY_IMPORT = re.compile(rf"^\s*import\s+({_PY_NAMES})", re.MULTILINE)
+_PY_IMPORT = re.compile(rf"^[^\S\n]*import\s+({_PY_NAMES})", re.MULTILINE)
 _PY_FROM = re.compile(
-    rf"^\s*from\s+([\w.]+)\s+import\s+(?:\(((?:[\w.,\s]|#[^\n]*\n)*)\)|({_PY_NAMES}))", re.MULTILINE
+    rf"^[^\S\n]*from\s+([\w.]+)\s+import\s+(?:\(((?:[\w.,\s]|#[^\n]*\n)*)\)|({_PY_NAMES}))", re.MULTILINE
 )
 _PY_COMMENT = re.compile(r"#[^\n]*")
-_C_INCLUDE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]', re.MULTILINE)
-_CSHARP_USING = re.compile(r"^\s*using\s+(?:static\s+)?([\w.]+)\s*;", re.MULTILINE)
-_JAVA_IMPORT = re.compile(r"^\s*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;", re.MULTILINE)
+_C_INCLUDE = re.compile(r'^[^\S\n]*#\s*include\s*[<"]([^>"]+)[>"]', re.MULTILINE)
+_CSHARP_USING = re.compile(r"^[^\S\n]*using\s+(?:static\s+)?([\w.]+)\s*;", re.MULTILINE)
+_JAVA_IMPORT = re.compile(r"^[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;", re.MULTILINE)
 _JS_FROM = re.compile(r"""(?:import|export)\s+[^;'"]*?from\s+['"]([^'"]+)['"]""")
 _JS_BARE = re.compile(r"""(?:import|require)\s*\(\s*['"]([^'"]+)['"]\s*\)""")
-_JS_SIDE_EFFECT = re.compile(r"""^\s*import\s+['"]([^'"]+)['"]""", re.MULTILINE)
-_GO_SINGLE = re.compile(r'^\s*import\s+(?:\w+\s+)?"([^"]+)"', re.MULTILINE)
-_GO_BLOCK = re.compile(r"^\s*import\s*\(([^)]*)\)", re.MULTILINE | re.DOTALL)
+_JS_SIDE_EFFECT = re.compile(r"""^[^\S\n]*import\s+['"]([^'"]+)['"]""", re.MULTILINE)
+_GO_SINGLE = re.compile(r'^[^\S\n]*import\s+(?:\w+\s+)?"([^"]+)"', re.MULTILINE)
+_GO_BLOCK = re.compile(r"^[^\S\n]*import\s*\(", re.MULTILINE)  # a block runs to the first `)`
 _GO_IN_BLOCK = re.compile(r'"([^"]+)"')
 
 
@@ -73,8 +77,12 @@ def _js_refs(content: str) -> list[str]:
 
 def _go_refs(content: str) -> list[str]:
     refs = [m.group(1) for m in _GO_SINGLE.finditer(content)]
-    for block in _GO_BLOCK.finditer(content):
-        refs += _GO_IN_BLOCK.findall(block.group(1))
+    pos = 0
+    while block := _GO_BLOCK.search(content, pos):
+        pos = content.find(")", block.end())
+        if pos < 0:  # no later block can close either
+            break
+        refs += _GO_IN_BLOCK.findall(content, block.end(), pos)
     return refs
 
 
@@ -286,35 +294,28 @@ def build_graph(paths: Sequence[str], edges: Iterable[tuple[str, str]]) -> Depen
     return DependencyGraph(nodes=tuple(paths), adjacency=adjacency, in_degree=in_degree)
 
 
-def _connected_components(graph: DependencyGraph) -> list[list[str]]:
-    """Undirected components, ordered by smallest input index; members
-    keep input order.
+def connected_components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The connected components of nodes 0..n-1 joined by `pairs`,
+    ordered by smallest member, each ascending. A union-find with path
+    halving whose root is always its set's smallest member, so listing
+    the sets by root lists them by smallest member.
     """
-    index = {p: i for i, p in enumerate(graph.nodes)}
-    neighbors: dict[str, set[str]] = {p: set() for p in graph.nodes}
-    for b, dependents in graph.adjacency.items():
-        for a in dependents:
-            neighbors[b].add(a)
-            neighbors[a].add(b)
-    assigned: dict[str, int] = {}
-    components: list[list[str]] = []
-    for start in graph.nodes:
-        if start in assigned:
-            continue
-        comp_id = len(components)
-        stack = [start]
-        members: list[str] = []
-        assigned[start] = comp_id
-        while stack:
-            node = stack.pop()
-            members.append(node)
-            for nxt in sorted(neighbors[node], key=index.__getitem__):
-                if nxt not in assigned:
-                    assigned[nxt] = comp_id
-                    stack.append(nxt)
-        members.sort(key=index.__getitem__)
-        components.append(members)
-    return components
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    members: list[list[int]] = [[] for _ in range(n)]
+    for x in range(n):
+        members[find(x)].append(x)
+    return [group for group in members if group]
 
 
 def topological_sort(graph: DependencyGraph) -> list[list[str]]:
@@ -330,11 +331,13 @@ def topological_sort(graph: DependencyGraph) -> list[list[str]]:
     ones, which by then belong to a selected node and are skipped.
     Cost is O((V + E) log V).
     """
-    index = {p: i for i, p in enumerate(graph.nodes)}
+    nodes = graph.nodes
+    index = {p: i for i, p in enumerate(nodes)}
     in_degree = dict(graph.in_degree)
+    pairs = ((index[b], index[a]) for b, dependents in graph.adjacency.items() for a in dependents)
     results: list[list[str]] = []
-    for component in _connected_components(graph):
-        heap = [(in_degree[p], index[p], p) for p in component]
+    for component in connected_components(len(nodes), pairs):
+        heap = [(in_degree[nodes[i]], i, nodes[i]) for i in component]
         heapq.heapify(heap)
         selected: set[str] = set()
         order: list[str] = []

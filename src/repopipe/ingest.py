@@ -7,8 +7,9 @@ Two input shapes are accepted per configured path:
     dot-directories (.git and friends) are skipped;
   - a *.jsonl file: one object per file with repo_id, path, content.
 
-Files that fail UTF-8 decoding or repeat a path within their repo are
-dropped with a counted reason.
+Files that fail UTF-8 decoding, or whose repo id, path or content holds
+a lone surrogate (no UTF-8 output can hold one), or that repeat a path
+within their repo are dropped with a counted reason.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
     seen_paths: dict[str, set[str]] = {}
 
     def add_file(repo_id: str, path: str, content: str) -> None:
+        try:  # lone surrogates, from a JSON `\ud800` escape or a non-UTF-8 file name
+            for text in (repo_id, path, content):
+                text.encode("utf-8")
+        except UnicodeEncodeError:
+            counters[DROP_DECODE_ERROR] = counters.get(DROP_DECODE_ERROR, 0) + 1
+            return
         repo = repos.setdefault(repo_id, RawRepo(repo_id=repo_id))
         seen = seen_paths.setdefault(repo_id, set())
         if path in seen:

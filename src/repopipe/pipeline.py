@@ -11,7 +11,6 @@ from scheduling. Manifests carry no timestamps for the same reason.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -22,12 +21,7 @@ from typing import Callable, Iterable, Sequence
 from .config import PipelineConfig, config_hash, require_valid, sha256_file
 from .corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
 from .decontam import ContaminationIndex, ContaminationReport, build_contamination_index, scan_text
-from .dedup import (
-    MinHashSignature,
-    find_near_duplicates,
-    minhash_signature,
-    signature_similarity,
-)
+from .dedup import find_near_duplicates, minhash_signature, signature_similarity
 from .deps import RepoSample, concatenate_with_paths, order_repo_files
 from .filters import (
     DATA_FILE_LANGUAGES,
@@ -183,11 +177,6 @@ def _pmap(fn: Callable, items: Sequence, workers: int, shared: tuple = ()) -> li
         return list(pool.map(_call_shared, items, chunksize=chunksize))
 
 
-@functools.lru_cache(maxsize=4)
-def _lang_map(path: str | None) -> LanguageMap:
-    return LanguageMap.load(path)
-
-
 def _bump(counters: dict[str, int], key: str, by: int = 1) -> None:
     counters[key] = counters.get(key, 0) + by
 
@@ -197,9 +186,8 @@ def _bump(counters: dict[str, int], key: str, by: int = 1) -> None:
 # -----------------------
 
 def _filter_repo_worker(
-    raw_repo: RawRepo, thresholds: FilterThresholds, lang_map_path: str | None, enabled: bool
+    raw_repo: RawRepo, thresholds: FilterThresholds, lang_map: LanguageMap, enabled: bool
 ) -> tuple[list[dict], dict[str, int]]:
-    lang_map = _lang_map(lang_map_path)
     kept: list[dict] = []
     counters: dict[str, int] = {}
     for rf in raw_repo.files:
@@ -250,8 +238,7 @@ def stage_filter(
     cfg: PipelineConfig, ingested: tuple[list[RawRepo], dict[str, int]]
 ) -> StageResult:
     raw_repos, ingest_counters = ingested
-    _lang_map.cache_clear()  # the table file may have changed since the last run
-    shared = (cfg.filters, cfg.language_map, cfg.stages.filter)
+    shared = (cfg.filters, LanguageMap.load(cfg.language_map), cfg.stages.filter)
     counters: dict[str, int] = {}
     rows: list[dict] = []
     for kept, repo_counters in _pmap(_filter_repo_worker, raw_repos, cfg.workers, shared):
@@ -342,24 +329,12 @@ def stage_order(cfg: PipelineConfig, file_records: list[dict]) -> StageResult:
 # Stage 3: dedup
 # -----------------------
 
-def _signature_worker(
-    rec: tuple[str, str, int], num_perm: int, shingle_width: int, seed: int
-) -> tuple[int, ...]:
-    repo_id, text, char_count = rec
-    sample = RepoSample(repo_id=repo_id, ordered_paths=(), text=text, char_count=char_count)
-    return minhash_signature(sample, num_perm=num_perm, shingle_width=shingle_width, seed=seed).values
-
-
 def stage_dedup(cfg: PipelineConfig, records: list[dict]) -> StageResult:
     if not (cfg.stages.dedup and records):
         return StageResult(records, len(records))
     d = cfg.dedup
-    tasks = [(rec["repo_id"], rec["text"], rec["char_count"]) for rec in records]
-    sig_values = _pmap(_signature_worker, tasks, cfg.workers, (d.num_perm, d.shingle_width, d.seed))
-    signatures = [
-        MinHashSignature(repo_id=rid, values=vals, num_perm=d.num_perm)
-        for (rid, _, _), vals in zip(tasks, sig_values)
-    ]
+    samples = [RepoSample(rec["repo_id"], (), rec["text"], rec["char_count"]) for rec in records]
+    signatures = _pmap(minhash_signature, samples, cfg.workers, (d.num_perm, d.shingle_width, d.seed))
     char_counts = {rec["repo_id"]: rec["char_count"] for rec in records}
     clusters = find_near_duplicates(
         signatures, threshold=d.threshold, bands=d.bands, rows=d.rows, char_counts=char_counts

@@ -1,20 +1,22 @@
 """Brute-force reference implementations, kept as oracles for the
-indexed, heap-based, stream-based, zipped, chunked and filtered code in
-`repopipe`.
+indexed, heap-based, union-find, stream-based, zipped, chunked and
+filtered code and the line-bounded patterns in `repopipe`.
 
 Each is the straightforward form of its algorithm: a linear scan of
-every repo path per candidate reference, a `min` over the unselected
-nodes per toposort step, a packer that slices and copies its buffer per
-entry, shingles joined from one list slice each, shingle hashes read one
-Python int at a time, a MinHash that materialises the full permutation
-table, and a contamination scan that looks up a window at every token
-position for every indexed length.
+every repo path per candidate reference, the reference patterns as first
+written, a depth-first search for connected components, a `min` over
+the unselected nodes per toposort step, a packer that slices and copies
+its buffer per entry, shingles joined from one list slice each, shingle
+hashes read one Python int at a time, a MinHash that materialises the
+full permutation table, and a contamination scan that looks up a window
+at every token position for every indexed length.
 """
 
 from __future__ import annotations
 
 import hashlib
 import posixpath
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,20 +25,65 @@ from repopipe.corpus import SourceFile
 from repopipe.decontam import NGRAM_SIZE, ContaminationIndex, ContaminationReport, tokenize
 from repopipe.dedup import _TOKEN, _permutations, _MERSENNE_PRIME
 from repopipe.deps import (
-    _C_INCLUDE,
-    _CSHARP_USING,
-    _JAVA_IMPORT,
+    _GO_IN_BLOCK,
+    _JS_BARE,
     _JS_EXTS,
+    _JS_FROM,
+    _PY_NAMES,
     DependencyGraph,
-    _connected_components,
-    _go_refs,
-    _js_refs,
     _module_candidates,
-    _python_refs,
+    _python_names,
     _relative_candidates,
     build_graph,
 )
 from repopipe.packing import PackResult, Tokenizer
+
+
+# The reference patterns as first written: `^\s*` lets the leading run
+# cross lines, so on a run of blank lines every line start rescans the
+# rest of the run, and an unclosed Go `import (` scans to the end of the
+# file from every block start. Keyed by the name of their form in `deps`.
+LINE_START_PATTERNS = {
+    "_PY_IMPORT": re.compile(rf"^\s*import\s+({_PY_NAMES})", re.MULTILINE),
+    "_PY_FROM": re.compile(
+        rf"^\s*from\s+([\w.]+)\s+import\s+(?:\(((?:[\w.,\s]|#[^\n]*\n)*)\)|({_PY_NAMES}))", re.MULTILINE
+    ),
+    "_C_INCLUDE": re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]', re.MULTILINE),
+    "_CSHARP_USING": re.compile(r"^\s*using\s+(?:static\s+)?([\w.]+)\s*;", re.MULTILINE),
+    "_JAVA_IMPORT": re.compile(r"^\s*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;", re.MULTILINE),
+    "_JS_SIDE_EFFECT": re.compile(r"""^\s*import\s+['"]([^'"]+)['"]""", re.MULTILINE),
+    "_GO_SINGLE": re.compile(r'^\s*import\s+(?:\w+\s+)?"([^"]+)"', re.MULTILINE),
+}
+GO_BLOCK = re.compile(r"^\s*import\s*\(([^)]*)\)", re.MULTILINE | re.DOTALL)
+
+
+def _groups(name: str, content: str) -> list[str]:
+    return [m.group(1) for m in LINE_START_PATTERNS[name].finditer(content)]
+
+
+def python_refs(content: str) -> list[str]:
+    refs = [name for listing in _groups("_PY_IMPORT", content) for name in _python_names(listing)]
+    for match in LINE_START_PATTERNS["_PY_FROM"].finditer(content):
+        module = match.group(1)
+        refs.append(module)
+        sep = "." if module.strip(".") else ""
+        for name in _python_names(match.group(3) or match.group(2)):
+            if name != "*":
+                refs.append(f"{module}{sep}{name}")
+    return refs
+
+
+def js_refs(content: str) -> list[str]:
+    refs = [m.group(1) for m in _JS_FROM.finditer(content)]
+    refs += [m.group(1) for m in _JS_BARE.finditer(content)]
+    return refs + _groups("_JS_SIDE_EFFECT", content)
+
+
+def go_refs(content: str) -> list[str]:
+    refs = _groups("_GO_SINGLE", content)
+    for block in GO_BLOCK.finditer(content):
+        refs += _GO_IN_BLOCK.findall(block.group(1))
+    return refs
 
 
 def match_suffix(candidate: str, repo_paths: Sequence[str]) -> list[str]:
@@ -115,20 +162,18 @@ def extract_dependencies(file: SourceFile, repo_paths: Iterable[str]) -> list[st
     paths = sorted(repo_paths)
     lang = file.language
     if lang == "Python":
-        hits = resolve_python(_python_refs(file.content), file.path, paths)
+        hits = resolve_python(python_refs(file.content), file.path, paths)
     elif lang in ("C", "C++"):
-        hits = resolve_includes((m.group(1) for m in _C_INCLUDE.finditer(file.content)), paths)
+        hits = resolve_includes(_groups("_C_INCLUDE", file.content), paths)
     elif lang == "C#":
-        hits = resolve_modules(
-            (m.group(1) for m in _CSHARP_USING.finditer(file.content)), (".cs",), paths
-        )
+        hits = resolve_modules(_groups("_CSHARP_USING", file.content), (".cs",), paths)
     elif lang == "Java":
-        modules = [m.group(1).removesuffix(".*") for m in _JAVA_IMPORT.finditer(file.content)]
+        modules = [m.removesuffix(".*") for m in _groups("_JAVA_IMPORT", file.content)]
         hits = resolve_modules(modules, (".java",), paths)
     elif lang in ("TypeScript", "JavaScript"):
-        hits = resolve_js(_js_refs(file.content), file.path, paths)
+        hits = resolve_js(js_refs(file.content), file.path, paths)
     elif lang == "Go":
-        hits = resolve_go(_go_refs(file.content), paths)
+        hits = resolve_go(go_refs(file.content), paths)
     else:
         return []
     seen: set[str] = set()
@@ -140,11 +185,36 @@ def extract_dependencies(file: SourceFile, repo_paths: Iterable[str]) -> list[st
     return deps
 
 
+def connected_components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for x, y in pairs:
+        neighbors[x].add(y)
+        neighbors[y].add(x)
+    assigned = [False] * n
+    components: list[list[int]] = []
+    for start in range(n):
+        if assigned[start]:
+            continue
+        assigned[start] = True
+        stack, members = [start], []
+        while stack:
+            node = stack.pop()
+            members.append(node)
+            for nxt in neighbors[node]:
+                if not assigned[nxt]:
+                    assigned[nxt] = True
+                    stack.append(nxt)
+        components.append(sorted(members))
+    return components
+
+
 def topological_sort(graph: DependencyGraph) -> list[list[str]]:
     index = {p: i for i, p in enumerate(graph.nodes)}
     in_degree = dict(graph.in_degree)
+    pairs = [(index[b], index[a]) for b, dependents in graph.adjacency.items() for a in dependents]
     results: list[list[str]] = []
-    for component in _connected_components(graph):
+    for members in connected_components(len(graph.nodes), pairs):
+        component = [graph.nodes[i] for i in members]
         selected: set[str] = set()
         order: list[str] = []
         for _ in range(len(component)):

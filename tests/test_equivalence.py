@@ -1,7 +1,7 @@
-"""Property tests: the indexed dependency resolver, heap toposort,
-uint32-stream packer, zipped shingling and chunked MinHash give exactly
-the results of the brute-force oracles in `oracles.py` on generated
-inputs.
+"""Property tests: the indexed dependency resolver, line-bounded
+reference patterns, union-find components, heap toposort, uint32-stream
+packer, zipped shingling and chunked MinHash give exactly the results
+of the brute-force oracles in `oracles.py` on generated inputs.
 """
 
 from __future__ import annotations
@@ -10,15 +10,22 @@ import posixpath
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repopipe import dedup
+from repopipe import dedup, deps
 from repopipe.corpus import SourceFile
 from repopipe.decontam import ContaminationReport, build_contamination_index, scan_text
 from repopipe.dedup import _hash_shingles, minhash_signature, shingle_set
-from repopipe.deps import RepoSample, build_graph, extract_dependencies, order_repo_files, topological_sort
+from repopipe.deps import (
+    RepoSample,
+    build_graph,
+    connected_components,
+    extract_dependencies,
+    order_repo_files,
+    topological_sort,
+)
 from repopipe.fim import DEFAULT_SENTINELS
 from repopipe.packing import ByteTokenizer, pack_entries
 
@@ -146,6 +153,52 @@ def graphs(draw):
 def test_topological_sort_matches_min_scan(graph):
     # Self-loops and cycles included: both must give the same selections.
     assert topological_sort(graph) == oracles.topological_sort(graph)
+
+
+@st.composite
+def node_pairs(draw) -> tuple[int, list[tuple[int, int]]]:
+    # Small node counts make self pairs, duplicates and both orders of a
+    # pair likely; large ones leave most nodes isolated.
+    n = draw(st.integers(min_value=0, max_value=40))
+    if n == 0:
+        return 0, []
+    node = st.integers(min_value=0, max_value=n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=2 * n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(node_pairs())
+@example((0, []))
+@example((3, []))
+@example((3, [(1, 1)]))
+@example((4, [(3, 0), (0, 3), (3, 0), (2, 2), (1, 3)]))
+@example((5, [(4, 2), (2, 0), (3, 1)]))
+def test_connected_components_match_depth_first_search(case):
+    n, pairs = case
+    assert connected_components(n, pairs) == oracles.connected_components(n, pairs)
+
+
+# Import fragments and whitespace, including the `\s` characters after
+# which no line starts (`\r`, `\f`, `\v`, `\x85`, `\u2028`), so the
+# line-start patterns meet blank-line runs and mixed breaks before their
+# keywords, and Go blocks close late or never.
+REF_TOKENS = [
+    "import ", "from pkg ", "from . ", "import (", "#", "#include ", "include ", "using static ", "a.b;",
+    "x", " as y", ", ", "(", ")", '"fmt"', "'./m'", "<a.h>", '"a/b.h"', "*", " ", "\t", "\n", "\n\n",
+    "\r", "\f", "\v", "\x85", "\u2028",
+]
+ref_texts = st.lists(st.sampled_from(REF_TOKENS), max_size=40).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ref_texts)
+def test_line_start_patterns_match_cross_line_forms(text):
+    for name, old in oracles.LINE_START_PATTERNS.items():
+        new = getattr(deps, name)
+        assert [(m.end(), m.groups()) for m in new.finditer(text)] == [
+            (m.end(), m.groups()) for m in old.finditer(text)
+        ], name
+    assert deps._go_refs(text) == oracles.go_refs(text)
 
 
 class RejectingTokenizer(ByteTokenizer):

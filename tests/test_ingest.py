@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from repopipe.config import PipelineConfig
@@ -54,6 +55,42 @@ def test_jsonl_stream_input(tmp_path):
     assert counters == {"duplicate_path": 1, "bad_record": 1}
     zrepo = repos[1]
     assert [f.content for f in zrepo.files] == ["a = 1\n"]
+
+
+def test_lone_surrogate_records_counted_as_decode_errors(tmp_path):
+    # JSON may escape a lone surrogate, which no UTF-8 output can hold; a
+    # valid escaped pair decodes to one character and is kept.
+    stream = tmp_path / "files.jsonl"
+    rows = [
+        {"repo_id": "r", "path": "a.py", "content": "bad = '\ud800'\n"},
+        {"repo_id": "r", "path": "\udcff.py", "content": "b = 1\n"},
+        {"repo_id": "\ud800r", "path": "c.py", "content": "c = 1\n"},
+        {"repo_id": "r", "path": "ok.py", "content": "smile = '\ud83d\ude00'\n"},
+    ]
+    stream.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    counters: dict[str, int] = {}
+    repos = load_repos([str(stream)], counters)
+    assert counters == {"decode_error": 3}
+    assert [(r.repo_id, [f.path for f in r.files]) for r in repos] == [("r", ["ok.py"])]
+    assert repos[0].files[0].content == "smile = '\U0001f600'\n"
+
+    cfg = PipelineConfig(inputs=[str(stream)], output_dir=str(tmp_path / "out"), seed=1)
+    cfg.build.entry_len = 16
+    run_pipeline(cfg)
+    manifest = json.loads((Path(cfg.output_dir) / "manifests" / "filter.json").read_text())
+    assert manifest["ingest_counters"] == {"decode_error": 3}
+    assert manifest["output_records"] == 1
+
+
+def test_undecodable_file_name_counted_as_decode_error(tmp_path):
+    root = tmp_path / "corpus" / "repo"
+    root.mkdir(parents=True)
+    (root / os.fsdecode(b"\xff.py")).write_text("x = 1\n")
+    (root / "ok.py").write_text("fine = 1\n")
+    counters: dict[str, int] = {}
+    repos = load_repos([str(tmp_path / "corpus")], counters)
+    assert counters == {"decode_error": 1}
+    assert [f.path for f in repos[0].files] == ["ok.py"]
 
 
 def test_jsonl_input_through_full_pipeline(tmp_path):

@@ -1,6 +1,7 @@
-"""Wall-time budgets for the two cases that used to grow faster than
+"""Wall-time budgets for the cases that used to grow faster than
 linearly: ordering a repo with thousands of files and a dense import
-graph, and packing one multi-MB document.
+graph, packing one multi-MB document, and extracting references from a
+file with a long run of blank lines or many unclosed Go import blocks.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ import random
 import time
 
 from repopipe.corpus import SourceFile
-from repopipe.deps import order_repo_files
+from repopipe.deps import EXTRACTION_LANGUAGES, extract_dependencies, order_repo_files
 from repopipe.packing import ByteTokenizer, pack_entries
 
 
@@ -57,3 +58,26 @@ def test_pack_8mb_document_within_budget():
     assert len(result.entries) == len(doc) // 4096
     assert result.dropped_tokens == len(doc) % 4096
     assert elapsed < 5.0, f"packing an 8 MiB document took {elapsed:.1f}s (budget 5s)"
+
+
+def _extract_seconds(language: str, content: str) -> float:
+    file = SourceFile("r", "main", language, content, len(content))
+    started = time.monotonic()
+    extract_dependencies(file, ["main", "fmt/fmt.go", "x.h"])
+    return time.monotonic() - started
+
+
+def test_blank_line_run_extracts_within_budget():
+    # Each line start of the run once rescanned the rest of it: 20,000
+    # blank lines took 1.2-2.8 s per language.
+    content = "\n" * 40_000 + "x" * 7_000
+    seconds = {lang: round(_extract_seconds(lang, content), 2) for lang in sorted(EXTRACTION_LANGUAGES)}
+    slow = {lang: t for lang, t in seconds.items() if t >= 0.5}
+    assert not slow, f"40,000 blank lines took this many seconds (budget 0.5s): {slow}"
+
+
+def test_unclosed_go_import_blocks_extract_within_budget():
+    # Each block start once scanned to the end of the file for a `)`.
+    content = 'import (\n\t"fmt"\n' * 8_000  # 128 KB
+    elapsed = _extract_seconds("Go", content)
+    assert elapsed < 0.5, f"8,000 unclosed import blocks took {elapsed:.1f}s (budget 0.5s)"

@@ -28,7 +28,9 @@ EXIT_STAGE = 3
 # Flags that set one config field. `run` takes them all, a stage command
 # those whose field its stage reads.
 _FIELD_FLAGS = {
-    "dump_graphs": ("--dump-graphs", {"action": "store_true", "help": "dump per-repo edge lists"}),
+    "dump_graphs": (
+        "--dump-graphs", {"action": "store_true", "help": "write the dependency edges to reports/graphs.jsonl"}
+    ),
     "dedup.report": (
         "--dedup-report", {"action": "store_true", "help": "emit the dedup report JSONL"}
     ),

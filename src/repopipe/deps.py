@@ -40,7 +40,9 @@ _PY_COMMENT = re.compile(r"#[^\n]*")
 _C_INCLUDE = re.compile(r'^[^\S\n]*#\s*include\s*[<"]([^>"]+)[>"]', re.MULTILINE)
 _CSHARP_USING = re.compile(r"^[^\S\n]*using\s+(?:static\s+)?([\w.]+)\s*;", re.MULTILINE)
 _JAVA_IMPORT = re.compile(r"^[^\S\n]*import\s+(?:static\s+)?([\w.]+(?:\.\*)?)\s*;", re.MULTILINE)
-_JS_FROM = re.compile(r"""(?:import|export)\s+[^;'"]*?from\s+['"]([^'"]+)['"]""")
+# An `import`/`export` run stops where the next one could start, so no
+# run is read twice; a match that crossed it would be found from there.
+_JS_FROM = re.compile(r"""(?:import|export)\s+(?:(?!(?:import|export)\s)[^;'"])*?from\s+['"]([^'"]+)['"]""")
 _JS_BARE = re.compile(r"""(?:import|require)\s*\(\s*['"]([^'"]+)['"]\s*\)""")
 _JS_SIDE_EFFECT = re.compile(r"""^[^\S\n]*import\s+['"]([^'"]+)['"]""", re.MULTILINE)
 _GO_SINGLE = re.compile(r'^[^\S\n]*import\s+(?:\w+\s+)?"([^"]+)"', re.MULTILINE)
@@ -190,19 +192,23 @@ _JS_EXTS = (".ts", ".tsx", ".js", ".jsx", ".mjs", ".cjs")
 
 
 def _resolve_js(refs: Iterable[str], from_path: str, index: _PathIndex) -> list[str]:
+    """Relative specifiers (`./x`, `../x`) name exact paths from the
+    importing file, as Python relative imports do; bare ones match by
+    path suffix."""
     here = posixpath.dirname(from_path)
     out: list[str] = []
     for ref in refs:
-        if ref.startswith("."):
-            target = posixpath.normpath(posixpath.join(here, ref))
-        else:
-            target = ref
+        relative = ref.startswith(".")
+        target = posixpath.normpath(posixpath.join(here, ref)) if relative else ref
         cands = [target] if posixpath.splitext(target)[1] else [
             *(target + ext for ext in _JS_EXTS),
             *(posixpath.join(target, "index" + ext) for ext in _JS_EXTS),
         ]
-        for cand in cands:
-            out.extend(index.match(cand))
+        if relative:
+            out.extend(c for c in cands if c in index.path_set)
+        else:
+            for cand in cands:
+                out.extend(index.match(cand))
     return out
 
 

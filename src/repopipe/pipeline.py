@@ -14,8 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .config import PipelineConfig, config_hash, require_valid, sha256_file
@@ -41,36 +42,39 @@ SAMPLES_OUT = "work/samples.jsonl"
 DEDUP_OUT = "work/samples_dedup.jsonl"
 CLEAN_OUT = "work/samples_clean.jsonl"
 ENTRIES_DIR = "entries"
+GRAPHS_OUT = "reports/graphs.jsonl"
+DEDUP_REPORT = "reports/dedup_report.jsonl"
+CONTAMINATION_REPORT = "reports/contamination_report.jsonl"
 UNKNOWN_LANGUAGE = "(unknown)"
-_GRAPH_SUFFIX = ".deps.txt"
-_NAME_MAX = 255  # bytes in one file name
 
 
 @dataclass(frozen=True)
 class Stage:
     """One step of the pipeline. The runner hands `stage_<name>` the
     records of `reads` (None: the ingested repos) and writes the rows it
-    returns to `writes`. `config` lists the dotted config fields the
-    stage reads; its command takes the CLI flags that set them.
+    returns to `writes[0]`. `writes` names every file or directory the
+    stage may write, and the runner deletes them all before the stage
+    runs. `config` lists the dotted config fields the stage reads; its
+    command takes the CLI flags that set them.
     """
 
     name: str
     reads: str | None
-    writes: str
+    writes: tuple[str, ...]
     config: tuple[str, ...]
     about: str
 
 
 STAGES = (
-    Stage("filter", None, FILES_OUT,
+    Stage("filter", None, (FILES_OUT,),
           ("inputs", "language_map", "filters", "stages.filter"), "quality filtering"),
-    Stage("order", FILES_OUT, SAMPLES_OUT,
+    Stage("order", FILES_OUT, (SAMPLES_OUT, GRAPHS_OUT),
           ("stages.order", "dump_graphs"), "dependency-ordered concatenation"),
-    Stage("dedup", SAMPLES_OUT, DEDUP_OUT,
+    Stage("dedup", SAMPLES_OUT, (DEDUP_OUT, DEDUP_REPORT),
           ("dedup", "stages.dedup"), "repo-level near-deduplication"),
-    Stage("decontaminate", DEDUP_OUT, CLEAN_OUT,
+    Stage("decontaminate", DEDUP_OUT, (CLEAN_OUT, CONTAMINATION_REPORT),
           ("decontaminate", "filters", "stages.decontaminate"), "screening + decontamination"),
-    Stage("build", CLEAN_OUT, ENTRIES_DIR,
+    Stage("build", CLEAN_OUT, (ENTRIES_DIR,),
           ("build", "seed", "stages.build"), "FIM transform + packing"),
 )
 
@@ -118,6 +122,10 @@ def _write_jsonl(path: str, records: Iterable[dict]) -> int:
             fh.write("\n")
             n += 1
     return n
+
+
+def _write_output(cfg: PipelineConfig, rel: str, records: Iterable[dict]) -> tuple[str, int]:
+    return rel, _write_jsonl(os.path.join(cfg.output_dir, rel), records)
 
 
 def _read_jsonl(path: str) -> list[dict]:
@@ -195,14 +203,9 @@ def _filter_repo_worker(
         if enabled and language is None:
             _bump(counters, "unrecognized_language")
             continue
-        sf = SourceFile(
-            repo_id=raw_repo.repo_id,
-            path=rf.path,
-            language=language,
-            content=rf.content,
-            byte_size=len(rf.content.encode("utf-8")),
-        )
+        byte_size = len(rf.content.encode("utf-8"))
         if enabled:
+            sf = SourceFile(raw_repo.repo_id, rf.path, language, rf.content, byte_size)
             stats = compute_file_stats(sf.content)
             verdict = apply_base_filters(sf, stats, thresholds)
             if verdict.accepted and language == "HTML":
@@ -212,7 +215,10 @@ def _filter_repo_worker(
             if not verdict.accepted:
                 _bump(counters, verdict.rule_fired)
                 continue
-        kept.append(asdict(sf))
+        kept.append({
+            "repo_id": raw_repo.repo_id, "path": rf.path, "language": language,
+            "content": rf.content, "byte_size": byte_size,
+        })
     return kept, counters
 
 
@@ -285,23 +291,6 @@ def _order_repo_worker(
     return record, edges
 
 
-def graph_file_name(repo_id: str) -> str:
-    """Edge-list file name for a repo: `%`, `/`, `\\` and a leading `.`
-    are percent-encoded, so distinct ids give distinct names and every
-    name is a plain file directly under reports/graphs/. A name over the
-    255-byte limit keeps a prefix, then `%%` (which percent-encoding never
-    emits) and the sha256 of the id.
-    """
-    name = repo_id.replace("%", "%25").replace("/", "%2F").replace("\\", "%5C")
-    if name.startswith("."):
-        name = "%2E" + name[1:]
-    if len(name.encode("utf-8")) > _NAME_MAX - len(_GRAPH_SUFFIX):
-        digest = hashlib.sha256(repo_id.encode("utf-8")).hexdigest()
-        keep = _NAME_MAX - len(_GRAPH_SUFFIX) - 2 - len(digest)
-        name = name.encode("utf-8")[:keep].decode("utf-8", "ignore") + "%%" + digest
-    return name + _GRAPH_SUFFIX
-
-
 def stage_order(cfg: PipelineConfig, file_records: list[dict]) -> StageResult:
     by_repo: dict[str, list[dict]] = {}
     for rec in file_records:
@@ -312,14 +301,8 @@ def stage_order(cfg: PipelineConfig, file_records: list[dict]) -> StageResult:
     rows = [rec for rec, _ in results if rec is not None]
     outputs = []
     if cfg.dump_graphs:
-        graphs_dir = os.path.join(cfg.output_dir, "reports", "graphs")
-        os.makedirs(graphs_dir, exist_ok=True)
-        for (rid, _), (_, edges) in zip(tasks, results):
-            rel = f"reports/graphs/{graph_file_name(rid)}"
-            with open(os.path.join(cfg.output_dir, rel), "w", encoding="utf-8") as fh:
-                for dependent, dependency in edges:
-                    fh.write(f"{dependent}\t{dependency}\n")
-            outputs.append((rel, len(edges)))
+        graphs = ({"repo_id": rid, "edges": edges} for (rid, _), (_, edges) in zip(tasks, results))
+        outputs.append(_write_output(cfg, GRAPHS_OUT, graphs))
     return StageResult(rows, len(file_records), outputs=outputs, fields={
         "output_file_total": sum(len(r["ordered_paths"]) for r in rows),
     })
@@ -360,8 +343,7 @@ def stage_dedup(cfg: PipelineConfig, records: list[dict]) -> StageResult:
             }
             for c in clusters
         ]
-        rel = "reports/dedup_report.jsonl"
-        outputs.append((rel, _write_jsonl(os.path.join(cfg.output_dir, rel), report_rows)))
+        outputs.append(_write_output(cfg, DEDUP_REPORT, report_rows))
     counters = {"near_duplicate": len(drop)} if drop else {}
     return StageResult(retained, len(records), counters=counters, outputs=outputs)
 
@@ -422,8 +404,7 @@ def stage_decontaminate(cfg: PipelineConfig, records: list[dict]) -> StageResult
             })
     outputs = []
     if cfg.decontaminate.report and index is not None:
-        rel = "reports/contamination_report.jsonl"
-        outputs.append((rel, _write_jsonl(os.path.join(cfg.output_dir, rel), report_rows)))
+        outputs.append(_write_output(cfg, CONTAMINATION_REPORT, report_rows))
     return StageResult(clean, len(records), counters=counters, outputs=outputs, fields={
         "benchmark_strings_skipped_short": index.skipped_short if index is not None else 0,
     })
@@ -434,9 +415,8 @@ def stage_decontaminate(cfg: PipelineConfig, records: list[dict]) -> StageResult
 # -----------------------
 
 def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
-    """Disabled, the stage writes no entries and drops any it wrote before.
-    Enabled, it pops each record's text as it transforms it, so no text
-    is held twice."""
+    """Disabled, the stage writes no entries. Enabled, it pops each
+    record's text as it transforms it, so no text is held twice."""
     if not cfg.stages.build:
         return StageResult(None, len(records), 0, fields={
             "entry_len": cfg.build.entry_len, "fim_applied": 0, "total_tokens": 0,
@@ -461,8 +441,7 @@ def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
     if pack.skipped_docs:
         _bump(counters, "tokenizer_failure", pack.skipped_docs)
 
-    entries_dir = os.path.join(cfg.output_dir, ENTRIES_DIR)
-    os.makedirs(entries_dir, exist_ok=True)
+    os.makedirs(os.path.join(cfg.output_dir, ENTRIES_DIR), exist_ok=True)
     per_shard = cfg.build.entries_per_shard
     outputs = []
     # An empty build still writes one (empty) shard.
@@ -479,12 +458,7 @@ def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
         else:
             rel = stem + ".jsonl"
             rows = ({"token_ids": row.tolist(), "doc_boundaries": b} for row, b in zip(shard, bounds))
-        outputs.append((rel, _write_jsonl(os.path.join(cfg.output_dir, rel), rows)))
-    # Shards of an earlier build with other sharding or format are stale.
-    listed = {os.path.basename(rel) for rel, _ in outputs}
-    for name in os.listdir(entries_dir):
-        if name.startswith("entries-") and name not in listed:
-            os.remove(os.path.join(entries_dir, name))
+        outputs.append(_write_output(cfg, rel, rows))
 
     fields = {
         "entry_len": cfg.build.entry_len,
@@ -581,12 +555,24 @@ def _stage_is_current(cfg: PipelineConfig, stage: Stage, upstream: str, key: str
     return manifest
 
 
+def _clear(cfg: PipelineConfig, stage: Stage) -> None:
+    """Delete the stage's manifest, then every path it writes."""
+    owned = [os.path.join(cfg.output_dir, rel) for rel in stage.writes]
+    for path in (_manifest_path(cfg, stage.name), *owned):
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        elif os.path.lexists(path):
+            os.remove(path)
+
+
 def _execute(cfg: PipelineConfig, stage: Stage, upstream: str, key: str, ingested=None) -> dict:
-    """Run one stage and write its manifest. The manifest goes last, so a
-    stage cut short leaves none and the next run redoes it; files the
-    stage's previous manifest listed and the new one does not are deleted.
+    """Run one stage and write its manifest. The stage's manifest and
+    files are deleted first and the new manifest is written last, so its
+    outputs are exactly what its last completed run wrote, and a stage
+    cut short leaves no manifest and the next run redoes it.
     """
     try:
+        _clear(cfg, stage)
         if stage.reads is None:
             records = ingested
         else:
@@ -595,8 +581,7 @@ def _execute(cfg: PipelineConfig, stage: Stage, upstream: str, key: str, ingeste
         result = globals()[f"stage_{stage.name}"](cfg, records)
         outputs = list(result.outputs)
         if result.rows is not None:
-            n = _write_jsonl(os.path.join(cfg.output_dir, stage.writes), result.rows)
-            outputs.insert(0, (stage.writes, n))
+            outputs.insert(0, _write_output(cfg, stage.writes[0], result.rows))
         manifest = {
             "stage": stage.name,
             "completed": True,
@@ -614,11 +599,6 @@ def _execute(cfg: PipelineConfig, stage: Stage, upstream: str, key: str, ingeste
             ],
             **result.fields,
         }
-        listed = {rel for rel, _ in outputs}
-        for entry in (_load_manifest(cfg, stage.name) or {}).get("outputs", []):
-            stale = os.path.join(cfg.output_dir, entry["path"])
-            if entry["path"] not in listed and os.path.isfile(stale):
-                os.remove(stale)
         path = _manifest_path(cfg, stage.name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:

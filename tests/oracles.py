@@ -24,25 +24,24 @@ import numpy as np
 from repopipe.corpus import SourceFile
 from repopipe.decontam import NGRAM_SIZE, ContaminationIndex, ContaminationReport, tokenize
 from repopipe.dedup import _TOKEN, _permutations, _MERSENNE_PRIME
-from repopipe.deps import (
-    _GO_IN_BLOCK,
-    _JS_BARE,
-    _JS_EXTS,
-    _JS_FROM,
-    _PY_NAMES,
-    DependencyGraph,
-    _module_candidates,
-    _python_names,
-    _relative_candidates,
-    build_graph,
-)
+from repopipe.deps import DependencyGraph, build_graph
 from repopipe.packing import PackResult, Tokenizer
 
+# The reference patterns and helpers as first written, copied rather
+# than imported, so a change to their forms in `deps` is checked against
+# an independent reference. From every `import` or `export` that never
+# reaches a `from`, JS_FROM's lazy run goes on to the end of the file.
+_PY_NAMES = r"[\w.*]+(?:[ \t]+as[ \t]+\w+)?(?:\s*,\s*[\w.*]+(?:[ \t]+as[ \t]+\w+)?)*"
+_PY_COMMENT = re.compile(r"#[^\n]*")
+JS_FROM = re.compile(r"""(?:import|export)\s+[^;'"]*?from\s+['"]([^'"]+)['"]""")
+JS_BARE = re.compile(r"""(?:import|require)\s*\(\s*['"]([^'"]+)['"]\s*\)""")
+JS_EXTS = (".ts", ".tsx", ".js", ".jsx", ".mjs", ".cjs")
+GO_IN_BLOCK = re.compile(r'"([^"]+)"')
 
-# The reference patterns as first written: `^\s*` lets the leading run
-# cross lines, so on a run of blank lines every line start rescans the
-# rest of the run, and an unclosed Go `import (` scans to the end of the
-# file from every block start. Keyed by the name of their form in `deps`.
+# `^\s*` lets the leading run cross lines, so on a run of blank lines
+# every line start rescans the rest of the run, and an unclosed Go
+# `import (` scans to the end of the file from every block start. Keyed
+# by the name of their form in `deps`.
 LINE_START_PATTERNS = {
     "_PY_IMPORT": re.compile(rf"^\s*import\s+({_PY_NAMES})", re.MULTILINE),
     "_PY_FROM": re.compile(
@@ -57,32 +56,58 @@ LINE_START_PATTERNS = {
 GO_BLOCK = re.compile(r"^\s*import\s*\(([^)]*)\)", re.MULTILINE | re.DOTALL)
 
 
+def python_names(listing: str) -> list[str]:
+    items = _PY_COMMENT.sub("", listing).split(",")
+    return [item.split()[0] for item in items if item.strip()]
+
+
+def module_candidates(module: str, extensions: Sequence[str]) -> list[str]:
+    base = module.replace(".", "/")
+    cands = [f"{base}{ext}" for ext in extensions]
+    if ".py" in extensions:
+        cands.append(f"{base}/__init__.py")
+    return cands
+
+
+def relative_candidates(ref: str, from_path: str) -> list[str]:
+    module = ref.lstrip(".")
+    up = len(ref) - len(module) - 1
+    parts = from_path.split("/")[:-1]
+    if up > len(parts):
+        return []
+    parts = parts[: len(parts) - up]
+    if not module:
+        return ["/".join([*parts, "__init__.py"])]
+    base = "/".join([*parts, *module.split(".")])
+    return [f"{base}.py", f"{base}/__init__.py"]
+
+
 def _groups(name: str, content: str) -> list[str]:
     return [m.group(1) for m in LINE_START_PATTERNS[name].finditer(content)]
 
 
 def python_refs(content: str) -> list[str]:
-    refs = [name for listing in _groups("_PY_IMPORT", content) for name in _python_names(listing)]
+    refs = [name for listing in _groups("_PY_IMPORT", content) for name in python_names(listing)]
     for match in LINE_START_PATTERNS["_PY_FROM"].finditer(content):
         module = match.group(1)
         refs.append(module)
         sep = "." if module.strip(".") else ""
-        for name in _python_names(match.group(3) or match.group(2)):
+        for name in python_names(match.group(3) or match.group(2)):
             if name != "*":
                 refs.append(f"{module}{sep}{name}")
     return refs
 
 
 def js_refs(content: str) -> list[str]:
-    refs = [m.group(1) for m in _JS_FROM.finditer(content)]
-    refs += [m.group(1) for m in _JS_BARE.finditer(content)]
+    refs = [m.group(1) for m in JS_FROM.finditer(content)]
+    refs += [m.group(1) for m in JS_BARE.finditer(content)]
     return refs + _groups("_JS_SIDE_EFFECT", content)
 
 
 def go_refs(content: str) -> list[str]:
     refs = _groups("_GO_SINGLE", content)
     for block in GO_BLOCK.finditer(content):
-        refs += _GO_IN_BLOCK.findall(block.group(1))
+        refs += GO_IN_BLOCK.findall(block.group(1))
     return refs
 
 
@@ -94,7 +119,7 @@ def match_suffix(candidate: str, repo_paths: Sequence[str]) -> list[str]:
 def resolve_modules(modules: Iterable[str], extensions: Sequence[str], repo_paths: Sequence[str]) -> list[str]:
     out: list[str] = []
     for module in modules:
-        for cand in _module_candidates(module, extensions):
+        for cand in module_candidates(module, extensions):
             out.extend(match_suffix(cand, repo_paths))
     return out
 
@@ -103,7 +128,7 @@ def resolve_python(refs: Iterable[str], from_path: str, repo_paths: Sequence[str
     out: list[str] = []
     for ref in refs:
         if ref.startswith("."):
-            for cand in _relative_candidates(ref, from_path):
+            for cand in relative_candidates(ref, from_path):
                 out.extend(p for p in repo_paths if p == cand)
         else:
             out.extend(resolve_modules([ref], (".py",), repo_paths))
@@ -133,11 +158,14 @@ def resolve_js(refs: Iterable[str], from_path: str, repo_paths: Sequence[str]) -
         else:
             target = ref
         cands = [target] if posixpath.splitext(target)[1] else [
-            *(target + ext for ext in _JS_EXTS),
-            *(posixpath.join(target, "index" + ext) for ext in _JS_EXTS),
+            *(target + ext for ext in JS_EXTS),
+            *(posixpath.join(target, "index" + ext) for ext in JS_EXTS),
         ]
         for cand in cands:
-            out.extend(match_suffix(cand, repo_paths))
+            if ref.startswith("."):
+                out.extend(p for p in repo_paths if p == cand)
+            else:
+                out.extend(match_suffix(cand, repo_paths))
     return out
 
 

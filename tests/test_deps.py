@@ -129,6 +129,23 @@ class TestExtractDependencies:
         f = sf("index.js", "const h = require('./helper');\n")
         assert extract_dependencies(f, {"index.js", "helper.js"}) == ["helper.js"]
 
+    def test_js_relative_specifier_names_one_exact_path(self):
+        # A relative specifier names one path from the importing file; a
+        # file of the same name elsewhere in the repo is not a dependency.
+        root = sf("index.js", "import c from './config';\n")
+        assert extract_dependencies(root, {"index.js", "config.js", "lib/config.js"}) == ["config.js"]
+        nested = sf("src/main.js", "import { u } from './util';\n")
+        paths = {"src/main.js", "src/util.js", "vendor/src/util.js"}
+        assert extract_dependencies(nested, paths) == ["src/util.js"]
+        up = sf("src/app/main.ts", "export * from '../util';\n")
+        assert extract_dependencies(up, {"src/app/main.ts", "src/util.ts", "x/src/util.ts"}) == ["src/util.ts"]
+
+    def test_js_bare_specifier_matches_by_suffix(self):
+        f = sf("app.js", "import u from 'src/util';\n")
+        assert extract_dependencies(f, {"app.js", "src/util.js", "vendor/src/util.js"}) == [
+            "src/util.js", "vendor/src/util.js",
+        ]
+
     def test_go_import_matches_package_dir(self):
         f = sf("cmd/main.go", 'import "project/internal/db"\n')
         paths = {"cmd/main.go", "internal/db/conn.go", "internal/db/query.go"}

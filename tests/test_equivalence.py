@@ -1,7 +1,8 @@
 """Property tests: the indexed dependency resolver, line-bounded
-reference patterns, union-find components, heap toposort, uint32-stream
-packer, zipped shingling and chunked MinHash give exactly the results
-of the brute-force oracles in `oracles.py` on generated inputs.
+reference patterns, bounded JS/TS import pattern, union-find
+components, heap toposort, uint32-stream packer, zipped shingling and
+chunked MinHash give exactly the results of the brute-force oracles in
+`oracles.py` on generated inputs.
 """
 
 from __future__ import annotations
@@ -199,6 +200,62 @@ def test_line_start_patterns_match_cross_line_forms(text):
             (m.end(), m.groups()) for m in old.finditer(text)
         ], name
     assert deps._go_refs(text) == oracles.go_refs(text)
+
+
+# JS/TS import blocks: default, namespace, type and multi-line brace
+# imports, re-exports, side-effect imports, dynamic imports and requires,
+# statements commented out, and `import`/`export` lines that never reach
+# a `from`, with names that contain the keywords.
+JS_SPECIFIERS = ["./a", "../lib/b", "pkg", "@scope/pkg/sub", "./style.css", "./from"]
+JS_NAMES = ["a", "b as c", "importX", "exported", "fromage", "type T", "default as d"]
+
+
+@st.composite
+def js_statements(draw) -> str:
+    q = draw(st.sampled_from(["'", '"']))
+    spec = q + draw(st.sampled_from(JS_SPECIFIERS)) + q
+    name = draw(st.sampled_from(["x", "importX", "exported", "from_"]))
+    sep = draw(st.sampled_from([", ", ",\n  ", ",\n", " ,"]))
+    listing = sep.join(draw(st.lists(st.sampled_from(JS_NAMES), min_size=1, max_size=4)))
+    braces = draw(st.sampled_from(["{ %s }", "{\n  %s\n}", "{%s,\n}"])) % listing
+    return draw(st.sampled_from([
+        f"import {name} from {spec}",
+        f"import {braces} from {spec}",
+        f"import {name}, {braces} from {spec}",
+        f"import * as ns from {spec}",
+        f"import type {braces} from {spec}",
+        f"export * from {spec}",
+        f"export * as ns from {spec}",
+        f"export {braces} from {spec}",
+        f"import {spec}",
+        f"// import {name} from {spec}",
+        f"/* export {braces} from {spec} */",
+        f"import {name}",
+        f"import {braces}",
+        f"export {braces}",
+        f"export const {name} = from",
+        f"export default {name}",
+        f"const {name} = require({spec})",
+        f"const m = await import({spec})",
+    ]))
+
+
+js_blocks = st.lists(
+    st.tuples(js_statements(), st.sampled_from([";\n", "\n", ";", " ", "\n\n", "\t"])), max_size=12
+).map(lambda parts: "".join(stmt + end for stmt, end in parts))
+JS_TOKENS = [
+    "import", "export", "from", "require", "as", " ", "\t", "\n", "'", '"', ";", "x", "{", "}", "(", ")",
+    ",", "*", "./a", "importx",
+]
+js_soup = st.lists(st.sampled_from(JS_TOKENS), max_size=40).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(js_blocks, js_soup))
+@example("import x\nimport { a,\n  exported } from './a'")
+@example("import a, reimport b from 'x'; export\nfrom 'y'")
+def test_js_refs_match_unbounded_pattern(text):
+    assert deps._js_refs(text) == oracles.js_refs(text)
 
 
 class RejectingTokenizer(ByteTokenizer):

@@ -6,17 +6,14 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from conftest import build_fixture_corpus, code_lines, fixture_config, output_digest, write_repo
 from repopipe.config import PipelineConfig
 from repopipe.pipeline import (
     CLEAN_OUT,
     DEDUP_OUT,
     FILES_OUT,
+    GRAPHS_OUT,
     SAMPLES_OUT,
-    graph_file_name,
     run_pipeline,
 )
 
@@ -308,28 +305,90 @@ class TestInterruptedStage:
         assert summary.completed_stages[0] == stage
         assert output_digest(Path(cfg.output_dir)) == output_digest(fresh)
 
+    @pytest.mark.parametrize(
+        "stage, change, side, stop",
+        [
+            ("dedup", lambda cfg: setattr(cfg.dedup, "report", True),
+             "reports/dedup_report.jsonl", "reports/dedup_report.jsonl"),
+            # Stopped after the main output too, whose bytes match the
+            # manifest of run 1.
+            ("dedup", lambda cfg: setattr(cfg.dedup, "report", True),
+             "reports/dedup_report.jsonl", DEDUP_OUT),
+            ("order", lambda cfg: setattr(cfg, "dump_graphs", True), "reports/graphs", "reports/graphs"),
+            ("build", lambda cfg: setattr(cfg.build, "output_format", "bin"),
+             "entries/entries-00000.bin", "entries/"),
+        ],
+        ids=["dedup-report", "dedup-report-and-samples", "dump-graphs", "output-format"],
+    )
+    def test_side_output_of_stopped_run_is_cleared(self, tmp_path, monkeypatch, stage, change, side, stop):
+        """Run 2 changes the config so that `stage` also writes `side`, and
+        is stopped right after it writes a file under `stop`; run 3 goes
+        back to run 1's config and must not keep `side`."""
+        import repopipe.pipeline as pipeline_module
+        from repopipe.pipeline import StageFailure
+
+        cfg = fixture_config(tmp_path)
+        cfg.dedup.report = False
+        fresh = fresh_run(cfg, tmp_path / "fresh")
+        run_pipeline(cfg)
+        changed = copy.deepcopy(cfg)
+        change(changed)
+
+        class StopAfterClose:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self.fh.__enter__()
+
+            def __exit__(self, *exc):
+                self.fh.__exit__(*exc)
+                raise RuntimeError("stopped after writing")
+
+        def stopping_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if "w" in mode and os.path.relpath(path, cfg.output_dir).startswith(stop):
+                return StopAfterClose(fh)
+            return fh
+
+        monkeypatch.setattr(pipeline_module, "open", stopping_open, raising=False)
+        with pytest.raises(StageFailure) as exc_info:
+            run_pipeline(changed)
+        assert exc_info.value.stage == stage
+        monkeypatch.undo()
+        out = Path(cfg.output_dir)
+        assert any(str(p.relative_to(out)).startswith(side) for p in out.rglob("*") if p.is_file())
+        run_pipeline(cfg)
+        assert output_digest(out) == output_digest(fresh)
+
 
 class TestGraphDump:
     def test_edge_lists_dumped(self, tmp_path):
         cfg = fixture_config(tmp_path)
         cfg.dump_graphs = True
         run_pipeline(cfg)
-        dump = Path(cfg.output_dir) / "reports" / "graphs" / "repo_delta.deps.txt"
-        assert dump.read_text() == "main.py\tutil.py\n"
+        rows = read_jsonl(Path(cfg.output_dir) / GRAPHS_OUT)
+        assert [row["repo_id"] for row in rows] == ["repo_alpha", "repo_beta", "repo_delta", "repo_gamma"]
+        assert {row["repo_id"]: row["edges"] for row in rows}["repo_delta"] == [["main.py", "util.py"]]
+        assert [entry["path"] for entry in read_manifest(cfg, "order")["outputs"]] == [SAMPLES_OUT, GRAPHS_OUT]
 
 
 class TestGraphDumpFileNames:
-    """Repo ids come from input data, so they may hold `/`, `..` or `%`;
-    each must land in exactly one file directly under reports/graphs/."""
+    """Repo ids come from input data, so they may hold `/`, `..`, `%`,
+    non-ASCII text or hundreds of characters, and paths may hold tabs
+    and newlines. Each id must appear verbatim in exactly one row of
+    reports/graphs.jsonl, and the dump is the only file under reports/."""
+
+    EDGES = [["main.py", "util.py"]]
 
     @staticmethod
-    def run_jsonl(tmp_path, repo_ids):
+    def run_jsonl(tmp_path, repo_ids, util="util.py"):
         rows = [
             {"repo_id": rid, "path": path, "content": content}
             for rid in repo_ids
             for path, content in (
                 ("main.py", "import util\n\n" + code_lines(seed=37, n_lines=30)),
-                ("util.py", code_lines(seed=41, n_lines=25) + f"# {rid}\n"),
+                (util, code_lines(seed=41, n_lines=25) + f"# {rid}\n"),
             )
         ]
         inputs = tmp_path / "in.jsonl"
@@ -337,63 +396,51 @@ class TestGraphDumpFileNames:
         cfg = PipelineConfig(inputs=[str(inputs)], output_dir=str(tmp_path / "out"), dump_graphs=True)
         cfg.stages.dedup = False
         run_pipeline(cfg)
-        return Path(cfg.output_dir)
+        out = Path(cfg.output_dir)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out"]
+        assert [p for p in (out / "reports").rglob("*")] == [out / GRAPHS_OUT]
+        return [(row["repo_id"], row["edges"]) for row in read_jsonl(out / GRAPHS_OUT)]
 
     def test_slash_in_repo_id(self, tmp_path):
-        out = self.run_jsonl(tmp_path, ["owner/name"])
-        dump = out / "reports" / "graphs" / "owner%2Fname.deps.txt"
-        assert dump.read_text() == "main.py\tutil.py\n"
+        assert self.run_jsonl(tmp_path, ["owner/name"]) == [("owner/name", self.EDGES)]
 
     def test_parent_reference_stays_inside_graphs_dir(self, tmp_path):
-        out = self.run_jsonl(tmp_path, ["../escape"])
-        assert not (out / "reports" / "escape.deps.txt").exists()
-        assert [p.name for p in (out / "reports" / "graphs").iterdir()] == ["%2E.%2Fescape.deps.txt"]
+        assert self.run_jsonl(tmp_path, ["../escape"]) == [("../escape", self.EDGES)]
 
     def test_distinct_ids_get_distinct_files(self, tmp_path):
-        ids = ["a/b", "a%2Fb", "a%b", ".a", "%2Ea", "..", "a\\b", "a%5Cb"]
-        out = self.run_jsonl(tmp_path, ids)
-        names = sorted(p.name for p in (out / "reports" / "graphs").iterdir())
-        assert names == sorted(graph_file_name(rid) for rid in ids)
-        assert len(set(names)) == len(ids)
-        for rid in ids:
-            assert (out / "reports" / "graphs" / graph_file_name(rid)).read_text().endswith(
-                "main.py\tutil.py\n"
-            )
+        ids = ["owner/name", "../escape", "a%2Fb", "a%b", "%", ".a", "..", "a\\b", "目录/é", "r" * 300]
+        assert self.run_jsonl(tmp_path, ids) == [(rid, self.EDGES) for rid in sorted(ids)]
 
     def test_long_and_non_ascii_ids_fit_one_file_name(self, tmp_path):
-        ids = ["r" * 300, "r" * 299, "é" * 200, "é" * 199 + "e", "目录/" * 60, "a" * 246]
-        out = self.run_jsonl(tmp_path, ids)
-        names = sorted(p.name for p in (out / "reports" / "graphs").iterdir())
-        assert names == sorted(graph_file_name(rid) for rid in ids)
-        assert len(set(names)) == len(ids)
-        assert all(len(name.encode("utf-8")) <= 255 for name in names)
-        for rid in ids:
-            assert (out / "reports" / "graphs" / graph_file_name(rid)).read_text().endswith(
-                "main.py\tutil.py\n"
-            )
+        ids = ["r" * 300, "r" * 299, "é" * 200, "目录/" * 60]
+        assert self.run_jsonl(tmp_path, ids) == [(rid, self.EDGES) for rid in sorted(ids)]
 
-    def test_short_names_unchanged(self):
-        # An id whose encoded name fits keeps it exactly, digest-free.
-        assert graph_file_name("a" * 246) == "a" * 246 + ".deps.txt"
-        assert graph_file_name("%" * 82) == "%25" * 82 + ".deps.txt"
+    def test_tab_and_newline_in_paths_kept(self, tmp_path):
+        # A tab-separated edge list could not hold these paths.
+        util = "lib/a\tb\nc/util.py"
+        assert self.run_jsonl(tmp_path, ["r"], util=util) == [("r", [["main.py", util]])]
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.text(min_size=0, max_size=12),
-        st.text(min_size=0, max_size=12),
-        st.sampled_from(["", "x" * 120, "ü" * 120, "%" * 80, "/" * 90]),
-    )
-    def test_names_are_injective_and_flat(self, a, b, shared):
-        # A long shared head pushes both ids past the name limit, where
-        # only their tails tell them apart.
-        a, b = shared + a, shared + b
-        for rid in (a, b):
-            name = graph_file_name(rid)
-            assert "/" not in name and "\\" not in name
-            assert not name.startswith(".") or rid == ""  # only "" gives ".deps.txt"
-            assert len(name.encode("utf-8")) <= 255
-        if a != b:
-            assert graph_file_name(a) != graph_file_name(b)
+
+class TestStageOwnership:
+    def test_every_output_is_listed_and_owned_by_its_stage(self, tmp_path):
+        # The runner clears only the paths in each stage's `writes`, so a
+        # file a stage wrote outside them would outlive a re-run.
+        from repopipe.pipeline import STAGES
+
+        cfg = fixture_config(tmp_path)
+        cfg.dump_graphs = True
+        cfg.build.output_format = "bin"
+        run_pipeline(cfg)
+        listed = set()
+        for stage in STAGES:
+            for entry in read_manifest(cfg, stage.name)["outputs"]:
+                rel = entry["path"]
+                assert any(rel == w or rel.startswith(w + "/") for w in stage.writes), (stage.name, rel)
+                listed.add(rel)
+        out = Path(cfg.output_dir)
+        on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        run_files = {"run.json", "stats.json", "stats.txt", *(f"manifests/{s.name}.json" for s in STAGES)}
+        assert on_disk == listed | run_files
 
 
 class TestBuildOwnsEntriesDir:

@@ -1,7 +1,8 @@
 """Wall-time budgets for the cases that used to grow faster than
 linearly: ordering a repo with thousands of files and a dense import
 graph, packing one multi-MB document, and extracting references from a
-file with a long run of blank lines or many unclosed Go import blocks.
+file with a long run of blank lines, many unclosed Go import blocks or
+many JavaScript imports that never reach a `from`.
 """
 
 from __future__ import annotations
@@ -81,3 +82,11 @@ def test_unclosed_go_import_blocks_extract_within_budget():
     content = 'import (\n\t"fmt"\n' * 8_000  # 128 KB
     elapsed = _extract_seconds("Go", content)
     assert elapsed < 0.5, f"8,000 unclosed import blocks took {elapsed:.1f}s (budget 0.5s)"
+
+
+def test_js_imports_without_from_extract_within_budget():
+    # Each `import` once ran on to the end of the file looking for a
+    # `from`: 4,000 lines took 1.2 s.
+    content = "import x\n" * 8_000  # 72 KB
+    elapsed = _extract_seconds("JavaScript", content)
+    assert elapsed < 0.5, f"8,000 import lines without `from` took {elapsed:.1f}s (budget 0.5s)"

@@ -25,35 +25,30 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 
-# Flags that set one config field. `run` takes them all, a stage command
-# those whose field its stage reads.
+# Flags that set one config field, keyed by that field. Every command
+# takes the first four, a stage command also those whose field its stage
+# reads, and `run` all of them. An absent flag leaves the config's value.
 _FIELD_FLAGS = {
-    "dump_graphs": (
-        "--dump-graphs", {"action": "store_true", "help": "write the dependency edges to reports/graphs.jsonl"}
-    ),
-    "dedup.report": (
-        "--dedup-report", {"action": "store_true", "help": "emit the dedup report JSONL"}
-    ),
-    "build.output_format": ("--output-format", {"choices": ("jsonl", "bin"), "default": None}),
+    "inputs": ("--inputs", {"nargs": "+", "help": "input repo directories or JSONL files"}),
+    "output_dir": ("--output-dir", {"help": "pipeline output directory"}),
+    "workers": ("--workers", {"type": int, "help": "worker process count"}),
+    "seed": ("--seed", {"type": int, "help": "global seed"}),
+    "dump_graphs": ("--dump-graphs", {"action": "store_const", "const": True,
+                                      "help": "write the dependency edges to reports/graphs.jsonl"}),
+    "dedup.report": ("--dedup-report", {"action": "store_const", "const": True,
+                                        "help": "emit the dedup report JSONL"}),
+    "build.output_format": ("--output-format", {"choices": ("jsonl", "bin")}),
 }
+_EVERY_COMMAND = ("inputs", "output_dir", "workers", "seed")
 
 
 def _load(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else default_config()
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "output_dir", None):
-        cfg.output_dir = args.output_dir
-    if getattr(args, "inputs", None):
-        cfg.inputs = args.inputs
-    if getattr(args, "dump_graphs", False):
-        cfg.dump_graphs = True
-    if getattr(args, "dedup_report", False):
-        cfg.dedup.report = True
-    if getattr(args, "output_format", None):
-        cfg.build.output_format = args.output_format
+    for name in _FIELD_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None:
+            section, _, leaf = name.rpartition(".")
+            setattr(getattr(cfg, section) if section else cfg, leaf, value)
     require_valid(cfg)
     return cfg
 
@@ -73,13 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_command(name: str, help: str, fields: tuple[str, ...]) -> None:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--inputs", nargs="+", help="input repo directories or JSONL files")
-        p.add_argument("--output-dir", help="pipeline output directory")
-        p.add_argument("--workers", type=int, default=None, help="worker process count")
-        p.add_argument("--seed", type=int, default=None, help="global seed")
         for field_name, (flag, kwargs) in _FIELD_FLAGS.items():
-            if covers(fields, field_name):
-                p.add_argument(flag, **kwargs)
+            if covers(_EVERY_COMMAND + fields, field_name):
+                p.add_argument(flag, dest=field_name, **kwargs)
 
     add_command("run", "run the full pipeline", tuple(_FIELD_FLAGS))
     for number, stage in enumerate(STAGES, 1):

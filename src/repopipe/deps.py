@@ -200,10 +200,13 @@ def _resolve_js(refs: Iterable[str], from_path: str, index: _PathIndex) -> list[
     for ref in refs:
         relative = ref.startswith(".")
         target = posixpath.normpath(posixpath.join(here, ref)) if relative else ref
-        cands = [target] if posixpath.splitext(target)[1] else [
-            *(target + ext for ext in _JS_EXTS),
-            *(posixpath.join(target, "index" + ext) for ext in _JS_EXTS),
-        ]
+        if target == ".":  # the repository root: only its index file
+            cands = ["index" + ext for ext in _JS_EXTS]
+        elif posixpath.splitext(target)[1]:
+            cands = [target]
+        else:
+            cands = [*(target + ext for ext in _JS_EXTS),
+                     *(posixpath.join(target, "index" + ext) for ext in _JS_EXTS)]
         if relative:
             out.extend(c for c in cands if c in index.path_set)
         else:

@@ -150,11 +150,6 @@ def _load_manifest(cfg: PipelineConfig, stage: str) -> dict | None:
         return None
 
 
-def _outputs_hash(manifest: dict) -> str:
-    canonical = json.dumps(manifest.get("outputs", []), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 # -----------------------
 # Parallel fan-out
 # -----------------------
@@ -474,31 +469,20 @@ def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
 # Stats
 # -----------------------
 
-def best_stats_source(cfg: PipelineConfig) -> str | None:
-    """Most advanced stage output that carries per-language data."""
-    for rel in (CLEAN_OUT, DEDUP_OUT, SAMPLES_OUT, FILES_OUT):
-        path = os.path.join(cfg.output_dir, rel)
-        if os.path.exists(path):
-            return rel
-    return None
-
-
-def collect_drop_counters(cfg: PipelineConfig) -> dict[str, dict[str, int]]:
-    counters: dict[str, dict[str, int]] = {}
-    for stage in STAGES:
-        manifest = _load_manifest(cfg, stage.name) or {}
-        if manifest.get("ingest_counters"):
-            counters["ingest"] = dict(manifest["ingest_counters"])
-        if manifest.get("counters"):
-            counters[stage.name] = dict(manifest["counters"])
-    return counters
-
-
 def emit_stats(cfg: PipelineConfig) -> CorpusStats:
-    """Aggregate per-language sizes from the most advanced stage output,
-    render the summary table, and write stats.txt / stats.json.
+    """Summarise the last stage done: per-language sizes from the file
+    the stage after the chain would read (after build, build's input),
+    drop counters from the chain's manifests. Renders the summary table
+    and writes stats.txt / stats.json.
     """
-    source = best_stats_source(cfg)
+    chain = _chain(cfg)
+    source = STAGES[min(len(chain), len(STAGES) - 1)].reads
+    drops: dict[str, dict[str, int]] = {}
+    for stage, manifest in zip(STAGES, chain):
+        if manifest.get("ingest_counters"):
+            drops["ingest"] = dict(manifest["ingest_counters"])
+        if manifest.get("counters"):
+            drops[stage.name] = dict(manifest["counters"])
     lang_bytes: dict[str, int] = {}
     lang_files: dict[str, int] = {}
     if source is not None:
@@ -514,7 +498,7 @@ def emit_stats(cfg: PipelineConfig) -> CorpusStats:
                     lang_bytes[lang] = lang_bytes.get(lang, 0) + size
                 for lang, count in rec["lang_files"].items():
                     lang_files[lang] = lang_files.get(lang, 0) + count
-    stats = compute_corpus_stats(lang_bytes, lang_files, collect_drop_counters(cfg))
+    stats = compute_corpus_stats(lang_bytes, lang_files, drops)
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "stats.txt"), "w", encoding="utf-8") as fh:
         fh.write(render_stats_table(stats))
@@ -536,23 +520,45 @@ def _ingest(cfg: PipelineConfig) -> tuple[tuple[list[RawRepo], dict[str, int]], 
     return (raw_repos, counters), fingerprint
 
 
-def _stage_is_current(cfg: PipelineConfig, stage: Stage, upstream: str, key: str) -> dict | None:
-    """The stage's manifest, when it proves the stage needs no re-run:
-    same config key, same upstream bytes, outputs intact on disk.
+def _input_digest(manifest: dict) -> str:
+    """sha256 of the file the next stage reads: the stage's first output."""
+    return manifest["outputs"][0]["sha256"]
+
+
+def _done(cfg: PipelineConfig, stage: Stage, upstream: str | None, key: str | None = None) -> dict | None:
+    """The stage's manifest if it records a completed run on the input
+    whose digest is `upstream` (None: any input) and its first output is
+    on disk. `run` also passes its config `key` and asks more: that key
+    in the manifest, and every output still matching its digest.
     """
     manifest = _load_manifest(cfg, stage.name)
     if (
         manifest is None
         or not manifest.get("completed")
-        or manifest.get("config_hash") != key
-        or manifest.get("upstream") != upstream
+        or upstream is not None and manifest.get("upstream") != upstream
+        or key is not None and manifest.get("config_hash") != key
     ):
         return None
-    for entry in manifest.get("outputs", []):
-        out_path = os.path.join(cfg.output_dir, entry["path"])
-        if not os.path.exists(out_path) or sha256_file(out_path) != entry["sha256"]:
+    strict = key is not None
+    for entry in manifest["outputs"] if strict else manifest["outputs"][:1]:
+        path = os.path.join(cfg.output_dir, entry["path"])
+        if not os.path.exists(path) or strict and sha256_file(path) != entry["sha256"]:
             return None
     return manifest
+
+
+def _chain(cfg: PipelineConfig) -> list[dict]:
+    """Manifests of the longest prefix of STAGES that is done, each stage
+    after the first naming as `upstream` the digest of its predecessor's
+    first output: what a stage command and `stats` build on.
+    """
+    chain: list[dict] = []
+    for stage in STAGES:
+        manifest = _done(cfg, stage, _input_digest(chain[-1]) if chain else None)
+        if manifest is None:
+            break
+        chain.append(manifest)
+    return chain
 
 
 def _clear(cfg: PipelineConfig, stage: Stage) -> None:
@@ -611,22 +617,20 @@ def _execute(cfg: PipelineConfig, stage: Stage, upstream: str, key: str, ingeste
 
 def run_stage(cfg: PipelineConfig, name: str) -> dict:
     """Run the named stage now, whatever its manifest says, and return
-    its new manifest. Every stage after the first needs the manifest of
-    the one before it; without it, StageFailure names the stage.
+    its new manifest. Every stage after the first needs the one before
+    it in the chain; without it, StageFailure names the first stage
+    missing.
     """
     require_valid(cfg)
     i = [stage.name for stage in STAGES].index(name)
     if i == 0:
         ingested, upstream = _ingest(cfg)
         return _execute(cfg, STAGES[0], upstream, config_hash(cfg), ingested)
-    previous = STAGES[i - 1].name
-    manifest = _load_manifest(cfg, previous)
-    if manifest is None:
-        missing = _manifest_path(cfg, previous)
-        raise StageFailure(
-            name, RuntimeError(f"stage {previous!r} has not completed (missing {missing})")
-        )
-    return _execute(cfg, STAGES[i], _outputs_hash(manifest), config_hash(cfg))
+    chain = _chain(cfg)
+    if len(chain) < i:
+        missing = STAGES[len(chain)].name
+        raise StageFailure(name, RuntimeError(f"stage {missing!r} has not completed"))
+    return _execute(cfg, STAGES[i], _input_digest(chain[i - 1]), config_hash(cfg))
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunSummary:
@@ -641,14 +645,14 @@ def run_pipeline(cfg: PipelineConfig) -> RunSummary:
 
     ingested, upstream = _ingest(cfg)
     for stage in STAGES:
-        manifest = _stage_is_current(cfg, stage, upstream, key)
+        if stage.reads is not None:  # the previous stage's first output
+            ingested, upstream = None, _input_digest(manifest)
+        manifest = _done(cfg, stage, upstream, key)
         if manifest is None:
             manifest = _execute(cfg, stage, upstream, key, ingested)
             summary.completed_stages.append(stage.name)
         else:
             summary.skipped_stages.append(stage.name)
-        ingested = None  # only the first stage reads the raw repos
-        upstream = _outputs_hash(manifest)
     summary.output_files = [entry["path"] for entry in manifest["outputs"]]
 
     summary.stats = emit_stats(cfg)

@@ -157,10 +157,13 @@ def resolve_js(refs: Iterable[str], from_path: str, repo_paths: Sequence[str]) -
             target = posixpath.normpath(posixpath.join(here, ref))
         else:
             target = ref
-        cands = [target] if posixpath.splitext(target)[1] else [
-            *(target + ext for ext in JS_EXTS),
-            *(posixpath.join(target, "index" + ext) for ext in JS_EXTS),
-        ]
+        if target == ".":  # the repository root
+            cands = ["index" + ext for ext in JS_EXTS]
+        else:
+            cands = [target] if posixpath.splitext(target)[1] else [
+                *(target + ext for ext in JS_EXTS),
+                *(posixpath.join(target, "index" + ext) for ext in JS_EXTS),
+            ]
         for cand in cands:
             if ref.startswith("."):
                 out.extend(p for p in repo_paths if p == cand)

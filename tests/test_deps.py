@@ -140,6 +140,18 @@ class TestExtractDependencies:
         up = sf("src/app/main.ts", "export * from '../util';\n")
         assert extract_dependencies(up, {"src/app/main.ts", "src/util.ts", "x/src/util.ts"}) == ["src/util.ts"]
 
+    def test_js_relative_specifier_naming_repo_root(self):
+        # '.', './' and, one directory down, '..' name the repository
+        # root, whose index file is `index.js`, not `./index.js`.
+        paths = {"main.js", "index.js", "src/main.js", "src/index.js"}
+        for ref in (".", "./"):
+            f = sf("main.js", f"import x from '{ref}';\n")
+            assert extract_dependencies(f, paths) == ["index.js"], ref
+        up = sf("src/main.js", "import x from '..';\n")
+        assert extract_dependencies(up, paths) == ["index.js"]
+        here = sf("src/main.js", "import x from '.';\n")
+        assert extract_dependencies(here, paths) == ["src/index.js"]
+
     def test_js_bare_specifier_matches_by_suffix(self):
         f = sf("app.js", "import u from 'src/util';\n")
         assert extract_dependencies(f, {"app.js", "src/util.js", "vendor/src/util.js"}) == [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -360,6 +361,102 @@ class TestInterruptedStage:
         assert any(str(p.relative_to(out)).startswith(side) for p in out.rglob("*") if p.is_file())
         run_pipeline(cfg)
         assert output_digest(out) == output_digest(fresh)
+
+
+class TestChain:
+    """Run 1 completes; run 2, with the next seed, is stopped after one
+    row of one stage's main output. The manifests that still link, each
+    naming the digest of the file it read, say what is done."""
+
+    @staticmethod
+    def stopped_rerun(cfg, monkeypatch, rel):
+        import repopipe.pipeline as pipeline_module
+        from repopipe.pipeline import StageFailure
+
+        run_pipeline(cfg)
+        rerun = copy.deepcopy(cfg)
+        rerun.seed += 1
+        real_write = pipeline_module._write_jsonl
+
+        def one_row_then_stop(path, records):
+            if os.path.relpath(path, cfg.output_dir) != rel:
+                return real_write(path, records)
+
+            def rows():
+                for n, rec in enumerate(records):
+                    if n == 1:
+                        raise RuntimeError("stopped after one row")
+                    yield rec
+
+            return real_write(path, rows())
+
+        monkeypatch.setattr(pipeline_module, "_write_jsonl", one_row_then_stop)
+        with pytest.raises(StageFailure):
+            run_pipeline(rerun)
+        monkeypatch.undo()
+        assert len(read_jsonl(Path(cfg.output_dir) / rel)) == 1
+        return rerun
+
+    def test_stats_summarise_last_stage_done(self, tmp_path, monkeypatch):
+        from repopipe.pipeline import emit_stats
+
+        cfg = self.stopped_rerun(fixture_config(tmp_path), monkeypatch, CLEAN_OUT)
+        lang_bytes: dict[str, int] = {}
+        lang_files: dict[str, int] = {}
+        for rec in read_jsonl(Path(cfg.output_dir) / DEDUP_OUT):
+            for lang, size in rec["lang_bytes"].items():
+                lang_bytes[lang] = lang_bytes.get(lang, 0) + size
+            for lang, count in rec["lang_files"].items():
+                lang_files[lang] = lang_files.get(lang, 0) + count
+        stats = emit_stats(cfg)
+        assert {r.language: r.size_bytes for r in stats.rows} == lang_bytes
+        assert {r.language: r.file_count for r in stats.rows} == lang_files
+        assert stats.total_files == sum(lang_files.values()) == 5
+        assert "decontaminate" not in stats.drop_counters
+
+    def test_stage_command_needs_predecessor_in_chain(self, tmp_path, monkeypatch):
+        from repopipe.pipeline import StageFailure, run_stage
+
+        cfg = self.stopped_rerun(fixture_config(tmp_path), monkeypatch, DEDUP_OUT)
+        # The decontaminate manifest of run 1 is still on disk, but it
+        # names run 1's dedup output, which run 2 has replaced.
+        assert (Path(cfg.output_dir) / "manifests" / "decontaminate.json").exists()
+        with pytest.raises(StageFailure) as exc_info:
+            run_stage(cfg, "build")
+        assert exc_info.value.stage == "build"
+        assert "'dedup'" in str(exc_info.value.cause)
+
+    def test_upstream_is_digest_of_predecessor_first_output(self, tmp_path):
+        from repopipe.pipeline import STAGES
+
+        cfg = fixture_config(tmp_path)
+        cfg.dump_graphs = True
+        cfg.dedup.report = True
+        cfg.decontaminate.report = True
+        run_pipeline(cfg)
+        out = Path(cfg.output_dir)
+        for report in (GRAPHS_OUT, "reports/dedup_report.jsonl", "reports/contamination_report.jsonl"):
+            assert (out / report).exists()
+        for previous, stage in zip(STAGES, STAGES[1:]):
+            first = read_manifest(cfg, previous.name)["outputs"][0]
+            assert first["path"] == stage.reads
+            digest = hashlib.sha256((out / first["path"]).read_bytes()).hexdigest()
+            assert read_manifest(cfg, stage.name)["upstream"] == first["sha256"] == digest, stage.name
+
+    def test_side_output_leaves_later_stages_done(self, tmp_path):
+        from repopipe.pipeline import emit_stats, run_stage
+
+        cfg = fixture_config(tmp_path)
+        run_pipeline(cfg)
+        out = Path(cfg.output_dir)
+        stats_before = (out / "stats.json").read_bytes()
+        dumping = copy.deepcopy(cfg)
+        dumping.dump_graphs = True
+        run_stage(dumping, "order")
+        assert (out / GRAPHS_OUT).exists()
+        emit_stats(cfg)
+        assert (out / "stats.json").read_bytes() == stats_before
+        assert run_stage(cfg, "build")["completed"]
 
 
 class TestGraphDump:

@@ -9,8 +9,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import types
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, Union, get_args, get_origin, get_type_hints
 
 from .filters import FilterThresholds
 from .fim import PSM, SPM, SentinelSet
@@ -103,31 +104,58 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def _build_section(cls, raw: dict, where: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - known
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a field's type. A bool is not an int;
+    an int is a float."""
+    args, origin = get_args(hint), get_origin(hint)
+    if origin in (Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _has_type(k, args[0]) and _has_type(v, args[1]) for k, v in value.items()
+        )
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _build_section(cls, raw, where: str, violations: list[str]):
+    """`cls` from `raw`, checking each key against the fields of `cls`; a
+    field whose type is a dataclass is a section of its own. `where` is
+    the dotted name of the section, "" at the top."""
+    if not isinstance(raw, dict):
+        violations.append(f"{where or 'config'}: expected an object, got {raw!r}")
+        return cls()
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
     if unknown:
-        raise ConfigError([f"unknown key(s) in {where}: {sorted(unknown)}"])
-    return cls(**raw)
+        violations.append(f"unknown key(s) in {where or 'config'}: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for name in fields:
+        if name not in raw:
+            continue
+        value, hint = raw[name], hints[name]
+        dotted = f"{where}.{name}" if where else name
+        if dataclasses.is_dataclass(hint):
+            kwargs[name] = _build_section(hint, value, dotted, violations)
+        elif _has_type(value, hint):
+            kwargs[name] = value
+        else:
+            violations.append(f"{dotted}: expected {fields[name].type}, got {value!r}")
+    return cls(**kwargs)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    raw = dict(raw)
-    sections = {
-        "stages": StageToggles,
-        "filters": FilterThresholds,
-        "dedup": DedupConfig,
-        "decontaminate": DecontamConfig,
-        "build": BuildConfig,
-    }
-    kwargs: dict = {}
-    for name, cls in sections.items():
-        if name in raw:
-            kwargs[name] = _build_section(cls, raw.pop(name), name)
-    top = _build_section(PipelineConfig, raw, "config")
-    for name, value in kwargs.items():
-        setattr(top, name, value)
-    return top
+    """A config from its JSON form; every unknown key and every value of
+    the wrong type is reported in one ConfigError."""
+    violations: list[str] = []
+    cfg = _build_section(PipelineConfig, raw, "", violations)
+    if violations:
+        raise ConfigError(violations)
+    return cfg
 
 
 def load_config(path: str) -> PipelineConfig:

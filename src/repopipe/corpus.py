@@ -43,17 +43,7 @@ class LanguageMap:
         return cls.from_dict(raw)
 
 
-_DEFAULT_MAP: LanguageMap | None = None
-
-
-def default_language_map() -> LanguageMap:
-    global _DEFAULT_MAP
-    if _DEFAULT_MAP is None:
-        _DEFAULT_MAP = LanguageMap.load()
-    return _DEFAULT_MAP
-
-
-def detect_language(path: str, lang_map: LanguageMap | None = None) -> str | None:
+def detect_language(path: str, lang_map: LanguageMap) -> str | None:
     """Map a repo-relative path to a language name, or None if unrecognized.
 
     Basenames (Makefile, Dockerfile, ...) take priority over extensions;
@@ -61,7 +51,6 @@ def detect_language(path: str, lang_map: LanguageMap | None = None) -> str | Non
     """
     if not path:
         raise ValueError("path must be non-empty")
-    lang_map = lang_map or default_language_map()
     name = PurePosixPath(path).name
     if name in lang_map.basenames:
         return lang_map.basenames[name]
@@ -99,18 +88,11 @@ def compute_file_stats(content: str) -> FileStats:
     char_count = len(content)
     if char_count == 0:
         return FileStats(0.0, 0, 0.0, 0)
-    lines = content.splitlines()
-    if lines:
-        line_lens = [len(line) for line in lines]
-        avg_line_len = sum(line_lens) / len(line_lens)
-        max_line_len = max(line_lens)
-    else:
-        avg_line_len = 0.0
-        max_line_len = 0
+    line_lens = [len(line) for line in content.splitlines()]
     alpha = sum(map(str.isalpha, content))
     return FileStats(
-        avg_line_len=avg_line_len,
-        max_line_len=max_line_len,
+        avg_line_len=sum(line_lens) / len(line_lens),
+        max_line_len=max(line_lens),
         alphabetic_fraction=alpha / char_count,
         char_count=char_count,
     )

@@ -365,13 +365,23 @@ def _screen(
 def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
     """Benchmark test data as (text, benchmark) pairs from JSONL files
     of {"text": ..., "benchmark": ...} records; a missing benchmark
-    field falls back to the file's basename.
+    field falls back to the file's basename. A malformed line raises
+    ValueError naming its path and line number.
     """
     rows: list[tuple[str, str]] = []
     for path in paths:
         default_label = os.path.splitext(os.path.basename(path))[0]
-        for obj in _read_jsonl(path):
-            rows.append((str(obj["text"]), str(obj.get("benchmark", default_label))))
+        with open(path, "r", encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{number}: not JSON: {exc}") from exc
+                if not isinstance(obj, dict) or "text" not in obj:
+                    raise ValueError(f'{path}:{number}: not an object with a "text" field')
+                rows.append((str(obj["text"]), str(obj.get("benchmark", default_label))))
     return rows
 
 

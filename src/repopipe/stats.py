@@ -87,10 +87,7 @@ def render_stats_table(stats: CorpusStats) -> str:
         f"{stats.total_files / 1000:.3f}",
         f"{total_prop:.2f}",
     )
-    widths = [
-        max(len(header[i]), len(total[i]), *(len(r[i]) for r in body)) if body else max(len(header[i]), len(total[i]))
-        for i in range(4)
-    ]
+    widths = [max(len(header[i]), len(total[i]), *(len(r[i]) for r in body)) for i in range(4)]
 
     def fmt(cells: tuple[str, str, str, str]) -> str:
         left = cells[0].ljust(widths[0])

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from conftest import build_fixture_corpus
 from repopipe.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from repopipe.config import config_from_dict
@@ -45,6 +47,30 @@ class TestExitCodes:
         code = main(["order", "--config", str(cfg_path)])
         assert code == EXIT_STAGE
         assert "order" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys):
+        corpus, _ = build_fixture_corpus(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"inputs": [str(corpus)], "workers": "2"}))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "workers: expected int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_line, problem",
+        [('{"benchmark": "b"}', '"text" field'), ("not json", "not JSON")],
+    )
+    def test_malformed_benchmark_line_is_named(self, tmp_path, capsys, bad_line, problem):
+        corpus, bench = build_fixture_corpus(tmp_path)
+        with open(bench, "a", encoding="utf-8") as fh:
+            fh.write(bad_line + "\n")
+        line = len(bench.read_text(encoding="utf-8").splitlines())
+        cfg_path = write_config(tmp_path, corpus, bench)
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "decontaminate" in err
+        assert f"{bench}:{line}: " in err and problem in err
 
 
 class TestFullRun:

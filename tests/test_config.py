@@ -111,3 +111,37 @@ class TestConfigHash:
         b = default_config()
         b.dedup.threshold = 0.9
         assert config_hash(a) != config_hash(b)
+
+
+class TestTypes:
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"dedup": 5}, "dedup"),
+            ({"stages": []}, "stages"),
+            ({"workers": "2"}, "workers"),
+            ({"build": {"entry_len": "4096"}}, "build.entry_len"),
+            ({"build": {"pad_final": "false"}}, "build.pad_final"),
+            ({"inputs": "corpus"}, "inputs"),
+            ({"filters": {"max_line_len": None}}, "filters.max_line_len"),
+            ({"seed": True}, "seed"),
+            ({"language_map": 3}, "language_map"),
+            ({"decontaminate": {"benchmark_files": ["a.jsonl", 1]}}, "decontaminate.benchmark_files"),
+            ({"build": {"sentinels": {"eos": 0}}}, "build.sentinels"),
+        ],
+    )
+    def test_wrong_json_type_is_a_violation(self, raw, field):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert [v.split(":")[0] for v in info.value.violations] == [field]
+
+    def test_every_mismatch_in_one_error(self):
+        raw = {"workers": "2", "nope": 1, "dedup": {"threshold": "high"}, "build": {"pad_final": 0}}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert len(info.value.violations) == 4
+
+    def test_int_is_a_float_and_null_a_language_map(self):
+        cfg = config_from_dict({"build": {"fim_rate": 1}, "language_map": None})
+        assert cfg.build.fim_rate == 1
+        assert cfg.language_map is None

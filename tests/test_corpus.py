@@ -6,49 +6,50 @@ from repopipe.corpus import (
     LanguageMap,
     SourceFile,
     compute_file_stats,
-    default_language_map,
     detect_language,
 )
+
+LANG_MAP = LanguageMap.load()
 
 
 class TestDetectLanguage:
     def test_canonical_extension(self):
-        assert detect_language("src/main.py") == "Python"
+        assert detect_language("src/main.py", LANG_MAP) == "Python"
 
     def test_basename_language(self):
-        assert detect_language("build/Makefile") == "Makefile"
+        assert detect_language("build/Makefile", LANG_MAP) == "Makefile"
 
     def test_unmapped_extension(self):
-        assert detect_language("notes.xyz") is None
+        assert detect_language("notes.xyz", LANG_MAP) is None
 
     def test_no_extension(self):
-        assert detect_language("README") is None
+        assert detect_language("README", LANG_MAP) is None
 
     def test_case_insensitive_extension(self):
-        assert detect_language("Lib/Helper.PY") == "Python"
+        assert detect_language("Lib/Helper.PY", LANG_MAP) == "Python"
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
-            detect_language("")
+            detect_language("", LANG_MAP)
 
     def test_deterministic(self):
         paths = ["a/b.rs", "Dockerfile", "x.yaml", "q.unknownext", "deep/pkg/mod.go"]
-        first = [detect_language(p) for p in paths]
-        second = [detect_language(p) for p in paths]
+        first = [detect_language(p, LANG_MAP) for p in paths]
+        second = [detect_language(p, LANG_MAP) for p in paths]
         assert first == second
 
     def test_closed_set_membership(self):
-        lang_map = default_language_map()
+        lang_map = LanguageMap.load()
         assert len(lang_map.languages) == 87
         for lang in lang_map.extensions.values():
             assert lang in lang_map.languages
 
     def test_table_spot_checks(self):
-        assert detect_language("lib.rs") == "Rust"
-        assert detect_language("query.sql") == "SQL"
-        assert detect_language("style.css") == "CSS"
-        assert detect_language("nb.ipynb") == "Jupyter Notebook"
-        assert detect_language("t.xslt") == "XSLT"
+        assert detect_language("lib.rs", LANG_MAP) == "Rust"
+        assert detect_language("query.sql", LANG_MAP) == "SQL"
+        assert detect_language("style.css", LANG_MAP) == "CSS"
+        assert detect_language("nb.ipynb", LANG_MAP) == "Jupyter Notebook"
+        assert detect_language("t.xslt", LANG_MAP) == "XSLT"
 
     def test_override_map(self, tmp_path):
         override = tmp_path / "langs.json"

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repopipe.corpus import SourceFile, detect_language
+from repopipe.corpus import LanguageMap, SourceFile, detect_language
 from repopipe.deps import (
     build_graph,
     concatenate_with_paths,
@@ -16,8 +16,11 @@ from repopipe.deps import (
 )
 
 
+LANG_MAP = LanguageMap.load()
+
+
 def sf(path: str, content: str, repo_id: str = "r") -> SourceFile:
-    return SourceFile(repo_id, path, detect_language(path), content, len(content.encode("utf-8")))
+    return SourceFile(repo_id, path, detect_language(path, LANG_MAP), content, len(content.encode("utf-8")))
 
 
 def flat_order(subgraphs: list[list[str]]) -> list[str]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import types
 from dataclasses import dataclass, field
@@ -171,9 +172,20 @@ def load_config(path: str) -> PipelineConfig:
     return config_from_dict(raw)
 
 
+def _non_finite(section, where: str = ""):
+    """The dotted names and values of every NaN or infinite float field;
+    NaN fails every comparison, so no range check below catches it."""
+    for f in dataclasses.fields(section):
+        value, dotted = getattr(section, f.name), f"{where}{f.name}"
+        if dataclasses.is_dataclass(value):
+            yield from _non_finite(value, dotted + ".")
+        elif isinstance(value, float) and not math.isfinite(value):
+            yield dotted, value
+
+
 def validate_config(cfg: PipelineConfig) -> list[str]:
     """Every violation, not just the first."""
-    v: list[str] = []
+    v = [f"{name}: must be finite, got {value!r}" for name, value in _non_finite(cfg)]
     if not cfg.inputs:
         v.append("inputs: at least one input path is required")
     for path in cfg.inputs:

@@ -10,45 +10,78 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from itertools import count
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .deps import RepoSample, connected_components
 
-_MERSENNE_PRIME = np.uint64((1 << 61) - 1)
 _TOKEN = re.compile(r"\w+")
-_SIGN_CHUNK = 4096  # shingles per block of the running minimum
+_ASCII_TOKEN = re.compile(r"\w+", re.ASCII)  # _TOKEN's matches on ASCII text, found faster
+# uint64 constants throughout, so every operation below stays in uint64
+# under numpy's old value-based casting as under NEP 50. The shingle
+# base is odd, hence invertible mod 2**64; the rest is splitmix64.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_DONOR_BLOCK = 64  # densification attempts drawn per round
 
 
-def shingle_set(text: str, width: int) -> set[str]:
-    """Word-level shingles: lowercase, split on whitespace/punctuation
-    boundaries, join `width` consecutive tokens. Texts shorter than one
-    shingle yield the single truncated shingle.
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output function, elementwise; a fresh array."""
+    z = x + _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def shingle_set(text: str, width: int) -> np.ndarray:
+    """Sorted distinct hashes of the word-level shingles: lowercase,
+    split on whitespace/punctuation boundaries, `width` consecutive
+    tokens. A shingle's hash is the polynomial of its tokens' 8-byte
+    blake2b digests (read little-endian) in base _GOLDEN, mod 2**64.
+    Texts shorter than one shingle yield the single truncated shingle.
     """
-    tokens = _TOKEN.findall(text.lower())
-    if len(tokens) < width:
-        return {" ".join(tokens)}
-    return set(map(" ".join, zip(*(islice(tokens, k, None) for k in range(width)))))
+    text = text.lower()
+    tokens = (_ASCII_TOKEN if text.isascii() else _TOKEN).findall(text)
+    pos = dict(zip(dict.fromkeys(tokens), count()))
+    digests = b"".join([hashlib.blake2b(t.encode(), digest_size=8).digest() for t in pos])
+    seq = np.frombuffer(digests, "<u8")[np.fromiter(map(pos.__getitem__, tokens), np.intp, len(tokens))]
+    n = max(len(tokens) - width + 1, 1)
+    hashes = np.zeros(n, dtype=np.uint64)
+    for k in range(min(width, len(tokens))):
+        hashes *= _GOLDEN
+        hashes += seq[k : k + n]
+    hashes.sort()
+    return hashes[np.concatenate(([True], hashes[1:] != hashes[:-1]))]
 
 
-def _hash_shingles(shingles: Iterable[str]) -> np.ndarray:
-    """The 8-byte blake2b digest of each shingle, read little-endian."""
-    digests = b"".join([hashlib.blake2b(s.encode(), digest_size=8).digest() for s in shingles])
-    return np.frombuffer(digests, dtype="<u8")
-
-
-def _permutations(num_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    a = rng.integers(1, int(_MERSENNE_PRIME), size=num_perm, dtype=np.uint64)
-    b = rng.integers(0, int(_MERSENNE_PRIME), size=num_perm, dtype=np.uint64)
-    return a, b
+def _densify(values: np.ndarray, full: np.ndarray, key: np.ndarray) -> None:
+    """Optimal densification (Shrivastava, ICML 2017), in place: empty
+    bin i takes the value of the first full bin among its donor draws
+    mix(key ^ (i << 32 | a)) % num_perm for attempts a = 1, 2, ...
+    """
+    num_perm = np.uint64(len(values))
+    empty = np.flatnonzero(~full).astype(np.uint64)
+    attempt = 1
+    while len(empty):
+        tries = np.arange(attempt, attempt + _DONOR_BLOCK, dtype=np.uint64)
+        draws = _mix(key ^ ((empty[:, None] << np.uint64(32)) | tries)) % num_perm
+        hit = full[draws.astype(np.intp)]
+        found = hit.any(axis=1)
+        first = hit.argmax(axis=1)[found]
+        values[empty[found].astype(np.intp)] = values[draws[found, first].astype(np.intp)]
+        empty = empty[~found]
+        attempt += _DONOR_BLOCK
 
 
 @dataclass(frozen=True)
 class MinHashSignature:
-    """Per-permutation 64-bit minima over a sample's shingle hashes."""
+    """One 64-bit minimum per bin over a sample's mixed shingle hashes."""
 
     repo_id: str
     values: tuple[int, ...]
@@ -56,35 +89,25 @@ class MinHashSignature:
 
 
 def minhash_signature(
-    sample: RepoSample,
-    num_perm: int = 128,
-    shingle_width: int = 5,
-    seed: int = 1,
+    sample: RepoSample, num_perm: int = 128, shingle_width: int = 5, seed: int = 1
 ) -> MinHashSignature:
-    """Deterministic given (seed, num_perm); identical shingle sets give
-    identical signatures.
+    """Densified one-permutation MinHash (Li, Owen & Zhang, NeurIPS 2012):
+    each shingle hash is mixed once by splitmix64 keyed by `seed`, binned
+    by `% num_perm`, and each bin keeps its minimum; empty bins are filled
+    by `_densify`. Deterministic given (seed, num_perm); identical shingle
+    sets give identical signatures.
     """
     if num_perm < 16:
         raise ValueError(f"num_perm must be >= 16, got {num_perm}")
     if not sample.text:
         raise ValueError("cannot sign an empty sample")
-    hashes = _hash_shingles(shingle_set(sample.text, shingle_width))
-    a, b = _permutations(num_perm, seed)
-    # Running minimum over (num_perm, _SIGN_CHUNK) tables of permuted
-    # hashes, so memory stays bounded however many shingles there are;
-    # uint64 wraparound in the multiply is deliberate, matching common
-    # MinHash implementations.
+    key = _mix(np.array([seed % 2**64], dtype=np.uint64))
+    mixed = _mix(shingle_set(sample.text, shingle_width) ^ key)
+    bins = (mixed % np.uint64(num_perm)).astype(np.intp)
     values = np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-    for i in range(0, len(hashes), _SIGN_CHUNK):
-        table = a[:, None] * hashes[None, i : i + _SIGN_CHUNK]
-        table += b[:, None]
-        table %= _MERSENNE_PRIME
-        np.minimum(values, table.min(axis=1), out=values)
-    return MinHashSignature(
-        repo_id=sample.repo_id,
-        values=tuple(int(v) for v in values),
-        num_perm=num_perm,
-    )
+    np.minimum.at(values, bins, mixed)
+    _densify(values, np.bincount(bins, minlength=num_perm) > 0, key)
+    return MinHashSignature(sample.repo_id, tuple(values.tolist()), num_perm)
 
 
 def signature_similarity(a: MinHashSignature, b: MinHashSignature) -> float:
@@ -144,26 +167,18 @@ def find_near_duplicates(
             buckets.setdefault(key, []).append(idx)
 
     # Each bucket lists its indices in ascending order, so x < y.
-    checked: set[tuple[int, int]] = set()
-    merged: list[tuple[int, int]] = []
-    for bucket in buckets.values():
-        for i, x in enumerate(bucket):
-            for y in bucket[i + 1 :]:
-                if (x, y) in checked:
-                    continue
-                checked.add((x, y))
-                if signature_similarity(signatures[x], signatures[y]) >= threshold:
-                    merged.append((x, y))
+    candidates = {(x, y) for b in buckets.values() for i, x in enumerate(b) for y in b[i + 1 :]}
+    merged = [
+        (x, y) for x, y in sorted(candidates)
+        if signature_similarity(signatures[x], signatures[y]) >= threshold
+    ]
 
     clusters: list[DuplicateCluster] = []
     for members in connected_components(len(signatures), merged):
         if len(members) < 2:
             continue
         ids = tuple(sorted(signatures[i].repo_id for i in members))
-        if char_counts is not None:
-            rep = choose_representative(ids, char_counts)
-        else:
-            rep = ids[0]
+        rep = ids[0] if char_counts is None else choose_representative(ids, char_counts)
         clusters.append(DuplicateCluster(member_repo_ids=ids, representative=rep))
     return clusters
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class Tokenizer(Protocol):
 
     eos_id: int
 
-    def encode(self, text: str) -> list[int]:
+    def encode(self, text: str) -> Sequence[int]:
         ...
 
     def decode(self, ids: Iterable[int]) -> str:
@@ -48,15 +48,18 @@ class ByteTokenizer:
         self._splitter = re.compile("(" + "|".join(map(re.escape, longest_first)) + ")")
         self.eos_id = self._sentinel_ids[sentinels.eos]
 
-    def encode(self, text: str) -> list[int]:
-        ids: list[int] = []
+    def encode(self, text: str) -> array:
+        """An array("I") of ids; byte runs go through numpy, not one
+        Python int per byte."""
+        ids = array("I")
         for part in self._splitter.split(text):
             if not part:
                 continue
             if part in self._sentinel_ids:
                 ids.append(self._sentinel_ids[part])
             else:
-                ids.extend(part.encode("utf-8"))
+                run = np.frombuffer(part.encode("utf-8"), np.uint8).astype("=u4")
+                ids.frombytes(run.view(np.uint8))
         return ids
 
     def decode(self, ids: Iterable[int]) -> str:
@@ -98,7 +101,7 @@ def pack_entries(
     """Single ordered pass that appends every document's ids to one
     uint32 stream and views it as rows of entry_len tokens. A document
     the tokenizer rejects is skipped and counted, never truncated.
-    `encode` must return a list of ids below 2**32.
+    `encode` must return a sequence of ids below 2**32.
     """
     if entry_len < 2:
         raise ValueError(f"entry_len must be >= 2, got {entry_len}")
@@ -113,7 +116,7 @@ def pack_entries(
             skipped += 1
             continue
         starts.append(len(stream))
-        stream.fromlist(ids)
+        stream.extend(ids)
     total = len(stream)
     tail = total % entry_len
     padded = entry_len - tail if tail and pad_final else 0

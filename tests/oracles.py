@@ -7,9 +7,11 @@ every repo path per candidate reference, the reference patterns as first
 written, a depth-first search for connected components, a `min` over
 the unselected nodes per toposort step, a packer that slices and copies
 its buffer per entry, shingles joined from one list slice each, shingle
-hashes read one Python int at a time, a MinHash that materialises the
-full permutation table, and a contamination scan that looks up a window
-at every token position for every indexed length.
+hashes and a densified one-permutation MinHash in Python ints mod 2**64,
+and a contamination scan that looks up a window at every token position
+for every indexed length. The full-table MinHash over blake2b digests of
+the shingle strings, which `repopipe` signed with before, stays here as
+the classic estimator the one-permutation form is measured against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from repopipe.corpus import SourceFile
 from repopipe.decontam import NGRAM_SIZE, ContaminationIndex, ContaminationReport, tokenize
-from repopipe.dedup import _TOKEN, _permutations, _MERSENNE_PRIME
+from repopipe.dedup import _TOKEN
 from repopipe.deps import DependencyGraph, build_graph
 from repopipe.packing import PackResult, Tokenizer
 
@@ -308,20 +310,66 @@ def shingle_set(text: str, width: int) -> set[str]:
     return {" ".join(tokens[i : i + width]) for i in range(len(tokens) - width + 1)}
 
 
-def hash_shingles(shingles: Iterable[str]) -> np.ndarray:
-    hashes = [
-        int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "little")
-        for s in shingles
-    ]
-    return np.array(hashes, dtype=np.uint64)
+M64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
 
 
-def minhash_values(text: str, num_perm: int, shingle_width: int, seed: int) -> tuple[int, ...]:
-    hashes = hash_shingles(shingle_set(text, shingle_width))
-    a, b = _permutations(num_perm, seed)
-    table = (a[:, None] * hashes[None, :] + b[:, None]) % _MERSENNE_PRIME
+def splitmix64(x: int) -> int:
+    z = (x + GOLDEN) & M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def blake2b_int(text: str) -> int:
+    return int.from_bytes(hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest(), "little")
+
+
+def shingle_hashes(text: str, width: int) -> set[int]:
+    """Each shingle's tokens (no token holds whitespace) as the
+    polynomial of their blake2b digests in base GOLDEN, mod 2**64."""
+    out: set[int] = set()
+    for shingle in shingle_set(text, width):
+        h = 0
+        for token in shingle.split():
+            h = (h * GOLDEN + blake2b_int(token)) & M64
+        out.add(h)
+    return out
+
+
+def one_permutation_values(text: str, num_perm: int, shingle_width: int, seed: int) -> tuple[int, ...]:
+    key = splitmix64(seed % 2**64)
+    bins: list[int | None] = [None] * num_perm
+    for h in shingle_hashes(text, shingle_width):
+        mixed = splitmix64(h ^ key)
+        b = mixed % num_perm
+        if bins[b] is None or mixed < bins[b]:
+            bins[b] = mixed
+    values = list(bins)
+    for i in range(num_perm):
+        attempt = 1
+        while values[i] is None:
+            donor = splitmix64(key ^ (i << 32 | attempt)) % num_perm
+            values[i] = bins[donor]
+            attempt += 1
+    return tuple(values)
+
+
+MERSENNE_PRIME = np.uint64((1 << 61) - 1)
+
+
+def permutations(num_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, int(MERSENNE_PRIME), size=num_perm, dtype=np.uint64)
+    b = rng.integers(0, int(MERSENNE_PRIME), size=num_perm, dtype=np.uint64)
+    return a, b
+
+
+def full_table_values(text: str, num_perm: int, shingle_width: int, seed: int) -> tuple[int, ...]:
+    hashes = np.array([blake2b_int(s) for s in shingle_set(text, shingle_width)], dtype=np.uint64)
+    a, b = permutations(num_perm, seed)
+    table = (a[:, None] * hashes[None, :] + b[:, None]) % MERSENNE_PRIME
     return tuple(int(v) for v in table.min(axis=1))
-
 
 
 def scan_text(text: str, index: ContaminationIndex) -> ContaminationReport:

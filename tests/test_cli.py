@@ -57,6 +57,25 @@ class TestMalformedInput:
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
         assert "workers: expected int" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_config_float_exits_2(self, tmp_path, capsys, literal):
+        corpus, _ = build_fixture_corpus(tmp_path)
+        path = tmp_path / "config.json"
+        where = {"inputs": [str(corpus)], "output_dir": str(tmp_path / "out")}
+        path.write_text(json.dumps(where)[:-1] + f', "filters": {{"max_avg_line_len": {literal}}}}}')
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "filters.max_avg_line_len: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_undecodable_jsonl_line_is_a_decode_error(self, tmp_path):
+        stream = tmp_path / "files.jsonl"
+        good = json.dumps({"repo_id": "r", "path": "a.py", "content": "def a():\n    return 1\n"})
+        stream.write_bytes(good.encode() + b'\n{"repo_id": "r", "path": "b.py", "content": "\xff"}\n')
+        out = tmp_path / "out"
+        assert main(["run", "--inputs", str(stream), "--output-dir", str(out)]) == EXIT_OK
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["drop_counters"]["ingest"] == {"decode_error": 1}
+
     @pytest.mark.parametrize(
         "bad_line, problem",
         [('{"benchmark": "b"}', '"text" field'), ("not json", "not JSON")],

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -86,6 +88,20 @@ class TestValidation:
         cfg = default_config()
         cfg.inputs = []
         assert any("inputs" in v for v in validate_config(cfg))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_every_non_finite_float_is_a_violation(self, tmp_path, value):
+        # NaN fails every comparison, so a NaN threshold turned its rule off.
+        cfg = default_config()
+        cfg.inputs = [str(tmp_path)]
+        filters = ["max_avg_line_len", "min_alpha_fraction", "html_min_visible_ratio",
+                   "max_repeated_token_fraction", "max_long_line_fraction"]
+        cfg.filters = dataclasses.replace(cfg.filters, **dict.fromkeys(filters, value))
+        cfg.dedup.threshold = value
+        cfg.build.fim_rate = value
+        violations = validate_config(cfg)
+        for name in [*(f"filters.{f}" for f in filters), "dedup.threshold", "build.fim_rate"]:
+            assert f"{name}: must be finite, got {value!r}" in violations
 
     def test_duplicate_sentinels_rejected(self, tmp_path):
         corpus = tmp_path / "c"

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from repopipe.dedup import (
     DuplicateCluster,
     choose_representative,
     find_near_duplicates,
     minhash_signature,
+    shingle_set,
     signature_similarity,
 )
 from repopipe.deps import RepoSample
@@ -88,6 +93,50 @@ class TestSignature:
     def test_short_text_single_truncated_shingle(self):
         s = minhash_signature(sample("a", "only three tokens"), shingle_width=5)
         assert len(s.values) == 128
+
+    def test_golden_values(self):
+        # Pinned, so a change in numpy's integer promotion (or in any
+        # constant) shows up as a changed value, not only as a changed
+        # cluster somewhere downstream.
+        text = "the quick brown fox jumps over the lazy dog"
+        assert shingle_set(text, 5).tolist() == [
+            2247479744533809214, 3377820807482938788, 8189267298377266199,
+            10458173425102925378, 13367440680171246321,
+        ]
+        s = minhash_signature(sample("g", text), num_perm=16, shingle_width=5, seed=1)
+        assert s.values[:4] == (
+            15897312432279876219, 13342612545834489863, 12784274225584955474, 8624054968808167955,
+        )
+        s = minhash_signature(sample("g", text), num_perm=16, shingle_width=2, seed=7)
+        assert s.values[:4] == (
+            13067506693598074736, 11831557251777760545, 8698850239035061250, 8210881239056348427,
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=0, max_value=400),
+        st.integers(min_value=0, max_value=400),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_similarity_within_binomial_bound_of_jaccard(self, shared, only_a, only_b, seed):
+        # Width-1 shingles over distinct tokens: exact Jaccard is
+        # shared / union. A k-slot MinHash matches a slot with
+        # probability J, so the estimate has the binomial standard
+        # deviation sqrt(J (1 - J) / k); allow 4 of them plus one slot.
+        # The full-table estimator is held to the same bound.
+        k = 128
+        a = [f"s{i}" for i in range(shared)] + [f"a{i}" for i in range(only_a)]
+        b = [f"s{i}" for i in range(shared)] + [f"b{i}" for i in range(only_b)]
+        ta, tb = " ".join(a), " ".join(b)
+        jaccard = len(set(a) & set(b)) / len(set(a) | set(b))
+        bound = 4 * math.sqrt(jaccard * (1 - jaccard) / k) + 1 / k
+        sa = minhash_signature(sample("a", ta), num_perm=k, shingle_width=1, seed=seed)
+        sb = minhash_signature(sample("b", tb), num_perm=k, shingle_width=1, seed=seed)
+        assert abs(signature_similarity(sa, sb) - jaccard) <= bound
+        fa = oracles.full_table_values(ta, k, 1, seed)
+        fb = oracles.full_table_values(tb, k, 1, seed)
+        assert abs(sum(x == y for x, y in zip(fa, fb)) / k - jaccard) <= bound
 
     def test_num_perm_floor(self):
         with pytest.raises(ValueError):

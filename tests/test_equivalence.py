@@ -1,24 +1,23 @@
 """Property tests: the indexed dependency resolver, line-bounded
 reference patterns, bounded JS/TS import pattern, union-find
-components, heap toposort, uint32-stream packer, zipped shingling and
-chunked MinHash give exactly the results of the brute-force oracles in
-`oracles.py` on generated inputs.
+components, heap toposort, uint32-stream packer, numpy shingle hashing
+and densified one-permutation MinHash give exactly the results of the
+brute-force oracles in `oracles.py` on generated inputs.
 """
 
 from __future__ import annotations
 
 import posixpath
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repopipe import dedup, deps
+from repopipe import deps
 from repopipe.corpus import SourceFile
 from repopipe.decontam import ContaminationReport, build_contamination_index, scan_text
-from repopipe.dedup import _hash_shingles, minhash_signature, shingle_set
+from repopipe.dedup import minhash_signature, shingle_set
 from repopipe.deps import (
     RepoSample,
     build_graph,
@@ -301,38 +300,41 @@ def test_pack_document_longer_than_many_entries():
         assert len(got.entries) >= 1430
 
 
-words = st.text(alphabet="abc xyz_.\n", max_size=200)
+words = st.text(alphabet="abc xyz_.é名\n", max_size=200)
 
 
 @settings(max_examples=300, deadline=None)
 @given(words, st.integers(min_value=1, max_value=8))
+@example("\u212a \u0130x KB", 1)  # the Kelvin sign lowercases to ASCII "k"; "İ" to "i̇"
 def test_zipped_shingles_match_slices(text, width):
     # Includes texts of fewer tokens than one shingle, and of none.
-    assert shingle_set(text, width) == oracles.shingle_set(text, width)
+    got = shingle_set(text, width)
+    assert got.dtype == np.uint64
+    assert got.tolist() == sorted(oracles.shingle_hashes(text, width))
 
 
-@settings(max_examples=200, deadline=None)
-@given(words, st.sampled_from([1, 2, 3, 7, 4096]), st.integers(min_value=1, max_value=6))
-def test_chunked_minhash_matches_full_table(text, chunk, width):
+@settings(max_examples=300, deadline=None)
+@given(
+    words,
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([16, 24, 128]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+@example("", 5, 128, 1)
+@example("...", 1, 16, 0)
+@example("only three tokens", 5, 128, 1)
+def test_one_permutation_minhash_matches_python_ints(text, width, num_perm, seed):
+    # Short texts leave most bins empty, so densification runs.
     sample = RepoSample("r", (), text or "x", len(text or "x"))
-    with mock.patch.object(dedup, "_SIGN_CHUNK", chunk):
-        got = minhash_signature(sample, num_perm=32, shingle_width=width, seed=3).values
-    assert got == oracles.minhash_values(sample.text, 32, width, 3)
+    got = minhash_signature(sample, num_perm=num_perm, shingle_width=width, seed=seed).values
+    assert got == oracles.one_permutation_values(sample.text, num_perm, width, seed)
 
 
-def test_chunked_minhash_over_several_default_chunks():
-    text = " ".join(f"w{i}" for i in range(10_000))
+def test_one_permutation_minhash_over_many_shingles():
+    text = " ".join(f"w{i % 3000}" for i in range(10_000))
     sample = RepoSample("r", (), text, len(text))
     got = minhash_signature(sample, num_perm=128, shingle_width=5, seed=1).values
-    assert got == oracles.minhash_values(text, 128, 5, 1)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.text(max_size=30)))
-def test_shingle_hashes_match_per_int_form(shingles):
-    got = _hash_shingles(shingles)
-    want = oracles.hash_shingles(shingles)
-    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert got == oracles.one_permutation_values(text, 128, 5, 1)
 
 
 # Common code tokens, a non-ASCII pair and a few rare ones: entries share

@@ -57,6 +57,19 @@ def test_jsonl_stream_input(tmp_path):
     assert [f.content for f in zrepo.files] == ["a = 1\n"]
 
 
+def test_undecodable_jsonl_line_counted_as_decode_error(tmp_path):
+    stream = tmp_path / "files.jsonl"
+    good = json.dumps({"repo_id": "r", "path": "a.py", "content": "a = 1\n"}).encode()
+    bad = b'{"repo_id": "r", "path": "b.py", "content": "\xff"}'
+    # Line ends as text mode reads them: "\r\n", "\n" and a lone "\r".
+    tail = good.replace(b"a.py", b"c.py") + b"\r" + good.replace(b"a.py", b"d.py")
+    stream.write_bytes(good + b"\r\n" + bad + b"\n" + tail)
+    counters: dict[str, int] = {}
+    repos = load_repos([str(stream)], counters)
+    assert counters == {"decode_error": 1}
+    assert [f.path for f in repos[0].files] == ["a.py", "c.py", "d.py"]
+
+
 def test_lone_surrogate_records_counted_as_decode_errors(tmp_path):
     # JSON may escape a lone surrogate, which no UTF-8 output can hold; a
     # valid escaped pair decodes to one character and is kept.

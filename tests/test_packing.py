@@ -13,12 +13,12 @@ from repopipe.packing import ByteTokenizer, pack_entries
 class TestByteTokenizer:
     def test_plain_text_is_utf8_bytes(self):
         tok = ByteTokenizer()
-        assert tok.encode("ab") == [97, 98]
+        assert tok.encode("ab").tolist() == [97, 98]
 
     def test_sentinels_become_single_ids(self):
         tok = ByteTokenizer()
         ids = tok.encode(f"ab{EOS}")
-        assert ids == [97, 98, tok.eos_id]
+        assert ids.tolist() == [97, 98, tok.eos_id]
         assert tok.eos_id == 259
 
     def test_round_trip_with_sentinels(self):
@@ -33,7 +33,7 @@ class TestByteTokenizer:
     def test_custom_sentinels(self):
         s = SentinelSet(fim_start="<1>", fim_hole="<2>", fim_end="<3>", eos="<4>")
         tok = ByteTokenizer(s)
-        assert tok.encode("<4>") == [259]
+        assert tok.encode("<4>").tolist() == [259]
 
 
 class TestPackEntries:

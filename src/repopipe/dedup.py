@@ -18,7 +18,6 @@ import numpy as np
 from .deps import RepoSample, connected_components
 
 _TOKEN = re.compile(r"\w+")
-_ASCII_TOKEN = re.compile(r"\w+", re.ASCII)  # _TOKEN's matches on ASCII text, found faster
 # uint64 constants throughout, so every operation below stays in uint64
 # under numpy's old value-based casting as under NEP 50. The shingle
 # base is odd, hence invertible mod 2**64; the rest is splitmix64.
@@ -46,8 +45,7 @@ def shingle_set(text: str, width: int) -> np.ndarray:
     blake2b digests (read little-endian) in base _GOLDEN, mod 2**64.
     Texts shorter than one shingle yield the single truncated shingle.
     """
-    text = text.lower()
-    tokens = (_ASCII_TOKEN if text.isascii() else _TOKEN).findall(text)
+    tokens = _TOKEN.findall(text.lower())
     pos = dict(zip(dict.fromkeys(tokens), count()))
     digests = b"".join([hashlib.blake2b(t.encode(), digest_size=8).digest() for t in pos])
     seq = np.frombuffer(digests, "<u8")[np.fromiter(map(pos.__getitem__, tokens), np.intp, len(tokens))]
@@ -89,7 +87,10 @@ class MinHashSignature:
 
 
 def minhash_signature(
-    sample: RepoSample, num_perm: int = 128, shingle_width: int = 5, seed: int = 1
+    sample: RepoSample,
+    num_perm: int = 128,
+    shingle_width: int = 5,
+    seed: int = 1,
 ) -> MinHashSignature:
     """Densified one-permutation MinHash (Li, Owen & Zhang, NeurIPS 2012):
     each shingle hash is mixed once by splitmix64 keyed by `seed`, binned
@@ -104,10 +105,18 @@ def minhash_signature(
     key = _mix(np.array([seed % 2**64], dtype=np.uint64))
     mixed = _mix(shingle_set(sample.text, shingle_width) ^ key)
     bins = (mixed % np.uint64(num_perm)).astype(np.intp)
+    counts = np.bincount(bins, minlength=num_perm)
+    full = counts > 0
+    # Per-bin minima as a segmented min over the hashes grouped by bin;
+    # ufunc.at would be faster on numpy >= 1.25 but is slow before it.
     values = np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-    np.minimum.at(values, bins, mixed)
-    _densify(values, np.bincount(bins, minlength=num_perm) > 0, key)
-    return MinHashSignature(sample.repo_id, tuple(values.tolist()), num_perm)
+    values[full] = np.minimum.reduceat(mixed[np.argsort(bins)], (np.cumsum(counts) - counts)[full])
+    _densify(values, full, key)
+    return MinHashSignature(
+        repo_id=sample.repo_id,
+        values=tuple(values.tolist()),
+        num_perm=num_perm,
+    )
 
 
 def signature_similarity(a: MinHashSignature, b: MinHashSignature) -> float:
@@ -167,18 +176,26 @@ def find_near_duplicates(
             buckets.setdefault(key, []).append(idx)
 
     # Each bucket lists its indices in ascending order, so x < y.
-    candidates = {(x, y) for b in buckets.values() for i, x in enumerate(b) for y in b[i + 1 :]}
-    merged = [
-        (x, y) for x, y in sorted(candidates)
-        if signature_similarity(signatures[x], signatures[y]) >= threshold
-    ]
+    checked: set[tuple[int, int]] = set()
+    merged: list[tuple[int, int]] = []
+    for bucket in buckets.values():
+        for i, x in enumerate(bucket):
+            for y in bucket[i + 1 :]:
+                if (x, y) in checked:
+                    continue
+                checked.add((x, y))
+                if signature_similarity(signatures[x], signatures[y]) >= threshold:
+                    merged.append((x, y))
 
     clusters: list[DuplicateCluster] = []
     for members in connected_components(len(signatures), merged):
         if len(members) < 2:
             continue
         ids = tuple(sorted(signatures[i].repo_id for i in members))
-        rep = ids[0] if char_counts is None else choose_representative(ids, char_counts)
+        if char_counts is not None:
+            rep = choose_representative(ids, char_counts)
+        else:
+            rep = ids[0]
         clusters.append(DuplicateCluster(member_repo_ids=ids, representative=rep))
     return clusters
 

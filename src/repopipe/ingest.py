@@ -7,9 +7,12 @@ Two input shapes are accepted per configured path:
     dot-directories (.git and friends) are skipped;
   - a *.jsonl file: one object per file with repo_id, path, content.
 
-Files and JSONL lines that fail UTF-8 decoding, or whose repo id, path
-or content holds a lone surrogate (no UTF-8 output can hold one), or
-that repeat a path within their repo are dropped with a counted reason.
+Files that fail UTF-8 decoding, or whose repo id, path or content holds
+a lone surrogate (no UTF-8 output can hold one), or that repeat a path
+within their repo are dropped with a counted reason. JSONL is read with
+surrogateescape, so a byte that is not UTF-8 becomes a lone surrogate:
+in a record's repo id, path or content it counts as a decode error, and
+so does a line holding one that does not parse as such a record.
 """
 
 from __future__ import annotations
@@ -57,22 +60,20 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
     repos: dict[str, RawRepo] = {}
     seen_paths: dict[str, set[str]] = {}
 
-    def drop(reason: str) -> None:
-        counters[reason] = counters.get(reason, 0) + 1
-
     def add_file(repo_id: str, path: str, content: str) -> None:
-        # Lone surrogates: a JSON `\ud800` escape, a non-UTF-8 file name, or
-        # a byte that is not UTF-8, which surrogateescape reads as one.
-        try:
+        try:  # lone surrogates, from a JSON `\ud800` escape or a non-UTF-8 file name
             for text in (repo_id, path, content):
                 text.encode("utf-8")
         except UnicodeEncodeError:
-            return drop(DROP_DECODE_ERROR)
+            counters[DROP_DECODE_ERROR] = counters.get(DROP_DECODE_ERROR, 0) + 1
+            return
+        repo = repos.setdefault(repo_id, RawRepo(repo_id=repo_id))
         seen = seen_paths.setdefault(repo_id, set())
         if path in seen:
-            return drop(DROP_DUPLICATE_PATH)
+            counters[DROP_DUPLICATE_PATH] = counters.get(DROP_DUPLICATE_PATH, 0) + 1
+            return
         seen.add(path)
-        repos.setdefault(repo_id, RawRepo(repo_id=repo_id)).files.append(RawFile(path, content))
+        repo.files.append(RawFile(path=path, content=content))
 
     for source in inputs:
         if os.path.isdir(source):
@@ -82,27 +83,35 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
                     continue
                 for rel, abs_path in _walk_repo_dir(repo_root):
                     with open(abs_path, "rb") as fh:
-                        add_file(entry, rel, fh.read().decode("utf-8", "surrogateescape"))
-            continue
-        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
-            for line in fh:
-                try:  # a line holding a byte that is not UTF-8 holds no record
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    drop(DROP_DECODE_ERROR)
-                    continue
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    repo_id, path, content = obj["repo_id"], obj["path"], obj["content"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    drop(DROP_BAD_RECORD)
-                    continue
-                if isinstance(content, str) and path:
+                        raw = fh.read()
+                    try:
+                        content = raw.decode("utf-8")
+                    except UnicodeDecodeError:
+                        counters[DROP_DECODE_ERROR] = counters.get(DROP_DECODE_ERROR, 0) + 1
+                        continue
+                    add_file(entry, rel, content)
+        else:
+            with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        obj = json.loads(line)
+                        repo_id = obj["repo_id"]
+                        path = obj["path"]
+                        content = obj["content"]
+                    except (json.JSONDecodeError, KeyError, TypeError):
+                        try:
+                            line.encode("utf-8")
+                            reason = DROP_BAD_RECORD
+                        except UnicodeEncodeError:
+                            reason = DROP_DECODE_ERROR
+                        counters[reason] = counters.get(reason, 0) + 1
+                        continue
+                    if not isinstance(content, str) or not path:
+                        counters[DROP_BAD_RECORD] = counters.get(DROP_BAD_RECORD, 0) + 1
+                        continue
                     add_file(str(repo_id), str(path), content)
-                else:
-                    drop(DROP_BAD_RECORD)
 
     return [repos[rid] for rid in sorted(repos)]

@@ -129,8 +129,13 @@ def _write_output(cfg: PipelineConfig, rel: str, records: Iterable[dict]) -> tup
 
 
 def _read_jsonl(path: str) -> list[dict]:
+    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for line in fh:
+            line = line.strip()
+            if line:
+                out.append(json.loads(line))
+    return out
 
 
 def _manifest_path(cfg: PipelineConfig, stage: str) -> str:
@@ -221,8 +226,11 @@ def ingest_and_fingerprint(cfg: PipelineConfig) -> tuple[list[RawRepo], dict[str
     h = hashlib.sha256()
     for repo in repos:
         for rf in repo.files:
-            digest = hashlib.sha256(rf.content.encode("utf-8")).digest()
-            h.update(b"\x00".join((repo.repo_id.encode("utf-8"), rf.path.encode("utf-8"), digest)))
+            h.update(repo.repo_id.encode("utf-8"))
+            h.update(b"\x00")
+            h.update(rf.path.encode("utf-8"))
+            h.update(b"\x00")
+            h.update(hashlib.sha256(rf.content.encode("utf-8")).digest())
     h.update(json.dumps(counters, sort_keys=True).encode("utf-8"))
     return repos, counters, h.hexdigest()
 
@@ -315,15 +323,21 @@ def stage_dedup(cfg: PipelineConfig, records: list[dict]) -> StageResult:
     retained = [rec for rec in records if rec["repo_id"] not in drop]
     outputs = []
     if d.report:
-        sig = {s.repo_id: s for s in signatures}
-        report_rows = ({
-            "members": list(c.member_repo_ids),
-            "representative": c.representative,
-            "similarity_to_representative": {
-                rid: round(signature_similarity(sig[rid], sig[c.representative]), 4)
-                for rid in c.member_repo_ids if rid != c.representative
-            },
-        } for c in clusters)
+        sig_by_id = {s.repo_id: s for s in signatures}
+        report_rows = [
+            {
+                "members": list(c.member_repo_ids),
+                "representative": c.representative,
+                "similarity_to_representative": {
+                    rid: round(
+                        signature_similarity(sig_by_id[rid], sig_by_id[c.representative]), 4
+                    )
+                    for rid in c.member_repo_ids
+                    if rid != c.representative
+                },
+            }
+            for c in clusters
+        ]
         outputs.append(_write_output(cfg, DEDUP_REPORT, report_rows))
     counters = {"near_duplicate": len(drop)} if drop else {}
     return StageResult(retained, len(records), counters=counters, outputs=outputs)
@@ -590,10 +604,13 @@ def _execute(cfg: PipelineConfig, stage: Stage, upstream: str, key: str, ingeste
             "config_hash": key,
             "upstream": upstream,
             "input_records": result.input_records,
-            "output_records": len(result.rows) if result.output_records is None else result.output_records,
+            "output_records": (
+                len(result.rows) if result.output_records is None else result.output_records
+            ),
             "counters": dict(sorted(result.counters.items())),
             "outputs": [
-                {"path": rel, "sha256": sha256_file(os.path.join(cfg.output_dir, rel)), "records": n}
+                {"path": rel, "sha256": sha256_file(os.path.join(cfg.output_dir, rel)),
+                 "records": n}
                 for rel, n in outputs
             ],
             **result.fields,

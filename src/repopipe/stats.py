@@ -49,15 +49,26 @@ def compute_corpus_stats(
     total_bytes = sum(lang_bytes.values())
     total_files = sum(lang_files.values())
     hundredths = _apportion_hundredths(lang_bytes, total_bytes) if total_bytes else {}
-    rows = [
-        LanguageRow(lang, lang_bytes[lang], lang_files.get(lang, 0), hundredths.get(lang, 0) / 100)
-        for lang in sorted(lang_bytes)
-    ]
+    rows = []
+    for lang in sorted(lang_bytes):
+        rows.append(
+            LanguageRow(
+                language=lang,
+                size_bytes=lang_bytes[lang],
+                file_count=lang_files.get(lang, 0),
+                proportion=hundredths.get(lang, 0) / 100,
+            )
+        )
     counters = {
         stage: dict(sorted(inner.items()))
         for stage, inner in sorted((drop_counters or {}).items())
     }
-    return CorpusStats(rows, total_bytes, total_files, counters)
+    return CorpusStats(
+        rows=rows,
+        total_bytes=total_bytes,
+        total_files=total_files,
+        drop_counters=counters,
+    )
 
 
 def render_stats_table(stats: CorpusStats) -> str:
@@ -70,8 +81,12 @@ def render_stats_table(stats: CorpusStats) -> str:
         for row in stats.rows
     ]
     total_prop = round(sum(row.proportion for row in stats.rows), 2)
-    total = ("Total", f"{stats.total_bytes / GB:.6f}", f"{stats.total_files / 1000:.3f}",
-             f"{total_prop:.2f}")
+    total = (
+        "Total",
+        f"{stats.total_bytes / GB:.6f}",
+        f"{stats.total_files / 1000:.3f}",
+        f"{total_prop:.2f}",
+    )
     widths = [max(len(header[i]), len(total[i]), *(len(r[i]) for r in body)) for i in range(4)]
 
     def fmt(cells: tuple[str, str, str, str]) -> str:

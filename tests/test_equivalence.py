@@ -305,7 +305,6 @@ words = st.text(alphabet="abc xyz_.é名\n", max_size=200)
 
 @settings(max_examples=300, deadline=None)
 @given(words, st.integers(min_value=1, max_value=8))
-@example("\u212a \u0130x KB", 1)  # the Kelvin sign lowercases to ASCII "k"; "İ" to "i̇"
 def test_zipped_shingles_match_slices(text, width):
     # Includes texts of fewer tokens than one shingle, and of none.
     got = shingle_set(text, width)

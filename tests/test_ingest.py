@@ -61,12 +61,13 @@ def test_undecodable_jsonl_line_counted_as_decode_error(tmp_path):
     stream = tmp_path / "files.jsonl"
     good = json.dumps({"repo_id": "r", "path": "a.py", "content": "a = 1\n"}).encode()
     bad = b'{"repo_id": "r", "path": "b.py", "content": "\xff"}'
+    unparsed = b'{"repo_id": "r", \xff "path": "e.py", "content": ""}'
     # Line ends as text mode reads them: "\r\n", "\n" and a lone "\r".
     tail = good.replace(b"a.py", b"c.py") + b"\r" + good.replace(b"a.py", b"d.py")
-    stream.write_bytes(good + b"\r\n" + bad + b"\n" + tail)
+    stream.write_bytes(good + b"\r\n" + bad + b"\n" + unparsed + b"\n" + tail + b"\n{}")
     counters: dict[str, int] = {}
     repos = load_repos([str(stream)], counters)
-    assert counters == {"decode_error": 1}
+    assert counters == {"decode_error": 2, "bad_record": 1}
     assert [f.path for f in repos[0].files] == ["a.py", "c.py", "d.py"]
 
 

@@ -10,6 +10,7 @@ import json
 import sys
 
 from .config import (
+    OUTPUT_FORMATS,
     ConfigError,
     PipelineConfig,
     config_to_dict,
@@ -37,7 +38,7 @@ _FIELD_FLAGS = {
                                       "help": "write the dependency edges to reports/graphs.jsonl"}),
     "dedup.report": ("--dedup-report", {"action": "store_const", "const": True,
                                         "help": "emit the dedup report JSONL"}),
-    "build.output_format": ("--output-format", {"choices": ("jsonl", "bin")}),
+    "build.output_format": ("--output-format", {"choices": OUTPUT_FORMATS}),
 }
 _EVERY_COMMAND = ("inputs", "output_dir", "workers", "seed")
 

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 import types
 from dataclasses import dataclass, field
@@ -18,6 +19,8 @@ from .filters import FilterThresholds
 from .fim import PSM, SPM, SentinelSet
 
 OUTPUT_FORMATS = ("jsonl", "bin")
+# Field metadata keys that bound a number: {">=": 0, "<=": 1} is [0, 1].
+_BOUNDS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
 
 
 class ConfigError(Exception):
@@ -44,11 +47,11 @@ class StageToggles:
 
 @dataclass
 class DedupConfig:
-    num_perm: int = 128
-    shingle_width: int = 5
-    threshold: float = 0.85
-    bands: int = 16
-    rows: int = 8
+    num_perm: int = field(default=128, metadata={">=": 16})
+    shingle_width: int = field(default=5, metadata={">=": 1})
+    threshold: float = field(default=0.85, metadata={">": 0, "<": 1})
+    bands: int = field(default=16, metadata={">=": 1})
+    rows: int = field(default=8, metadata={">=": 1})
     seed: int = 1
     report: bool = False
 
@@ -63,12 +66,12 @@ class DecontamConfig:
 
 @dataclass
 class BuildConfig:
-    fim_rate: float = 0.5
-    fim_mode: str = PSM
-    entry_len: int = 4096
+    fim_rate: float = field(default=0.5, metadata={">=": 0, "<=": 1})
+    fim_mode: str = field(default=PSM, metadata={"choices": (PSM, SPM)})
+    entry_len: int = field(default=4096, metadata={">=": 2})
     pad_final: bool = False
-    output_format: str = "jsonl"
-    entries_per_shard: int = 1000
+    output_format: str = field(default="jsonl", metadata={"choices": OUTPUT_FORMATS})
+    entries_per_shard: int = field(default=1000, metadata={">=": 1})
     sentinels: dict[str, str] = field(
         default_factory=lambda: {
             "fim_start": SentinelSet().fim_start,
@@ -84,10 +87,10 @@ class BuildConfig:
 
 @dataclass
 class PipelineConfig:
-    inputs: list[str] = field(default_factory=list)
-    output_dir: str = "out"
+    inputs: list[str] = field(default_factory=list, metadata={"nonempty": True})
+    output_dir: str = field(default="out", metadata={"nonempty": True})
     seed: int = 0
-    workers: int = 1
+    workers: int = field(default=1, metadata={">=": 1})
     language_map: str | None = None
     dump_graphs: bool = False
     stages: StageToggles = field(default_factory=StageToggles)
@@ -172,61 +175,48 @@ def load_config(path: str) -> PipelineConfig:
     return config_from_dict(raw)
 
 
-def _non_finite(section, where: str = ""):
-    """The dotted names and values of every NaN or infinite float field;
-    NaN fails every comparison, so no range check below catches it."""
+def _range_violations(section, where: str = ""):
+    """Every field value outside the range its metadata declares, walking
+    the sections of `section`. The keys are those of _BOUNDS, "choices"
+    and "nonempty". Every float must also be finite: NaN fails
+    every comparison, so a NaN threshold would turn its rule off."""
     for f in dataclasses.fields(section):
-        value, dotted = getattr(section, f.name), f"{where}{f.name}"
+        value, name, meta = getattr(section, f.name), where + f.name, f.metadata
         if dataclasses.is_dataclass(value):
-            yield from _non_finite(value, dotted + ".")
+            yield from _range_violations(value, name + ".")
         elif isinstance(value, float) and not math.isfinite(value):
-            yield dotted, value
+            yield f"{name}: must be finite, got {value!r}"
+        elif "choices" in meta and value not in meta["choices"]:
+            yield f"{name}: must be one of {meta['choices']}, got {value!r}"
+        elif meta.get("nonempty") and not value:
+            yield f"{name}: must not be empty"
+        else:
+            for sign, holds in _BOUNDS.items():
+                if sign in meta and not holds(value, meta[sign]):
+                    yield f"{name}: must be {sign} {meta[sign]}, got {value}"
 
 
 def validate_config(cfg: PipelineConfig) -> list[str]:
     """Every violation, not just the first."""
-    v = [f"{name}: must be finite, got {value!r}" for name, value in _non_finite(cfg)]
-    if not cfg.inputs:
-        v.append("inputs: at least one input path is required")
+    v = list(_range_violations(cfg))
     for path in cfg.inputs:
         if not os.path.exists(path):
             v.append(f"inputs: path does not exist: {path}")
-    if not cfg.output_dir:
-        v.append("output_dir: required")
-    if cfg.workers < 1:
-        v.append(f"workers: must be >= 1, got {cfg.workers}")
     if cfg.language_map is not None and not os.path.exists(cfg.language_map):
         v.append(f"language_map: path does not exist: {cfg.language_map}")
 
     d = cfg.dedup
-    if d.num_perm < 16:
-        v.append(f"dedup.num_perm: must be >= 16, got {d.num_perm}")
-    if not 0.0 < d.threshold < 1.0:
-        v.append(f"dedup.threshold: must be in (0, 1), got {d.threshold}")
     if d.bands * d.rows != d.num_perm:
         v.append(
             f"dedup.bands*rows must equal num_perm: {d.bands}*{d.rows} != {d.num_perm}"
         )
-    if d.shingle_width < 1:
-        v.append(f"dedup.shingle_width: must be >= 1, got {d.shingle_width}")
 
     for path in cfg.decontaminate.benchmark_files:
         if not os.path.exists(path):
             v.append(f"decontaminate.benchmark_files: path does not exist: {path}")
 
-    b = cfg.build
-    if not 0.0 <= b.fim_rate <= 1.0:
-        v.append(f"build.fim_rate: must be in [0, 1], got {b.fim_rate}")
-    if b.fim_mode not in (PSM, SPM):
-        v.append(f"build.fim_mode: must be '{PSM}' or '{SPM}', got {b.fim_mode!r}")
-    if b.entry_len < 2:
-        v.append(f"build.entry_len: must be >= 2, got {b.entry_len}")
-    if b.output_format not in OUTPUT_FORMATS:
-        v.append(f"build.output_format: must be one of {OUTPUT_FORMATS}, got {b.output_format!r}")
-    if b.entries_per_shard < 1:
-        v.append(f"build.entries_per_shard: must be >= 1, got {b.entries_per_shard}")
     try:
-        b.sentinel_set()
+        cfg.build.sentinel_set()
     except (TypeError, ValueError) as exc:
         v.append(f"build.sentinels: {exc}")
     return v

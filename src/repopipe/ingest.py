@@ -109,9 +109,10 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
                             reason = DROP_DECODE_ERROR
                         counters[reason] = counters.get(reason, 0) + 1
                         continue
-                    if not isinstance(content, str) or not path:
+                    texts = (repo_id, path, content)
+                    if not (repo_id and path and all(isinstance(t, str) for t in texts)):
                         counters[DROP_BAD_RECORD] = counters.get(DROP_BAD_RECORD, 0) + 1
                         continue
-                    add_file(str(repo_id), str(path), content)
+                    add_file(*texts)
 
     return [repos[rid] for rid in sorted(repos)]

@@ -169,9 +169,11 @@ def _call_shared(item):
 
 def _pmap(fn: Callable, items: Sequence, workers: int, shared: tuple = ()) -> list:
     """Order-preserving map of fn(item, *shared), optionally over a
-    process pool. `shared` reaches each pool worker once, through the
-    pool initializer, not with every task."""
-    if workers <= 1 or len(items) < 2:
+    process pool no wider than `items`, since the pool starts every
+    worker up front. `shared` reaches each pool worker once, through
+    the pool initializer, not with every task."""
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(item, *shared) for item in items]
     chunksize = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(
@@ -381,7 +383,10 @@ def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
                     raise ValueError(f"{path}:{number}: not JSON: {exc}") from exc
                 if not isinstance(obj, dict) or "text" not in obj:
                     raise ValueError(f'{path}:{number}: not an object with a "text" field')
-                rows.append((str(obj["text"]), str(obj.get("benchmark", default_label))))
+                text, label = obj["text"], obj.get("benchmark", default_label)
+                if not (isinstance(text, str) and isinstance(label, str)):
+                    raise ValueError(f'{path}:{number}: "text" and "benchmark" must be strings')
+                rows.append((text, label))
     return rows
 
 

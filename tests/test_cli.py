@@ -67,6 +67,16 @@ class TestMalformedInput:
         assert "filters.max_avg_line_len: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_out_of_range_config_value_exits_2(self, tmp_path, capsys):
+        corpus, _ = build_fixture_corpus(tmp_path)
+        path = tmp_path / "config.json"
+        raw = {"inputs": [str(corpus)], "output_dir": str(tmp_path / "out"),
+               "filters": {"max_line_len": -1}}
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert "filters.max_line_len: must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_undecodable_jsonl_line_is_a_decode_error(self, tmp_path):
         stream = tmp_path / "files.jsonl"
         good = json.dumps({"repo_id": "r", "path": "a.py", "content": "def a():\n    return 1\n"})
@@ -78,7 +88,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "bad_line, problem",
-        [('{"benchmark": "b"}', '"text" field'), ("not json", "not JSON")],
+        [('{"benchmark": "b"}', '"text" field'), ("not json", "not JSON"),
+         ('{"text": null}', "must be strings")],
     )
     def test_malformed_benchmark_line_is_named(self, tmp_path, capsys, bad_line, problem):
         corpus, bench = build_fixture_corpus(tmp_path)

@@ -57,6 +57,30 @@ class TestRoundTrip:
             load_config(str(path))
 
 
+FILTER_LENGTHS = ["max_avg_line_len", "max_line_len", "xml_window", "html_min_visible_chars",
+                  "data_min_chars", "data_max_chars", "long_line_chars"]
+FILTER_FRACTIONS = ["min_alpha_fraction", "html_min_visible_ratio",
+                    "max_repeated_token_fraction", "max_long_line_fraction"]
+OUT_OF_RANGE = [
+    [("dedup.bands", -16), ("dedup.rows", -8)],  # bands * rows is still num_perm
+    *([(f"filters.{name}", -1)] for name in FILTER_LENGTHS),
+    *([(f"filters.{name}", value)] for name in FILTER_FRACTIONS for value in (-0.1, 1.1)),
+]
+
+
+# Numeric fields any value of which is valid.
+UNBOUNDED = ("seed", "dedup.seed")
+
+
+def numeric_fields(section, where: str = ""):
+    for f in dataclasses.fields(section):
+        value, name = getattr(section, f.name), where + f.name
+        if dataclasses.is_dataclass(value):
+            yield from numeric_fields(value, name + ".")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield name, f.metadata
+
+
 class TestValidation:
     def test_all_violations_reported_at_once(self, tmp_path):
         cfg = default_config()
@@ -110,6 +134,22 @@ class TestValidation:
         cfg.inputs = [str(corpus)]
         cfg.build.sentinels["eos"] = cfg.build.sentinels["fim_start"]
         assert any("sentinels" in v for v in validate_config(cfg))
+
+    @pytest.mark.parametrize(
+        "values", OUT_OF_RANGE, ids=lambda values: ",".join(f"{n}={v}" for n, v in values)
+    )
+    def test_out_of_range_value_is_a_violation(self, tmp_path, values):
+        raw: dict = {"inputs": [str(tmp_path)]}
+        for name, value in values:
+            section, leaf = name.split(".")
+            raw.setdefault(section, {})[leaf] = value
+        violations = validate_config(config_from_dict(raw))
+        assert [v.split(":")[0] for v in violations] == [name for name, _ in values]
+
+    def test_every_number_is_bounded_or_explicitly_unbounded(self):
+        for name, meta in numeric_fields(default_config()):
+            bounded = any(sign in meta for sign in (">=", "<=", ">", "<"))
+            assert bounded != (name in UNBOUNDED), name
 
 
 class TestConfigHash:

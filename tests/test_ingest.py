@@ -96,6 +96,21 @@ def test_lone_surrogate_records_counted_as_decode_errors(tmp_path):
     assert manifest["output_records"] == 1
 
 
+def test_non_string_repo_id_or_path_counted_as_bad_record(tmp_path):
+    stream = tmp_path / "files.jsonl"
+    rows = [
+        {"repo_id": 1, "path": "a.py", "content": "a = 1\n"},
+        {"repo_id": "1", "path": "b.py", "content": "b = 1\n"},
+        {"repo_id": None, "path": "c.py", "content": "c = 1\n"},
+        {"repo_id": "r", "path": ["x"], "content": "x = 1\n"},
+    ]
+    stream.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    counters: dict[str, int] = {}
+    repos = load_repos([str(stream)], counters)
+    assert counters == {"bad_record": 3}
+    assert [(r.repo_id, [f.path for f in r.files]) for r in repos] == [("1", ["b.py"])]
+
+
 def test_undecodable_file_name_counted_as_decode_error(tmp_path):
     root = tmp_path / "corpus" / "repo"
     root.mkdir(parents=True)

@@ -203,6 +203,32 @@ class TestWorkerCountInvariance:
         assert digests[1] == digests[2]
 
 
+    def test_pool_is_no_wider_than_the_item_count(self, monkeypatch):
+        # Under fork, the pool starts every worker up front, busy or not.
+        import repopipe.pipeline as pipeline_module
+
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                widths.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(pipeline_module, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(pipeline_module, "_shared", ())
+        assert pipeline_module._pmap(divmod, [7, 8, 9], 16, (2,)) == [(3, 1), (4, 0), (4, 1)]
+        assert widths == [3]
+
+
 class TestResume:
     def test_input_change_invalidates_checkpoints(self, tmp_path):
         cfg = fixture_config(tmp_path)

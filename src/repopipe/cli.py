@@ -50,7 +50,8 @@ def _load(args: argparse.Namespace) -> PipelineConfig:
         if value is not None:
             section, _, leaf = name.rpartition(".")
             setattr(getattr(cfg, section) if section else cfg, leaf, value)
-    require_valid(cfg)
+    if args.command != "stats":  # it reads only the output directory
+        require_valid(cfg)
     return cfg
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from typing import Iterable
 
-from .deps import RepoSample
-
 NGRAM_SIZE = 10
 EXACT_MIN_TOKENS = 3
 
@@ -105,7 +103,3 @@ def scan_text(text: str, index: ContaminationIndex) -> ContaminationReport:
         benchmarks=tuple(benchmarks),
     )
 
-
-def is_contaminated(sample: RepoSample, index: ContaminationIndex) -> ContaminationReport:
-    """The whole sample is the exclusion unit."""
-    return scan_text(sample.text, index)

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .deps import RepoSample, connected_components
+from .deps import connected_components
 
 _TOKEN = re.compile(r"\w+")
 # uint64 constants throughout, so every operation below stays in uint64
@@ -77,33 +77,25 @@ def _densify(values: np.ndarray, full: np.ndarray, key: np.ndarray) -> None:
         attempt += _DONOR_BLOCK
 
 
-@dataclass(frozen=True)
-class MinHashSignature:
-    """One 64-bit minimum per bin over a sample's mixed shingle hashes."""
-
-    repo_id: str
-    values: tuple[int, ...]
-    num_perm: int
-
-
 def minhash_signature(
-    sample: RepoSample,
+    text: str,
     num_perm: int = 128,
     shingle_width: int = 5,
     seed: int = 1,
-) -> MinHashSignature:
-    """Densified one-permutation MinHash (Li, Owen & Zhang, NeurIPS 2012):
-    each shingle hash is mixed once by splitmix64 keyed by `seed`, binned
-    by `% num_perm`, and each bin keeps its minimum; empty bins are filled
-    by `_densify`. Deterministic given (seed, num_perm); identical shingle
-    sets give identical signatures.
+) -> tuple[int, ...]:
+    """Densified one-permutation MinHash (Li, Owen & Zhang, NeurIPS 2012),
+    one 64-bit value per bin: each shingle hash is mixed once by
+    splitmix64 keyed by `seed`, binned by `% num_perm`, and each bin
+    keeps its minimum; empty bins are filled by `_densify`.
+    Deterministic given (seed, num_perm); identical shingle sets give
+    identical signatures.
     """
     if num_perm < 16:
         raise ValueError(f"num_perm must be >= 16, got {num_perm}")
-    if not sample.text:
+    if not text:
         raise ValueError("cannot sign an empty sample")
     key = _mix(np.array([seed % 2**64], dtype=np.uint64))
-    mixed = _mix(shingle_set(sample.text, shingle_width) ^ key)
+    mixed = _mix(shingle_set(text, shingle_width) ^ key)
     bins = (mixed % np.uint64(num_perm)).astype(np.intp)
     counts = np.bincount(bins, minlength=num_perm)
     full = counts > 0
@@ -112,19 +104,14 @@ def minhash_signature(
     values = np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
     values[full] = np.minimum.reduceat(mixed[np.argsort(bins)], (np.cumsum(counts) - counts)[full])
     _densify(values, full, key)
-    return MinHashSignature(
-        repo_id=sample.repo_id,
-        values=tuple(values.tolist()),
-        num_perm=num_perm,
-    )
+    return tuple(values.tolist())
 
 
-def signature_similarity(a: MinHashSignature, b: MinHashSignature) -> float:
+def signature_similarity(a: Sequence[int], b: Sequence[int]) -> float:
     """Fraction of matching slots; an unbiased Jaccard estimate."""
-    if a.num_perm != b.num_perm:
-        raise ValueError("signatures have different num_perm")
-    matches = sum(1 for x, y in zip(a.values, b.values) if x == y)
-    return matches / a.num_perm
+    if len(a) != len(b):
+        raise ValueError("signatures have different lengths")
+    return sum(1 for x, y in zip(a, b) if x == y) / len(a)
 
 
 @dataclass(frozen=True)
@@ -145,32 +132,28 @@ def choose_representative(members: Sequence[str], char_counts: Mapping[str, int]
 
 
 def find_near_duplicates(
-    signatures: Sequence[MinHashSignature],
+    signatures: Mapping[str, Sequence[int]],
+    char_counts: Mapping[str, int],
     threshold: float = 0.85,
     bands: int = 16,
     rows: int = 8,
-    char_counts: Mapping[str, int] | None = None,
 ) -> list[DuplicateCluster]:
-    """LSH banding proposes candidate pairs; pairs are kept only when
-    their signature similarity reaches the threshold; clusters are the
-    connected components of kept pairs. Singletons are omitted.
-
-    Representatives follow the size rule when char_counts is given,
-    otherwise the smallest repo_id stands in.
+    """LSH banding over signatures keyed by repo id proposes candidate
+    pairs; pairs are kept only when their signature similarity reaches
+    the threshold; clusters are the connected components of kept pairs,
+    each represented by the member `choose_representative` picks from
+    char_counts. Singletons are omitted.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if not signatures:
-        return []
-    num_perm = signatures[0].num_perm
-    if any(s.num_perm != num_perm for s in signatures):
-        raise ValueError("all signatures must share num_perm")
-    if bands * rows != num_perm:
-        raise ValueError(f"bands*rows must equal num_perm ({bands}x{rows} != {num_perm})")
+    ids = list(signatures)
+    sigs = list(signatures.values())
+    if any(len(sig) != bands * rows for sig in sigs):
+        raise ValueError(f"every signature must hold bands*rows = {bands}x{rows} values")
 
     buckets: dict[tuple[int, bytes], list[int]] = {}
-    for idx, sig in enumerate(signatures):
-        arr = np.asarray(sig.values, dtype=np.uint64)
+    for idx, sig in enumerate(sigs):
+        arr = np.asarray(sig, dtype=np.uint64)
         for band in range(bands):
             key = (band, arr[band * rows : (band + 1) * rows].tobytes())
             buckets.setdefault(key, []).append(idx)
@@ -184,18 +167,14 @@ def find_near_duplicates(
                 if (x, y) in checked:
                     continue
                 checked.add((x, y))
-                if signature_similarity(signatures[x], signatures[y]) >= threshold:
+                if signature_similarity(sigs[x], sigs[y]) >= threshold:
                     merged.append((x, y))
 
     clusters: list[DuplicateCluster] = []
-    for members in connected_components(len(signatures), merged):
+    for members in connected_components(len(sigs), merged):
         if len(members) < 2:
             continue
-        ids = tuple(sorted(signatures[i].repo_id for i in members))
-        if char_counts is not None:
-            rep = choose_representative(ids, char_counts)
-        else:
-            rep = ids[0]
-        clusters.append(DuplicateCluster(member_repo_ids=ids, representative=rep))
+        member_ids = tuple(sorted(ids[i] for i in members))
+        rep = choose_representative(member_ids, char_counts)
+        clusters.append(DuplicateCluster(member_repo_ids=member_ids, representative=rep))
     return clusters
-

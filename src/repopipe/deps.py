@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import posixpath
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .corpus import SourceFile
@@ -267,42 +266,6 @@ def extract_dependencies(file: SourceFile, repo_paths: Iterable[str]) -> list[st
     return deps
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Adjacency and in-degrees over one repo's files.
-
-    nodes preserves input order (it drives tie-breaking later);
-    adjacency[b] lists the files that depend on b; in_degree[a] counts
-    the files a depends on, i.e. edges ending at a.
-    """
-
-    nodes: tuple[str, ...]
-    adjacency: dict[str, list[str]]
-    in_degree: dict[str, int]
-
-
-def build_graph(paths: Sequence[str], edges: Iterable[tuple[str, str]]) -> DependencyGraph:
-    """Build the graph from (dependent, dependency) pairs: for each pair
-    (a, b) meaning "a depends on b", add edge b -> a and bump a's
-    in-degree, once per distinct pair.
-    """
-    node_set = set(paths)
-    if len(node_set) != len(paths):
-        raise ValueError("duplicate paths in graph input")
-    adjacency: dict[str, list[str]] = {p: [] for p in paths}
-    in_degree: dict[str, int] = {p: 0 for p in paths}
-    seen_pairs: set[tuple[str, str]] = set()
-    for a, b in edges:
-        if a not in node_set or b not in node_set:
-            raise ValueError(f"edge endpoint not among files: {(a, b)!r}")
-        if (a, b) in seen_pairs:
-            continue
-        seen_pairs.add((a, b))
-        adjacency[b].append(a)
-        in_degree[a] += 1
-    return DependencyGraph(nodes=tuple(paths), adjacency=adjacency, in_degree=in_degree)
-
-
 def connected_components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     """The connected components of nodes 0..n-1 joined by `pairs`,
     ordered by smallest member, each ascending. A union-find with path
@@ -327,53 +290,52 @@ def connected_components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[
     return [group for group in members if group]
 
 
-def topological_sort(graph: DependencyGraph) -> list[list[str]]:
-    """Order each disconnected subgraph by repeatedly taking the
-    unselected node of minimal current in-degree (ties broken by input
-    order) and decrementing the in-degrees of its dependents.
+def topological_sort(paths: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[list[str]]:
+    """Order each disconnected subgraph of `paths` by repeatedly taking
+    the unselected node of minimal current in-degree (ties broken by
+    input order) and decrementing the in-degrees of its dependents.
+    `edges` are (dependent, dependency) pairs, each distinct pair
+    counted once: (a, b) means "a depends on b", so b -> a.
 
     Selecting by minimum rather than zero makes cycles harmless: the
     procedure always performs exactly one selection per node. The
-    minimum comes from a heap of (in_degree, input index, node) with
+    minimum comes from a heap of (in_degree, input index) with
     lazy invalidation: a node whose degree falls gets a fresh entry.
     Degrees only fall, so a node's current entry pops before its stale
     ones, which by then belong to a selected node and are skipped.
     Cost is O((V + E) log V).
     """
-    nodes = graph.nodes
-    index = {p: i for i, p in enumerate(nodes)}
-    in_degree = dict(graph.in_degree)
-    pairs = ((index[b], index[a]) for b, dependents in graph.adjacency.items() for a in dependents)
+    index = {p: i for i, p in enumerate(paths)}
+    if len(index) != len(paths):
+        raise ValueError("duplicate paths in graph input")
+    dependents: list[list[int]] = [[] for _ in paths]
+    in_degree = [0] * len(paths)
+    for a, b in dict.fromkeys(edges):
+        if a not in index or b not in index:
+            raise ValueError(f"edge endpoint not among files: {(a, b)!r}")
+        dependents[index[b]].append(index[a])
+        in_degree[index[a]] += 1
+    pairs = ((b, a) for b, after in enumerate(dependents) for a in after)
     results: list[list[str]] = []
-    for component in connected_components(len(nodes), pairs):
-        heap = [(in_degree[nodes[i]], i, nodes[i]) for i in component]
+    for component in connected_components(len(paths), pairs):
+        heap = [(in_degree[i], i) for i in component]
         heapq.heapify(heap)
-        selected: set[str] = set()
+        selected: set[int] = set()
         order: list[str] = []
         while heap:
-            node = heapq.heappop(heap)[2]
+            node = heapq.heappop(heap)[1]
             if node in selected:
                 continue
             # Decrement dependents unconditionally, selected ones included;
             # already-selected nodes are never re-chosen so this is benign.
-            for dependent in graph.adjacency[node]:
+            for dependent in dependents[node]:
                 in_degree[dependent] -= 1
                 if dependent not in selected:
-                    heapq.heappush(heap, (in_degree[dependent], index[dependent], dependent))
+                    heapq.heappush(heap, (in_degree[dependent], dependent))
             selected.add(node)
-            order.append(node)
+            order.append(paths[node])
         results.append(order)
     return results
-
-
-@dataclass(frozen=True)
-class RepoSample:
-    """One repository's surviving files, ordered and concatenated."""
-
-    repo_id: str
-    ordered_paths: tuple[str, ...]
-    text: str
-    char_count: int
 
 
 # Comment syntax used for the path header line, per language.
@@ -441,26 +403,18 @@ def path_comment(path: str, language: str | None) -> str:
     return f"{prefix} {path}{suffix}"
 
 
-def concatenate_with_paths(repo_id: str, ordered_files: Sequence[SourceFile]) -> RepoSample:
+def concatenate_with_paths(ordered_files: Sequence[SourceFile]) -> str:
     """Concatenate files in the given order; each file contributes a
     path-comment line, its content, and a blank-line separator.
     Byte-for-byte deterministic.
     """
-    parts: list[str] = []
-    for f in ordered_files:
-        parts.append(f"{path_comment(f.path, f.language)}\n{f.content}\n\n")
-    return RepoSample(
-        repo_id=repo_id,
-        ordered_paths=tuple(f.path for f in ordered_files),
-        text="".join(parts),
-        char_count=sum(map(len, parts)),
-    )
+    return "".join(f"{path_comment(f.path, f.language)}\n{f.content}\n\n" for f in ordered_files)
 
 
 def order_repo_files(files: Sequence[SourceFile]) -> tuple[list[SourceFile], list[tuple[str, str]]]:
-    """Full ordering pass for one repository: extract references, build
-    the graph, sort, and return files in emission order plus the edge
-    list (dependent, dependency) for optional dumping.
+    """Full ordering pass for one repository: extract references, sort,
+    and return files in emission order plus the edge list (dependent,
+    dependency) for optional dumping.
     """
     paths = [f.path for f in files]
     by_path = {f.path: f for f in files}
@@ -469,8 +423,7 @@ def order_repo_files(files: Sequence[SourceFile]) -> tuple[list[SourceFile], lis
     for f in files:
         for dep in extract_dependencies(f, index):
             edges.append((f.path, dep))
-    graph = build_graph(paths, edges)
     ordered: list[SourceFile] = []
-    for subgraph in topological_sort(graph):
+    for subgraph in topological_sort(paths, edges):
         ordered.extend(by_path[p] for p in subgraph)
     return ordered, edges

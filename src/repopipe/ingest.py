@@ -4,7 +4,8 @@ Two input shapes are accepted per configured path:
 
   - a directory: every immediate subdirectory is one repository
     (repo_id = subdirectory name), walked recursively in sorted order;
-    dot-directories (.git and friends) are skipped;
+    dot-directories (.git and friends) are skipped, and so is a
+    symlinked file, which may lie outside the corpus or nowhere;
   - a *.jsonl file: one object per file with repo_id, path, content.
 
 Files that fail UTF-8 decoding, or whose repo id, path or content holds
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 DROP_DECODE_ERROR = "decode_error"
 DROP_DUPLICATE_PATH = "duplicate_path"
 DROP_BAD_RECORD = "bad_record"
+DROP_SYMLINK = "symlink"
 
 
 @dataclass
@@ -38,8 +40,10 @@ class RawRepo:
     files: list[RawFile] = field(default_factory=list)
 
 
-def _walk_repo_dir(root: str) -> list[tuple[str, str]]:
-    """(repo-relative posix path, absolute path) pairs, sorted walk."""
+def _walk_repo_dir(root: str, counters: dict[str, int]) -> list[tuple[str, str]]:
+    """(repo-relative posix path, absolute path) pairs, sorted walk.
+    A symlinked file is skipped and counted; os.walk does not descend
+    into a symlinked directory."""
     out: list[tuple[str, str]] = []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
@@ -47,6 +51,9 @@ def _walk_repo_dir(root: str) -> list[tuple[str, str]]:
             if name.startswith("."):
                 continue
             abs_path = os.path.join(dirpath, name)
+            if os.path.islink(abs_path):
+                counters[DROP_SYMLINK] = counters.get(DROP_SYMLINK, 0) + 1
+                continue
             rel = os.path.relpath(abs_path, root).replace(os.sep, "/")
             out.append((rel, abs_path))
     return out
@@ -81,7 +88,7 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
                 repo_root = os.path.join(source, entry)
                 if not os.path.isdir(repo_root) or entry.startswith("."):
                     continue
-                for rel, abs_path in _walk_repo_dir(repo_root):
+                for rel, abs_path in _walk_repo_dir(repo_root, counters):
                     with open(abs_path, "rb") as fh:
                         raw = fh.read()
                     try:

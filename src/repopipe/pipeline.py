@@ -23,7 +23,7 @@ from .config import PipelineConfig, config_hash, require_valid, sha256_file
 from .corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
 from .decontam import ContaminationIndex, ContaminationReport, build_contamination_index, scan_text
 from .dedup import find_near_duplicates, minhash_signature, signature_similarity
-from .deps import RepoSample, concatenate_with_paths, order_repo_files
+from .deps import concatenate_with_paths, order_repo_files
 from .filters import (
     DATA_FILE_LANGUAGES,
     FilterThresholds,
@@ -35,7 +35,7 @@ from .filters import (
 from .fim import FimConfig, fim_transform
 from .ingest import RawRepo, load_repos
 from .packing import ByteTokenizer, pack_entries
-from .stats import CorpusStats, compute_corpus_stats, render_stats_table, stats_to_dict
+from .stats import compute_corpus_stats, render_stats_table
 
 FILES_OUT = "work/files.jsonl"
 SAMPLES_OUT = "work/samples.jsonl"
@@ -105,7 +105,7 @@ class StageFailure(Exception):
 class RunSummary:
     completed_stages: list[str] = field(default_factory=list)
     skipped_stages: list[str] = field(default_factory=list)
-    stats: CorpusStats | None = None
+    stats: dict | None = None  # the stats.json object
     output_files: list[str] = field(default_factory=list)
 
 
@@ -270,7 +270,7 @@ def _order_repo_worker(
         ordered, edges = order_repo_files(files)
     else:
         ordered, edges = list(files), []
-    sample = concatenate_with_paths(repo_id, ordered)
+    text = concatenate_with_paths(ordered)
     lang_bytes: dict[str, int] = {}
     lang_files: dict[str, int] = {}
     for f in files:
@@ -278,12 +278,12 @@ def _order_repo_worker(
         lang_bytes[lang] = lang_bytes.get(lang, 0) + f.byte_size
         lang_files[lang] = lang_files.get(lang, 0) + 1
     record = {
-        "repo_id": sample.repo_id,
-        "ordered_paths": list(sample.ordered_paths),
-        "char_count": sample.char_count,
+        "repo_id": repo_id,
+        "ordered_paths": [f.path for f in ordered],
+        "char_count": len(text),
         "lang_bytes": dict(sorted(lang_bytes.items())),
         "lang_files": dict(sorted(lang_files.items())),
-        "text": sample.text,
+        "text": text,
     }
     return record, edges
 
@@ -313,11 +313,12 @@ def stage_dedup(cfg: PipelineConfig, records: list[dict]) -> StageResult:
     if not (cfg.stages.dedup and records):
         return StageResult(records, len(records))
     d = cfg.dedup
-    samples = [RepoSample(rec["repo_id"], (), rec["text"], rec["char_count"]) for rec in records]
-    signatures = _pmap(minhash_signature, samples, cfg.workers, (d.num_perm, d.shingle_width, d.seed))
+    texts = [rec["text"] for rec in records]
+    values = _pmap(minhash_signature, texts, cfg.workers, (d.num_perm, d.shingle_width, d.seed))
+    signatures = {rec["repo_id"]: sig for rec, sig in zip(records, values)}
     char_counts = {rec["repo_id"]: rec["char_count"] for rec in records}
     clusters = find_near_duplicates(
-        signatures, threshold=d.threshold, bands=d.bands, rows=d.rows, char_counts=char_counts
+        signatures, char_counts, threshold=d.threshold, bands=d.bands, rows=d.rows
     )
     drop: set[str] = set()
     for cluster in clusters:
@@ -325,14 +326,13 @@ def stage_dedup(cfg: PipelineConfig, records: list[dict]) -> StageResult:
     retained = [rec for rec in records if rec["repo_id"] not in drop]
     outputs = []
     if d.report:
-        sig_by_id = {s.repo_id: s for s in signatures}
         report_rows = [
             {
                 "members": list(c.member_repo_ids),
                 "representative": c.representative,
                 "similarity_to_representative": {
                     rid: round(
-                        signature_similarity(sig_by_id[rid], sig_by_id[c.representative]), 4
+                        signature_similarity(signatures[rid], signatures[c.representative]), 4
                     )
                     for rid in c.member_repo_ids
                     if rid != c.representative
@@ -367,16 +367,23 @@ def _screen(
 def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
     """Benchmark test data as (text, benchmark) pairs from JSONL files
     of {"text": ..., "benchmark": ...} records; a missing benchmark
-    field falls back to the file's basename. A malformed line raises
-    ValueError naming its path and line number.
+    field falls back to the file's basename. A malformed line, one that
+    is not UTF-8 included, raises ValueError naming its path and line
+    number.
     """
     rows: list[tuple[str, str]] = []
     for path in paths:
         default_label = os.path.splitext(os.path.basename(path))[0]
-        with open(path, "r", encoding="utf-8") as fh:
+        # surrogateescape turns each byte that is not UTF-8 into a lone
+        # surrogate, which encoding back to UTF-8 rejects.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}:{number}: not UTF-8") from None
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
@@ -484,11 +491,11 @@ def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
 # Stats
 # -----------------------
 
-def emit_stats(cfg: PipelineConfig) -> CorpusStats:
+def emit_stats(cfg: PipelineConfig) -> dict:
     """Summarise the last stage done: per-language sizes from the file
     the stage after the chain would read (after build, build's input),
     drop counters from the chain's manifests. Renders the summary table
-    and writes stats.txt / stats.json.
+    and writes stats.txt / stats.json; returns the stats.json object.
     """
     chain = _chain(cfg)
     source = STAGES[min(len(chain), len(STAGES) - 1)].reads
@@ -518,7 +525,7 @@ def emit_stats(cfg: PipelineConfig) -> CorpusStats:
     with open(os.path.join(cfg.output_dir, "stats.txt"), "w", encoding="utf-8") as fh:
         fh.write(render_stats_table(stats))
     with open(os.path.join(cfg.output_dir, "stats.json"), "w", encoding="utf-8") as fh:
-        json.dump(stats_to_dict(stats), fh, sort_keys=True, indent=2, ensure_ascii=False)
+        json.dump(stats, fh, sort_keys=True, indent=2, ensure_ascii=False)
         fh.write("\n")
     return stats
 

@@ -4,26 +4,9 @@ per-stage drop counters, rendered as a text table and as JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 GB = 1_000_000_000
-
-
-@dataclass(frozen=True)
-class LanguageRow:
-    language: str
-    size_bytes: int
-    file_count: int
-    proportion: float  # percent of total bytes, 2 decimals
-
-
-@dataclass
-class CorpusStats:
-    rows: list[LanguageRow] = field(default_factory=list)
-    total_bytes: int = 0
-    total_files: int = 0
-    drop_counters: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
 def _apportion_hundredths(lang_bytes: Mapping[str, int], total: int) -> dict[str, int]:
@@ -45,47 +28,55 @@ def compute_corpus_stats(
     lang_bytes: Mapping[str, int],
     lang_files: Mapping[str, int],
     drop_counters: Mapping[str, Mapping[str, int]] | None = None,
-) -> CorpusStats:
+) -> dict:
+    """The stats.json object: one row per language, sorted, with its
+    proportion in percent of the total bytes (2 decimals); the totals;
+    and the drop counters sorted by stage and reason.
+    """
     total_bytes = sum(lang_bytes.values())
-    total_files = sum(lang_files.values())
     hundredths = _apportion_hundredths(lang_bytes, total_bytes) if total_bytes else {}
-    rows = []
-    for lang in sorted(lang_bytes):
-        rows.append(
-            LanguageRow(
-                language=lang,
-                size_bytes=lang_bytes[lang],
-                file_count=lang_files.get(lang, 0),
-                proportion=hundredths.get(lang, 0) / 100,
-            )
-        )
-    counters = {
-        stage: dict(sorted(inner.items()))
-        for stage, inner in sorted((drop_counters or {}).items())
+    languages = [
+        {
+            "language": lang,
+            "size_bytes": lang_bytes[lang],
+            "size_gb": lang_bytes[lang] / GB,
+            "files": lang_files.get(lang, 0),
+            "files_k": lang_files.get(lang, 0) / 1000,
+            "proportion": hundredths.get(lang, 0) / 100,
+        }
+        for lang in sorted(lang_bytes)
+    ]
+    return {
+        "languages": languages,
+        "total": {
+            "size_bytes": total_bytes,
+            "size_gb": total_bytes / GB,
+            "files": sum(lang_files.values()),
+            "proportion": round(sum(row["proportion"] for row in languages), 2),
+        },
+        "drop_counters": {
+            stage: dict(sorted(inner.items()))
+            for stage, inner in sorted((drop_counters or {}).items())
+        },
     }
-    return CorpusStats(
-        rows=rows,
-        total_bytes=total_bytes,
-        total_files=total_files,
-        drop_counters=counters,
-    )
 
 
-def render_stats_table(stats: CorpusStats) -> str:
-    """Fixed-width table with Size (GB) / Files (k) / Prop. (%) columns
-    and a Total row equal to the column sums.
+def render_stats_table(stats: dict) -> str:
+    """Fixed-width table of a `compute_corpus_stats` object, with Size
+    (GB) / Files (k) / Prop. (%) columns and a Total row equal to the
+    column sums.
     """
     header = ("Language", "Size (GB)", "Files (k)", "Prop. (%)")
     body = [
-        (row.language, f"{row.size_bytes / GB:.6f}", f"{row.file_count / 1000:.3f}", f"{row.proportion:.2f}")
-        for row in stats.rows
+        (row["language"], f"{row['size_gb']:.6f}", f"{row['files_k']:.3f}", f"{row['proportion']:.2f}")
+        for row in stats["languages"]
     ]
-    total_prop = round(sum(row.proportion for row in stats.rows), 2)
+    totals = stats["total"]
     total = (
         "Total",
-        f"{stats.total_bytes / GB:.6f}",
-        f"{stats.total_files / 1000:.3f}",
-        f"{total_prop:.2f}",
+        f"{totals['size_gb']:.6f}",
+        f"{totals['files'] / 1000:.3f}",
+        f"{totals['proportion']:.2f}",
     )
     widths = [max(len(header[i]), len(total[i]), *(len(r[i]) for r in body)) for i in range(4)]
 
@@ -97,33 +88,10 @@ def render_stats_table(stats: CorpusStats) -> str:
     lines = [fmt(header), "-" * (sum(widths) + 6)]
     lines += [fmt(r) for r in body]
     lines.append(fmt(total))
-    if stats.drop_counters:
+    if stats["drop_counters"]:
         lines.append("")
         lines.append("Drop counters")
-        for stage, inner in stats.drop_counters.items():
+        for stage, inner in stats["drop_counters"].items():
             for reason, count in inner.items():
                 lines.append(f"  {stage}/{reason}: {count}")
     return "\n".join(lines) + "\n"
-
-
-def stats_to_dict(stats: CorpusStats) -> dict:
-    return {
-        "languages": [
-            {
-                "language": row.language,
-                "size_bytes": row.size_bytes,
-                "size_gb": row.size_bytes / GB,
-                "files": row.file_count,
-                "files_k": row.file_count / 1000,
-                "proportion": row.proportion,
-            }
-            for row in stats.rows
-        ],
-        "total": {
-            "size_bytes": stats.total_bytes,
-            "size_gb": stats.total_bytes / GB,
-            "files": stats.total_files,
-            "proportion": round(sum(r.proportion for r in stats.rows), 2),
-        },
-        "drop_counters": stats.drop_counters,
-    }

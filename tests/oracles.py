@@ -26,7 +26,6 @@ import numpy as np
 from repopipe.corpus import SourceFile
 from repopipe.decontam import NGRAM_SIZE, ContaminationIndex, ContaminationReport, tokenize
 from repopipe.dedup import _TOKEN
-from repopipe.deps import DependencyGraph, build_graph
 from repopipe.packing import PackResult, Tokenizer
 
 # The reference patterns and helpers as first written, copied rather
@@ -241,13 +240,15 @@ def connected_components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[
     return components
 
 
-def topological_sort(graph: DependencyGraph) -> list[list[str]]:
-    index = {p: i for i, p in enumerate(graph.nodes)}
-    in_degree = dict(graph.in_degree)
-    pairs = [(index[b], index[a]) for b, dependents in graph.adjacency.items() for a in dependents]
+def topological_sort(paths: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[list[str]]:
+    index = {p: i for i, p in enumerate(paths)}
+    distinct = set(edges)
+    in_degree = {p: sum(1 for a, _ in distinct if a == p) for p in paths}
+    dependents = {p: [a for a, b in distinct if b == p] for p in paths}
+    pairs = [(index[b], index[a]) for a, b in distinct]
     results: list[list[str]] = []
-    for members in connected_components(len(graph.nodes), pairs):
-        component = [graph.nodes[i] for i in members]
+    for members in connected_components(len(paths), pairs):
+        component = [paths[i] for i in members]
         selected: set[str] = set()
         order: list[str] = []
         for _ in range(len(component)):
@@ -255,7 +256,7 @@ def topological_sort(graph: DependencyGraph) -> list[list[str]]:
                 (p for p in component if p not in selected),
                 key=lambda p: (in_degree[p], index[p]),
             )
-            for dependent in graph.adjacency[node]:
+            for dependent in dependents[node]:
                 in_degree[dependent] -= 1
             selected.add(node)
             order.append(node)
@@ -267,8 +268,7 @@ def order_repo_files(files: Sequence[SourceFile]) -> tuple[list[SourceFile], lis
     paths = [f.path for f in files]
     by_path = {f.path: f for f in files}
     edges = [(f.path, dep) for f in files for dep in extract_dependencies(f, paths)]
-    graph = build_graph(paths, edges)
-    ordered = [by_path[p] for sub in topological_sort(graph) for p in sub]
+    ordered = [by_path[p] for sub in topological_sort(paths, edges) for p in sub]
     return ordered, edges
 
 

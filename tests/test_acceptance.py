@@ -18,9 +18,9 @@ from pathlib import Path
 
 from conftest import fixture_config
 from repopipe.corpus import SourceFile, compute_file_stats
-from repopipe.decontam import build_contamination_index, is_contaminated
+from repopipe.decontam import build_contamination_index, scan_text
 from repopipe.dedup import find_near_duplicates, minhash_signature
-from repopipe.deps import RepoSample, build_graph, topological_sort
+from repopipe.deps import topological_sort
 from repopipe.filters import apply_base_filters, filter_data_file, filter_html
 from repopipe.fim import EOS, FIM_START, DEFAULT_SENTINELS, FimConfig, fim_split, fim_transform
 from repopipe.packing import ByteTokenizer, pack_entries
@@ -72,7 +72,7 @@ def test_criterion_1_toposort_oracle_suite():
             ]
             for perm in orderings:
                 names = [f"n{i}" for i in perm]
-                order = _flat(topological_sort(build_graph(names, edges)))
+                order = _flat(topological_sort(names, edges))
                 assert sorted(order) == sorted(names)
                 assert _edge_violations(order, edges) == 0
                 dag_runs += 1
@@ -89,7 +89,7 @@ def test_criterion_1_toposort_oracle_suite():
             for j in range(i + 1, n)
             if rng.random() < 0.3
         ]
-        order = _flat(topological_sort(build_graph(names, edges)))
+        order = _flat(topological_sort(names, edges))
         assert sorted(order) == sorted(names)
         assert _edge_violations(order, edges) == 0
         dag_runs += 1
@@ -104,7 +104,7 @@ def test_criterion_1_toposort_oracle_suite():
             a, b = rng.choice(names), rng.choice(names)
             if a != b:
                 edges.add((a, b))
-        order = _flat(topological_sort(build_graph(names, sorted(edges))))
+        order = _flat(topological_sort(names, sorted(edges)))
         assert sorted(order) == sorted(names)
 
     elapsed = time.monotonic() - started
@@ -197,12 +197,9 @@ def test_criterion_3_dedup_recall_precision():
     for a, b in far_pairs:
         assert exact_jaccard(texts[a], texts[b]) <= 0.3
 
-    samples = [
-        RepoSample(repo_id=rid, ordered_paths=(), text=texts[rid], char_count=len(texts[rid]))
-        for rid in sorted(texts)
-    ]
-    signatures = [minhash_signature(s, num_perm=128, shingle_width=5) for s in samples]
-    clusters = find_near_duplicates(signatures, threshold=0.85, bands=16, rows=8)
+    signatures = {rid: minhash_signature(texts[rid], num_perm=128, shingle_width=5) for rid in sorted(texts)}
+    char_counts = {rid: len(text) for rid, text in texts.items()}
+    clusters = find_near_duplicates(signatures, char_counts, threshold=0.85, bands=16, rows=8)
     cluster_of: dict[str, int] = {}
     for idx, cluster in enumerate(clusters):
         for rid in cluster.member_repo_ids:
@@ -228,10 +225,6 @@ def test_criterion_3_dedup_recall_precision():
 # Criterion 4 — decontamination plants
 # ----------------------------------------------------------------------
 
-def _sample(rid: str, text: str) -> RepoSample:
-    return RepoSample(repo_id=rid, ordered_paths=(), text=text, char_count=len(text))
-
-
 def test_criterion_4_decontamination_plants():
     entries = []
     ten_gram_plants = []
@@ -239,27 +232,27 @@ def test_criterion_4_decontamination_plants():
         test_string = " ".join(f"tg{i}_{j}" for j in range(12))
         entries.append((test_string, f"bench{i % 4}"))
         window = " ".join(test_string.split()[1:11])
-        ten_gram_plants.append(_sample(f"ten{i}", f"filler start {window} filler end"))
+        ten_gram_plants.append(f"filler start {window} filler end")
 
     exact_plants = []
     for i in range(50):
         n = 3 + i % 7  # lengths 3..9
         test_string = " ".join(f"ex{i}_{j}" for j in range(n))
         entries.append((test_string, "exact-bench"))
-        exact_plants.append(_sample(f"ex{i}", f"before {test_string} after"))
+        exact_plants.append(f"before {test_string} after")
 
     near_misses = []
     for i in range(50):
         test_string = " ".join(f"nm{i}_{j}" for j in range(10))
         entries.append((test_string, "near-bench"))
         nine = " ".join(test_string.split()[:9])
-        near_misses.append(_sample(f"nm{i}", f"lead {nine} divergent_{i} tail"))
+        near_misses.append(f"lead {nine} divergent_{i} tail")
 
     index = build_contamination_index(entries)
 
-    flagged_ten = sum(1 for s in ten_gram_plants if is_contaminated(s, index).hit)
-    flagged_exact = sum(1 for s in exact_plants if is_contaminated(s, index).hit)
-    flagged_near = sum(1 for s in near_misses if is_contaminated(s, index).hit)
+    flagged_ten = sum(1 for s in ten_gram_plants if scan_text(s, index).hit)
+    flagged_exact = sum(1 for s in exact_plants if scan_text(s, index).hit)
+    flagged_near = sum(1 for s in near_misses if scan_text(s, index).hit)
 
     assert flagged_ten == 50, f"{flagged_ten}/50 ten-gram plants flagged"
     assert flagged_exact == 50, f"{flagged_exact}/50 exact plants flagged"
@@ -387,8 +380,8 @@ def test_criterion_8_stats_report(tmp_path):
         lang_bytes = {f"L{i:02d}": rng.randint(1, 5_000_000) for i in range(n)}
         lang_files = {k: rng.randint(1, 500) for k in lang_bytes}
         stats = compute_corpus_stats(lang_bytes, lang_files)
-        assert abs(sum(r.proportion for r in stats.rows) - 100.0) <= 0.05
-        assert sum(r.size_bytes for r in stats.rows) == stats.total_bytes
-        assert sum(r.file_count for r in stats.rows) == stats.total_files
+        assert abs(sum(r["proportion"] for r in stats["languages"]) - 100.0) <= 0.05
+        assert sum(r["size_bytes"] for r in stats["languages"]) == stats["total"]["size_bytes"]
+        assert sum(r["files"] for r in stats["languages"]) == stats["total"]["files"]
 
     _report("criterion 8 — proportions sum to 100.00 ± 0.05 and totals equal column sums")

@@ -88,14 +88,14 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "bad_line, problem",
-        [('{"benchmark": "b"}', '"text" field'), ("not json", "not JSON"),
-         ('{"text": null}', "must be strings")],
+        [(b'{"benchmark": "b"}', '"text" field'), (b"not json", "not JSON"),
+         (b'{"text": null}', "must be strings"), (b'{"text": "caf\xff"}', "not UTF-8")],
     )
     def test_malformed_benchmark_line_is_named(self, tmp_path, capsys, bad_line, problem):
         corpus, bench = build_fixture_corpus(tmp_path)
-        with open(bench, "a", encoding="utf-8") as fh:
-            fh.write(bad_line + "\n")
-        line = len(bench.read_text(encoding="utf-8").splitlines())
+        with open(bench, "ab") as fh:
+            fh.write(bad_line + b"\n")
+        line = len(bench.read_bytes().splitlines())
         cfg_path = write_config(tmp_path, corpus, bench)
         assert main(["run", "--config", str(cfg_path)]) == EXIT_STAGE
         err = capsys.readouterr().err
@@ -113,6 +113,15 @@ class TestFullRun:
         assert sorted((out / "entries").glob("entries-*.jsonl"))
         printed = capsys.readouterr().out
         assert "Python" in printed and "Total" in printed
+
+    def test_stats_needs_only_the_output_dir(self, tmp_path, capsys):
+        corpus, bench = build_fixture_corpus(tmp_path)
+        cfg_path = write_config(tmp_path, corpus, bench)
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+        table, done = capsys.readouterr().out.rsplit("stages run: ", 1)
+        assert "Total" in table and done.startswith("filter, order")
+        assert main(["stats", "--output-dir", str(tmp_path / "cli_out")]) == EXIT_OK
+        assert capsys.readouterr().out == table
 
     def test_stage_by_stage_matches_full_run(self, tmp_path):
         corpus, bench = build_fixture_corpus(tmp_path)

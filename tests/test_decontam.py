@@ -2,14 +2,8 @@ from __future__ import annotations
 
 from repopipe.decontam import (
     build_contamination_index,
-    is_contaminated,
     scan_text,
 )
-from repopipe.deps import RepoSample
-
-
-def sample(text: str, repo_id: str = "r") -> RepoSample:
-    return RepoSample(repo_id=repo_id, ordered_paths=(), text=text, char_count=len(text))
 
 
 TWELVE = "tok0 tok1 tok2 tok3 tok4 tok5 tok6 tok7 tok8 tok9 tok10 tok11"
@@ -47,28 +41,28 @@ class TestScan:
     def test_planted_ten_gram_hit_with_benchmark(self):
         index = build_contamination_index([(TWELVE, "humaneval-like")])
         text = "leading filler words here " + " ".join(TWELVE.split()[1:11]) + " trailing bits"
-        report = is_contaminated(sample(text), index)
+        report = scan_text(text, index)
         assert report.hit
         assert report.benchmarks == ("humaneval-like",)
 
     def test_nine_token_overlap_is_not_a_hit(self):
         index = build_contamination_index([(TWELVE, "b")])
         nine = " ".join(TWELVE.split()[0:9])
-        report = is_contaminated(sample(f"start {nine} divergent_token end"), index)
+        report = scan_text(f"start {nine} divergent_token end", index)
         assert not report.hit
 
     def test_empty_sample_no_hit(self):
         index = build_contamination_index([(TWELVE, "b")])
-        assert not is_contaminated(sample(""), index).hit
+        assert not scan_text("", index).hit
 
     def test_exact_match_tier(self):
         index = build_contamination_index([(FIVE, "b")])
-        assert is_contaminated(sample(f"pre {FIVE} post"), index).hit
+        assert scan_text(f"pre {FIVE} post", index).hit
 
     def test_exact_tier_requires_whole_string(self):
         index = build_contamination_index([(FIVE, "b")])
         four = " ".join(FIVE.split()[:4])
-        assert not is_contaminated(sample(f"pre {four} post"), index).hit
+        assert not scan_text(f"pre {four} post", index).hit
 
     def test_whitespace_insertion_does_not_evade(self):
         index = build_contamination_index([(FIVE, "b")])

@@ -17,7 +17,6 @@ from repopipe.dedup import (
     shingle_set,
     signature_similarity,
 )
-from repopipe.deps import RepoSample
 
 # --- independent oracle: exact Jaccard over word shingles -------------
 
@@ -36,8 +35,11 @@ def exact_jaccard(a: str, b: str, width: int = 5) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def sample(repo_id: str, text: str) -> RepoSample:
-    return RepoSample(repo_id=repo_id, ordered_paths=(), text=text, char_count=len(text))
+def dedup_input(texts: dict[str, str], **kwargs) -> tuple[dict, dict]:
+    """find_near_duplicates' signatures and char_counts for texts keyed
+    by repo id."""
+    signatures = {rid: minhash_signature(t, **kwargs) for rid, t in texts.items()}
+    return signatures, {rid: len(t) for rid, t in texts.items()}
 
 
 def random_text(rng: random.Random, prefix: str, n_tokens: int = 240) -> list[str]:
@@ -56,9 +58,9 @@ def perturb(tokens: list[str], rng: random.Random, k: int) -> list[str]:
 class TestSignature:
     def test_identical_texts_identical_signatures(self):
         text = "the quick brown fox jumps over the lazy dog " * 30
-        s1 = minhash_signature(sample("a", text))
-        s2 = minhash_signature(sample("b", text))
-        assert s1.values == s2.values
+        s1 = minhash_signature(text)
+        s2 = minhash_signature(text)
+        assert s1 == s2
 
     def test_shingle_set_semantics_order_independent(self):
         # Same shingle set at width 1, different token order.
@@ -66,9 +68,9 @@ class TestSignature:
         toks = random_text(rng, "w", 120)
         shuffled = list(toks)
         rng.shuffle(shuffled)
-        s1 = minhash_signature(sample("a", " ".join(toks)), shingle_width=1)
-        s2 = minhash_signature(sample("b", " ".join(shuffled)), shingle_width=1)
-        assert s1.values == s2.values
+        s1 = minhash_signature(" ".join(toks), shingle_width=1)
+        s2 = minhash_signature(" ".join(shuffled), shingle_width=1)
+        assert s1 == s2
 
     def test_match_fraction_tracks_jaccard_half(self):
         # Exact Jaccard 1/2 at width 1: second text adds as many new
@@ -80,19 +82,17 @@ class TestSignature:
         sa = oracle_shingles(t1, 1)
         sb = oracle_shingles(t2, 1)
         assert len(sa & sb) / len(sa | sb) == pytest.approx(0.5)
-        s1 = minhash_signature(sample("a", t1), num_perm=128, shingle_width=1)
-        s2 = minhash_signature(sample("b", t2), num_perm=128, shingle_width=1)
+        s1 = minhash_signature(t1, num_perm=128, shingle_width=1)
+        s2 = minhash_signature(t2, num_perm=128, shingle_width=1)
         assert abs(signature_similarity(s1, s2) - 0.5) <= 0.15
 
     def test_deterministic_across_calls(self):
         text = "alpha beta gamma delta " * 50
-        assert minhash_signature(sample("a", text)).values == minhash_signature(
-            sample("a", text)
-        ).values
+        assert minhash_signature(text) == minhash_signature(text)
 
     def test_short_text_single_truncated_shingle(self):
-        s = minhash_signature(sample("a", "only three tokens"), shingle_width=5)
-        assert len(s.values) == 128
+        s = minhash_signature("only three tokens", shingle_width=5)
+        assert len(s) == 128
 
     def test_golden_values(self):
         # Pinned, so a change in numpy's integer promotion (or in any
@@ -103,12 +103,12 @@ class TestSignature:
             2247479744533809214, 3377820807482938788, 8189267298377266199,
             10458173425102925378, 13367440680171246321,
         ]
-        s = minhash_signature(sample("g", text), num_perm=16, shingle_width=5, seed=1)
-        assert s.values[:4] == (
+        s = minhash_signature(text, num_perm=16, shingle_width=5, seed=1)
+        assert s[:4] == (
             15897312432279876219, 13342612545834489863, 12784274225584955474, 8624054968808167955,
         )
-        s = minhash_signature(sample("g", text), num_perm=16, shingle_width=2, seed=7)
-        assert s.values[:4] == (
+        s = minhash_signature(text, num_perm=16, shingle_width=2, seed=7)
+        assert s[:4] == (
             13067506693598074736, 11831557251777760545, 8698850239035061250, 8210881239056348427,
         )
 
@@ -131,8 +131,8 @@ class TestSignature:
         ta, tb = " ".join(a), " ".join(b)
         jaccard = len(set(a) & set(b)) / len(set(a) | set(b))
         bound = 4 * math.sqrt(jaccard * (1 - jaccard) / k) + 1 / k
-        sa = minhash_signature(sample("a", ta), num_perm=k, shingle_width=1, seed=seed)
-        sb = minhash_signature(sample("b", tb), num_perm=k, shingle_width=1, seed=seed)
+        sa = minhash_signature(ta, num_perm=k, shingle_width=1, seed=seed)
+        sb = minhash_signature(tb, num_perm=k, shingle_width=1, seed=seed)
         assert abs(signature_similarity(sa, sb) - jaccard) <= bound
         fa = oracles.full_table_values(ta, k, 1, seed)
         fb = oracles.full_table_values(tb, k, 1, seed)
@@ -140,11 +140,11 @@ class TestSignature:
 
     def test_num_perm_floor(self):
         with pytest.raises(ValueError):
-            minhash_signature(sample("a", "x y z"), num_perm=8)
+            minhash_signature("x y z", num_perm=8)
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            minhash_signature(sample("a", ""))
+            minhash_signature("")
 
 
 class TestFindNearDuplicates:
@@ -154,8 +154,7 @@ class TestFindNearDuplicates:
         near = perturb(base, rng, k=2)
         t1, t2 = " ".join(base), " ".join(near)
         assert exact_jaccard(t1, t2) >= 0.85
-        sigs = [minhash_signature(sample("a", t1)), minhash_signature(sample("b", t2))]
-        clusters = find_near_duplicates(sigs, threshold=0.85)
+        clusters = find_near_duplicates(*dedup_input({"a": t1, "b": t2}), threshold=0.85)
         assert len(clusters) == 1
         assert clusters[0].member_repo_ids == ("a", "b")
 
@@ -164,8 +163,7 @@ class TestFindNearDuplicates:
         t1 = " ".join(random_text(rng, "x"))
         t2 = " ".join(random_text(rng, "y"))
         assert exact_jaccard(t1, t2) == 0.0
-        sigs = [minhash_signature(sample("a", t1)), minhash_signature(sample("b", t2))]
-        assert find_near_duplicates(sigs, threshold=0.85) == []
+        assert find_near_duplicates(*dedup_input({"a": t1, "b": t2}), threshold=0.85) == []
 
     def test_transitive_cluster_of_three(self):
         rng = random.Random(31)
@@ -174,38 +172,34 @@ class TestFindNearDuplicates:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert exact_jaccard(texts[i], texts[j]) >= 0.85
-        sigs = [minhash_signature(sample(f"r{i}", t)) for i, t in enumerate(texts)]
-        clusters = find_near_duplicates(sigs, threshold=0.85)
+        inputs = dedup_input({f"r{i}": t for i, t in enumerate(texts)})
+        clusters = find_near_duplicates(*inputs, threshold=0.85)
         assert len(clusters) == 1
         assert clusters[0].member_repo_ids == ("r0", "r1", "r2")
 
     def test_mismatched_num_perm_rejected(self):
         text = "a b c d e f g h i j " * 20
-        s1 = minhash_signature(sample("a", text), num_perm=128)
-        s2 = minhash_signature(sample("b", text), num_perm=64)
+        s1 = minhash_signature(text, num_perm=128)
+        s2 = minhash_signature(text, num_perm=64)
         with pytest.raises(ValueError):
-            find_near_duplicates([s1, s2], bands=16, rows=8)
+            find_near_duplicates({"a": s1, "b": s2}, {"a": 200, "b": 200}, bands=16, rows=8)
 
     def test_banding_shape_must_cover_signature(self):
-        s = minhash_signature(sample("a", "x y z " * 30))
+        s = minhash_signature("x y z " * 30)
         with pytest.raises(ValueError):
-            find_near_duplicates([s], bands=10, rows=10)
+            find_near_duplicates({"a": s}, {"a": 180}, bands=10, rows=10)
 
     def test_representative_uses_sizes_when_given(self):
         rng = random.Random(41)
         base = random_text(rng, "s")
         t1, t2 = " ".join(base), " ".join(perturb(base, rng, 1))
-        sigs = [minhash_signature(sample("big", t1)), minhash_signature(sample("sml", t2))]
-        clusters = find_near_duplicates(
-            sigs, threshold=0.85, char_counts={"big": 9000, "sml": 100}
-        )
+        sigs = {"big": minhash_signature(t1), "sml": minhash_signature(t2)}
+        clusters = find_near_duplicates(sigs, {"big": 9000, "sml": 100}, threshold=0.85)
         assert clusters[0].representative == "big"
 
 
-def representatives(samples: list[RepoSample]) -> list[str]:
-    sigs = [minhash_signature(s) for s in samples]
-    char_counts = {s.repo_id: s.char_count for s in samples}
-    clusters = find_near_duplicates(sigs, threshold=0.85, char_counts=char_counts)
+def representatives(texts: dict[str, str]) -> list[str]:
+    clusters = find_near_duplicates(*dedup_input(texts), threshold=0.85)
     return [c.representative for c in clusters]
 
 
@@ -214,25 +208,18 @@ class TestDedupRepos:
     find_near_duplicates picks from char_counts."""
 
     def test_largest_sample_retained(self):
-        a = sample("A", "x " * 5000)
-        b = sample("B", "x " * 4000)
-        assert representatives([b, a]) == ["A"]
+        assert representatives({"B": "x " * 4000, "A": "x " * 5000}) == ["A"]
 
     def test_equal_size_tie_lexicographic(self):
-        x = sample("X", "q " * 100)
-        y = sample("Y", "q " * 100)
-        assert representatives([y, x]) == ["X"]
+        assert representatives({"Y": "q " * 100, "X": "q " * 100}) == ["X"]
 
     def test_retained_count_identity(self):
         rng = random.Random(47)
         bases = [random_text(rng, f"v{i}", 240) for i in range(3)]
         texts = [bases[0], perturb(bases[0], rng, 1), perturb(bases[0], rng, 2), bases[1],
                  bases[2], perturb(bases[2], rng, 1)]
-        samples = [sample(f"r{i}", " ".join(t)) for i, t in enumerate(texts)]
-        sigs = [minhash_signature(s) for s in samples]
-        clusters = find_near_duplicates(
-            sigs, threshold=0.85, char_counts={s.repo_id: s.char_count for s in samples}
-        )
+        samples = {f"r{i}": " ".join(t) for i, t in enumerate(texts)}
+        clusters = find_near_duplicates(*dedup_input(samples), threshold=0.85)
         assert [c.member_repo_ids for c in clusters] == [("r0", "r1", "r2"), ("r4", "r5")]
         dropped = sum(len(c.member_repo_ids) - 1 for c in clusters)
         assert len(samples) - dropped == 3
@@ -240,23 +227,20 @@ class TestDedupRepos:
     def test_idempotent(self):
         rng = random.Random(53)
         base = random_text(rng, "idem")
-        samples = [
-            sample("a", " ".join(base)),
-            sample("b", " ".join(perturb(base, rng, 1))),
-            sample("c", " ".join(random_text(rng, "other"))),
-        ]
+        samples = {
+            "a": " ".join(base),
+            "b": " ".join(perturb(base, rng, 1)),
+            "c": " ".join(random_text(rng, "other")),
+        }
 
         def survivors(ss):
-            sigs = [minhash_signature(s) for s in ss]
-            clusters = find_near_duplicates(
-                sigs, threshold=0.85, char_counts={s.repo_id: s.char_count for s in ss}
-            )
+            clusters = find_near_duplicates(*dedup_input(ss), threshold=0.85)
             drop = {rid for c in clusters for rid in c.member_repo_ids if rid != c.representative}
-            return [s for s in ss if s.repo_id not in drop]
+            return {rid: t for rid, t in ss.items() if rid not in drop}
 
         once = survivors(samples)
         assert len(once) == 2
-        assert [s.repo_id for s in survivors(once)] == [s.repo_id for s in once]
+        assert list(survivors(once)) == list(once)
 
     def test_invalid_representative_rejected(self):
         with pytest.raises(ValueError):

@@ -2,18 +2,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import asdict
 
 import pytest
 
 from repopipe.corpus import LanguageMap, SourceFile, detect_language
 from repopipe.deps import (
-    build_graph,
     concatenate_with_paths,
     extract_dependencies,
     order_repo_files,
     path_comment,
     topological_sort,
 )
+from repopipe.pipeline import _order_repo_worker
 
 
 LANG_MAP = LanguageMap.load()
@@ -180,59 +181,70 @@ class TestExtractDependencies:
 
 
 class TestBuildGraph:
+    """The graph topological_sort builds from (paths, edges): each
+    distinct (dependent, dependency) pair is one edge dependency ->
+    dependent and bumps the dependent's in-degree once."""
+
     def test_two_files_one_edge(self):
-        g = build_graph(["A", "B"], [("A", "B")])
-        assert g.adjacency == {"A": [], "B": ["A"]}
-        assert g.in_degree == {"A": 1, "B": 0}
+        # The edge joins A and B, not C; B has in-degree 0 and A 1, so B
+        # goes first despite input order.
+        assert topological_sort(["A", "B", "C"], [("A", "B")]) == [["B", "A"], ["C"]]
 
     def test_singleton(self):
-        g = build_graph(["A"], [])
-        assert g.adjacency == {"A": []}
-        assert g.in_degree == {"A": 0}
+        assert topological_sort(["A"], []) == [["A"]]
 
     def test_three_files_three_edges(self):
-        g = build_graph(["A", "B", "C"], [("A", "B"), ("B", "C"), ("A", "C")])
-        assert g.in_degree == {"A": 2, "B": 1, "C": 0}
+        # In-degrees A=2, B=1, C=0: C, then B, then A.
+        assert topological_sort(["A", "B", "C"], [("A", "B"), ("B", "C"), ("A", "C")]) == [["C", "B", "A"]]
 
     def test_duplicate_pair_counted_once(self):
-        g = build_graph(["A", "B"], [("A", "B"), ("A", "B")])
-        assert g.in_degree["A"] == 1
-        assert g.adjacency["B"] == ["A"]
+        # A and B each have in-degree 1, so the tie goes to A by input
+        # order; counted twice, A's in-degree 2 would put B first.
+        assert topological_sort(["A", "B"], [("A", "B"), ("A", "B"), ("B", "A")]) == [["A", "B"]]
+
+    def test_duplicate_pair_decremented_once(self):
+        # Selecting X leaves B and A at in-degree 1 each, so B goes next
+        # by input order; decremented twice for the repeated (A, X), A
+        # would drop to 0 and go first.
+        edges = [("B", "A"), ("B", "X"), ("A", "X"), ("A", "X"), ("A", "B")]
+        assert topological_sort(["X", "B", "A"], edges) == [["X", "B", "A"]]
 
     def test_unknown_endpoint_rejected(self):
-        with pytest.raises(ValueError):
-            build_graph(["A"], [("A", "B")])
+        with pytest.raises(ValueError, match="endpoint"):
+            topological_sort(["A"], [("A", "B")])
+
+    def test_duplicate_path_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            topological_sort(["A", "A"], [])
 
     def test_in_degree_counts_incoming_edges(self):
+        # Each subgraph starts at its member with the fewest distinct
+        # dependencies, ties broken by input order.
         rng = random.Random(5)
         nodes = [f"n{i}" for i in range(8)]
         edges = list({(rng.choice(nodes), rng.choice(nodes)) for _ in range(20)})
         edges = [(a, b) for a, b in edges if a != b]
-        g = build_graph(nodes, edges)
-        for node in nodes:
-            assert g.in_degree[node] == sum(1 for a, _ in edges if a == node)
+        for sub in topological_sort(nodes, edges + edges[:5]):
+            first = min(sub, key=lambda n: (sum(1 for a, _ in edges if a == n), nodes.index(n)))
+            assert sub[0] == first
 
 
 class TestTopologicalSort:
     def test_dependency_first(self):
-        g = build_graph(["A", "B"], [("A", "B")])
-        assert topological_sort(g) == [["B", "A"]]
+        assert topological_sort(["A", "B"], [("A", "B")]) == [["B", "A"]]
 
     def test_isolated_files_are_separate_subgraphs(self):
-        g = build_graph(["A", "B"], [])
-        assert topological_sort(g) == [["A"], ["B"]]
+        assert topological_sort(["A", "B"], []) == [["A"], ["B"]]
 
     def test_two_cycle(self):
-        g = build_graph(["A", "B"], [("A", "B"), ("B", "A")])
-        assert topological_sort(g) == [["A", "B"]]
+        assert topological_sort(["A", "B"], [("A", "B"), ("B", "A")]) == [["A", "B"]]
 
     def test_subgraphs_ordered_by_first_input_index(self):
-        g = build_graph(["X", "M", "Y"], [("Y", "X")])
-        assert topological_sort(g) == [["X", "Y"], ["M"]]
+        assert topological_sort(["X", "M", "Y"], [("Y", "X")]) == [["X", "Y"], ["M"]]
 
     def test_deterministic(self):
-        g = build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-        assert topological_sort(g) == topological_sort(g)
+        g = (["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+        assert topological_sort(*g) == topological_sort(*g)
 
     def test_exhaustive_small_dags(self):
         # Every DAG shape on <= 4 nodes under every input ordering.
@@ -243,8 +255,7 @@ class TestTopologicalSort:
                 for perm in itertools.permutations(range(n)):
                     names = [f"f{p}" for p in perm]
                     edges = [(f"f{j}", f"f{i}") for i, j in edges_idx]
-                    g = build_graph(names, edges)
-                    order = flat_order(topological_sort(g))
+                    order = flat_order(topological_sort(names, edges))
                     assert sorted(order) == sorted(names)
                     assert edge_violations(order, edges) == 0
 
@@ -258,15 +269,13 @@ class TestTopologicalSort:
                 a, b = rng.choice(nodes), rng.choice(nodes)
                 if a != b:
                     edges.add((a, b))
-            g = build_graph(nodes, sorted(edges))
-            order = flat_order(topological_sort(g))
+            order = flat_order(topological_sort(nodes, sorted(edges)))
             assert sorted(order) == sorted(nodes)
 
     def test_subgraphs_partition_nodes(self):
-        g = build_graph(
+        subs = topological_sort(
             ["a", "b", "c", "d", "e"], [("a", "b"), ("c", "d")]
         )
-        subs = topological_sort(g)
         seen = [node for sub in subs for node in sub]
         assert sorted(seen) == ["a", "b", "c", "d", "e"]
         assert len(set(seen)) == len(seen)
@@ -274,19 +283,22 @@ class TestTopologicalSort:
 
 class TestConcatenate:
     def test_single_python_file(self):
-        out = concatenate_with_paths("r", [sf("a.py", "x=1")])
-        assert out.text == "# a.py\nx=1\n\n"
-        assert out.ordered_paths == ("a.py",)
-        assert out.char_count == len(out.text)
+        assert concatenate_with_paths([sf("a.py", "x=1")]) == "# a.py\nx=1\n\n"
 
     def test_path_comments_in_given_order(self):
-        out = concatenate_with_paths("r", [sf("b.py", "b=2"), sf("a.py", "a=1")])
-        assert out.text.index("# b.py") < out.text.index("# a.py")
-        assert out.ordered_paths == ("b.py", "a.py")
+        files = [sf("b.py", "b=2"), sf("a.py", "a=1")]
+        out = concatenate_with_paths(files)
+        assert out.index("# b.py") < out.index("# a.py")
+        # The order stage's record of that sample (ordering off keeps
+        # the given order) lists the same paths and counts its chars.
+        record, _ = _order_repo_worker(("r", [asdict(f) for f in files]), False)
+        assert record["text"] == out
+        assert record["ordered_paths"] == ["b.py", "a.py"]
+        assert record["char_count"] == len(out)
 
     def test_c_comment_token(self):
-        out = concatenate_with_paths("r", [sf("main.c", "int main(){}")])
-        assert out.text.startswith("// main.c\n")
+        out = concatenate_with_paths([sf("main.c", "int main(){}")])
+        assert out.startswith("// main.c\n")
 
     def test_html_comment_wrapped(self):
         assert path_comment("page.html", "HTML") == "<!-- page.html -->"
@@ -296,9 +308,9 @@ class TestConcatenate:
 
     def test_contents_appear_exactly_once(self):
         files = [sf(f"m{i}.py", f"unique_payload_{i} = {i}\n") for i in range(5)]
-        out = concatenate_with_paths("r", files)
+        out = concatenate_with_paths(files)
         for f in files:
-            assert out.text.count(f.content) == 1
+            assert out.count(f.content) == 1
 
 
 class TestOrderRepoFiles:

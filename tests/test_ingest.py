@@ -122,6 +122,30 @@ def test_undecodable_file_name_counted_as_decode_error(tmp_path):
     assert [f.path for f in repos[0].files] == ["ok.py"]
 
 
+def test_symlinked_files_skipped_and_counted(tmp_path):
+    # A dangling link and a link out of the corpus are both skipped; a
+    # top-level repo entry that links to a checkout is still a repo.
+    outside = tmp_path / "outside.py"
+    outside.write_text("secret = 1\n")
+    root = tmp_path / "corpus" / "r1"
+    root.mkdir(parents=True)
+    (root / "a.py").write_text("a = 1\n")
+    (root / "b.py").symlink_to(tmp_path / "missing.py")
+    (root / "c.py").symlink_to(outside)
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    (checkout / "m.py").write_text("m = 1\n")
+    (tmp_path / "corpus" / "r2").symlink_to(checkout, target_is_directory=True)
+    counters: dict[str, int] = {}
+    repos = load_repos([str(tmp_path / "corpus")], counters)
+    assert counters == {"symlink": 2}
+    assert [(r.repo_id, [f.path for f in r.files]) for r in repos] == [("r1", ["a.py"]), ("r2", ["m.py"])]
+    cfg = PipelineConfig(inputs=[str(tmp_path / "corpus")], output_dir=str(tmp_path / "out"))
+    run_pipeline(cfg)
+    manifest = json.loads((tmp_path / "out" / "manifests" / "filter.json").read_text())
+    assert manifest["ingest_counters"] == {"symlink": 2}
+
+
 def test_jsonl_input_through_full_pipeline(tmp_path):
     stream = tmp_path / "corpus.jsonl"
     rows = [

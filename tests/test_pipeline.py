@@ -134,8 +134,8 @@ class TestVacuousRun:
         empty.mkdir()
         cfg = PipelineConfig(inputs=[str(empty)], output_dir=str(tmp_path / "out"))
         summary = run_pipeline(cfg)
-        assert summary.stats.total_bytes == 0
-        assert summary.stats.rows == []
+        assert summary.stats["total"]["size_bytes"] == 0
+        assert summary.stats["languages"] == []
         stats = json.loads((tmp_path / "out" / "stats.json").read_text())
         assert stats["total"]["files"] == 0
 
@@ -435,10 +435,10 @@ class TestChain:
             for lang, count in rec["lang_files"].items():
                 lang_files[lang] = lang_files.get(lang, 0) + count
         stats = emit_stats(cfg)
-        assert {r.language: r.size_bytes for r in stats.rows} == lang_bytes
-        assert {r.language: r.file_count for r in stats.rows} == lang_files
-        assert stats.total_files == sum(lang_files.values()) == 5
-        assert "decontaminate" not in stats.drop_counters
+        assert {r["language"]: r["size_bytes"] for r in stats["languages"]} == lang_bytes
+        assert {r["language"]: r["files"] for r in stats["languages"]} == lang_files
+        assert stats["total"]["files"] == sum(lang_files.values()) == 5
+        assert "decontaminate" not in stats["drop_counters"]
 
     def test_stage_command_needs_predecessor_in_chain(self, tmp_path, monkeypatch):
         from repopipe.pipeline import StageFailure, run_stage

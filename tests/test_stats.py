@@ -2,30 +2,30 @@ from __future__ import annotations
 
 import random
 
-from repopipe.stats import compute_corpus_stats, render_stats_table, stats_to_dict
+from repopipe.stats import compute_corpus_stats, render_stats_table
 
 
 class TestComputeStats:
     def test_single_language_is_everything(self):
         stats = compute_corpus_stats({"Python": 1234}, {"Python": 3})
-        assert len(stats.rows) == 1
-        assert stats.rows[0].proportion == 100.0
-        assert stats.total_bytes == 1234
-        assert stats.total_files == 3
+        assert len(stats["languages"]) == 1
+        assert stats["languages"][0]["proportion"] == 100.0
+        assert stats["total"]["size_bytes"] == 1234
+        assert stats["total"]["files"] == 3
 
     def test_three_to_one_ratio(self):
         stats = compute_corpus_stats({"Python": 300, "Go": 100}, {"Python": 3, "Go": 1})
-        by_lang = {r.language: r.proportion for r in stats.rows}
+        by_lang = {r["language"]: r["proportion"] for r in stats["languages"]}
         assert by_lang == {"Python": 75.0, "Go": 25.0}
 
     def test_totals_equal_column_sums(self):
         lang_bytes = {"A": 10, "B": 25, "C": 65}
         lang_files = {"A": 1, "B": 2, "C": 3}
         stats = compute_corpus_stats(lang_bytes, lang_files)
-        assert stats.total_bytes == sum(lang_bytes.values())
-        assert stats.total_files == sum(lang_files.values())
-        assert sum(r.size_bytes for r in stats.rows) == stats.total_bytes
-        assert sum(r.file_count for r in stats.rows) == stats.total_files
+        assert stats["total"]["size_bytes"] == sum(lang_bytes.values())
+        assert stats["total"]["files"] == sum(lang_files.values())
+        assert sum(r["size_bytes"] for r in stats["languages"]) == stats["total"]["size_bytes"]
+        assert sum(r["files"] for r in stats["languages"]) == stats["total"]["files"]
 
     def test_proportions_sum_near_100_on_random_corpora(self):
         rng = random.Random(2024)
@@ -33,18 +33,18 @@ class TestComputeStats:
             n = rng.randint(1, 40)
             lang_bytes = {f"L{i}": rng.randint(1, 10_000_000) for i in range(n)}
             stats = compute_corpus_stats(lang_bytes, {k: 1 for k in lang_bytes})
-            assert abs(sum(r.proportion for r in stats.rows) - 100.0) <= 0.05
+            assert abs(sum(r["proportion"] for r in stats["languages"]) - 100.0) <= 0.05
 
     def test_empty_corpus(self):
         stats = compute_corpus_stats({}, {})
-        assert stats.rows == []
-        assert stats.total_bytes == 0
+        assert stats["languages"] == []
+        assert stats["total"]["size_bytes"] == 0
 
     def test_drop_counters_passed_through_sorted(self):
         stats = compute_corpus_stats(
             {"A": 1}, {"A": 1}, {"filter": {"z_rule": 2, "a_rule": 1}}
         )
-        assert list(stats.drop_counters["filter"]) == ["a_rule", "z_rule"]
+        assert list(stats["drop_counters"]["filter"]) == ["a_rule", "z_rule"]
 
 
 class TestRender:
@@ -62,8 +62,7 @@ class TestRender:
         assert "filter/max_line_len: 5" in render_stats_table(stats)
 
     def test_machine_readable_shape(self):
-        stats = compute_corpus_stats({"Python": 10, "Go": 30}, {"Python": 1, "Go": 1})
-        payload = stats_to_dict(stats)
+        payload = compute_corpus_stats({"Python": 10, "Go": 30}, {"Python": 1, "Go": 1})
         assert payload["total"]["size_bytes"] == 40
         assert payload["total"]["files"] == 2
         assert {row["language"] for row in payload["languages"]} == {"Python", "Go"}

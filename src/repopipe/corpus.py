@@ -7,6 +7,7 @@ over files without shared state.
 from __future__ import annotations
 
 import json
+import string
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import PurePosixPath
@@ -89,7 +90,10 @@ def compute_file_stats(content: str) -> FileStats:
     if char_count == 0:
         return FileStats(0.0, 0, 0.0, 0)
     line_lens = [len(line) for line in content.splitlines()]
-    alpha = sum(map(str.isalpha, content))
+    if content.isascii():  # the letters are then exactly ascii_letters
+        alpha = char_count - len(content.encode().translate(None, string.ascii_letters.encode()))
+    else:
+        alpha = sum(map(str.isalpha, content))
     return FileStats(
         avg_line_len=sum(line_lens) / len(line_lens),
         max_line_len=max(line_lens),

@@ -5,7 +5,8 @@ Two input shapes are accepted per configured path:
   - a directory: every immediate subdirectory is one repository
     (repo_id = subdirectory name), walked recursively in sorted order;
     dot-directories (.git and friends) are skipped, and so is a
-    symlinked file, which may lie outside the corpus or nowhere;
+    symlinked file or directory, which may lie outside the corpus or
+    nowhere;
   - a *.jsonl file: one object per file with repo_id, path, content.
 
 Files that fail UTF-8 decoding, or whose repo id, path or content holds
@@ -42,11 +43,13 @@ class RawRepo:
 
 def _walk_repo_dir(root: str, counters: dict[str, int]) -> list[tuple[str, str]]:
     """(repo-relative posix path, absolute path) pairs, sorted walk.
-    A symlinked file is skipped and counted; os.walk does not descend
-    into a symlinked directory."""
+    A symlinked file or directory is skipped and counted."""
     out: list[tuple[str, str]] = []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
+        for name in [d for d in dirnames if os.path.islink(os.path.join(dirpath, d))]:
+            dirnames.remove(name)
+            counters[DROP_SYMLINK] = counters.get(DROP_SYMLINK, 0) + 1
         for name in sorted(filenames):
             if name.startswith("."):
                 continue

@@ -1,10 +1,11 @@
 """Tokenization interface and fixed-length entry packing.
 
-Token streams of all documents are concatenated in order into one
-uint32 stream, viewed as entries of exactly entry_len tokens. The
-trailing partial slice is dropped by default or padded with eos when
-configured; either way token accounting is exact: entry tokens +
-dropped tail = total tokens.
+Token streams of documents are concatenated in order into one uint32
+stream, viewed as entries of exactly entry_len tokens. The trailing
+partial slice is dropped by default or padded with eos when configured;
+either way token accounting is exact: entry tokens + dropped tail =
+total tokens. The partial slice can instead be carried into the next
+call, so a caller can pack one document at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from typing import Iterable, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from .fim import DEFAULT_SENTINELS, SentinelSet
+
+ENCODE_SLICE = 1 << 16  # characters per numpy conversion: a 256 KiB uint32 temporary
 
 
 @runtime_checkable
@@ -49,17 +52,19 @@ class ByteTokenizer:
         self.eos_id = self._sentinel_ids[sentinels.eos]
 
     def encode(self, text: str) -> array:
-        """An array("I") of ids; byte runs go through numpy, not one
-        Python int per byte."""
+        """An array("I") of ids; the text between sentinels goes through
+        numpy in slices of ENCODE_SLICE characters, neither one Python
+        int per byte nor one uint32 temporary per document."""
         ids = array("I")
-        for part in self._splitter.split(text):
-            if not part:
-                continue
-            if part in self._sentinel_ids:
-                ids.append(self._sentinel_ids[part])
-            else:
-                run = np.frombuffer(part.encode("utf-8"), np.uint8).astype("=u4")
-                ids.frombytes(run.view(np.uint8))
+        pos = 0
+        for match in [*self._splitter.finditer(text), None]:
+            end = match.start() if match else len(text)
+            for lo in range(pos, end, ENCODE_SLICE):
+                run = text[lo : min(lo + ENCODE_SLICE, end)].encode("utf-8")
+                ids.frombytes(np.frombuffer(run, np.uint8).astype("=u4").view(np.uint8))
+            if match:
+                ids.append(self._sentinel_ids[match.group()])
+                pos = match.end()
         return ids
 
     def decode(self, ids: Iterable[int]) -> str:
@@ -82,6 +87,8 @@ class ByteTokenizer:
 class PackResult:
     """`entries` is an (n, entry_len) uint32 matrix, one row per entry;
     doc_boundaries[k] lists the offsets in row k where documents start.
+    `carry` is the unfilled last row, as its ids and the offsets in it
+    where documents start, for a next call to continue from.
     """
 
     entries: np.ndarray
@@ -90,6 +97,7 @@ class PackResult:
     dropped_tokens: int = 0
     padded_tokens: int = 0
     skipped_docs: int = 0
+    carry: tuple[Sequence[int], list[int]] = ((), ())
 
 
 def pack_entries(
@@ -97,17 +105,22 @@ def pack_entries(
     tokenizer: Tokenizer,
     entry_len: int,
     pad_final: bool = False,
+    carry: tuple[Sequence[int], Sequence[int]] = ((), ()),
 ) -> PackResult:
     """Single ordered pass that appends every document's ids to one
     uint32 stream and views it as rows of entry_len tokens. A document
     the tokenizer rejects is skipped and counted, never truncated.
     `encode` must return a sequence of ids below 2**32.
+
+    A previous result's `carry` starts the stream, so chained calls, the
+    last with no documents, give the rows of one call over them all.
+    `total_tokens` counts this call's documents only.
     """
     if entry_len < 2:
         raise ValueError(f"entry_len must be >= 2, got {entry_len}")
-    stream = array("I")
+    stream = array("I", carry[0])
     assert stream.itemsize == 4, "array('I') must hold 32-bit ids"
-    starts: list[int] = []  # stream offset where each document starts
+    starts = list(carry[1])  # stream offset where each document starts
     skipped = 0
     for doc in docs:
         try:
@@ -117,19 +130,22 @@ def pack_entries(
             continue
         starts.append(len(stream))
         stream.extend(ids)
-    total = len(stream)
-    tail = total % entry_len
+    total = len(stream) - len(carry[0])
+    tail = len(stream) % entry_len
     padded = entry_len - tail if tail and pad_final else 0
     stream.fromlist([tokenizer.eos_id] * padded)
     n = len(stream) // entry_len
-    # Row k holds the starts in [k * entry_len, (k + 1) * entry_len).
+    # Row k holds the starts in [k * entry_len, (k + 1) * entry_len);
+    # the starts after the last row belong to the unfilled one.
     offsets = np.asarray(starts, dtype=np.int64)
     cuts = np.searchsorted(offsets, np.arange(1, n + 1) * entry_len)
+    bounds = [b.tolist() for b in np.split(offsets % entry_len, cuts)]
     return PackResult(
         entries=np.frombuffer(stream, np.uint32)[: n * entry_len].reshape(n, entry_len),
-        doc_boundaries=[b.tolist() for b in np.split(offsets % entry_len, cuts)[:n]],
+        doc_boundaries=bounds[:n],
         total_tokens=total,
         dropped_tokens=0 if pad_final else tail,
         padded_tokens=padded,
         skipped_docs=skipped,
+        carry=(stream[n * entry_len :], bounds[n]),
     )

@@ -12,12 +12,13 @@ from scheduling. Manifests carry no timestamps for the same reason.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import PipelineConfig, config_hash, require_valid, sha256_file
 from .corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
@@ -50,12 +51,12 @@ UNKNOWN_LANGUAGE = "(unknown)"
 
 @dataclass(frozen=True)
 class Stage:
-    """One step of the pipeline. The runner hands `stage_<name>` the
-    records of `reads` (None: the ingested repos) and writes the rows it
-    returns to `writes[0]`. `writes` names every file or directory the
-    stage may write, and the runner deletes them all before the stage
-    runs. `config` lists the dotted config fields the stage reads; its
-    command takes the CLI flags that set them.
+    """One step of the pipeline. The runner hands `stage_<name>` a lazy
+    reader of the records of `reads` (None: the ingested repos) and
+    writes the rows it returns to `writes[0]`. `writes` names every file
+    or directory the stage may write, and the runner deletes them all
+    before the stage runs. `config` lists the dotted config fields the
+    stage reads; its command takes the CLI flags that set them.
     """
 
     name: str
@@ -128,14 +129,10 @@ def _write_output(cfg: PipelineConfig, rel: str, records: Iterable[dict]) -> tup
     return rel, _write_jsonl(os.path.join(cfg.output_dir, rel), records)
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    out = []
+def _read_jsonl(path: str) -> Iterator[dict]:
+    """The file's records, one at a time; map holds no line it decoded."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+        yield from map(json.loads, filter(str.strip, fh))
 
 
 def _manifest_path(cfg: PipelineConfig, stage: str) -> str:
@@ -288,7 +285,7 @@ def _order_repo_worker(
     return record, edges
 
 
-def stage_order(cfg: PipelineConfig, file_records: list[dict]) -> StageResult:
+def stage_order(cfg: PipelineConfig, file_records: Iterable[dict]) -> StageResult:
     by_repo: dict[str, list[dict]] = {}
     for rec in file_records:
         by_repo.setdefault(rec["repo_id"], []).append(rec)
@@ -300,7 +297,7 @@ def stage_order(cfg: PipelineConfig, file_records: list[dict]) -> StageResult:
     if cfg.dump_graphs:
         graphs = ({"repo_id": rid, "edges": edges} for (rid, _), (_, edges) in zip(tasks, results))
         outputs.append(_write_output(cfg, GRAPHS_OUT, graphs))
-    return StageResult(rows, len(file_records), outputs=outputs, fields={
+    return StageResult(rows, sum(map(len, by_repo.values())), outputs=outputs, fields={
         "output_file_total": sum(len(r["ordered_paths"]) for r in rows),
     })
 
@@ -309,7 +306,8 @@ def stage_order(cfg: PipelineConfig, file_records: list[dict]) -> StageResult:
 # Stage 3: dedup
 # -----------------------
 
-def stage_dedup(cfg: PipelineConfig, records: list[dict]) -> StageResult:
+def stage_dedup(cfg: PipelineConfig, records: Iterable[dict]) -> StageResult:
+    records = list(records)
     if not (cfg.stages.dedup and records):
         return StageResult(records, len(records))
     d = cfg.dedup
@@ -397,7 +395,8 @@ def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
     return rows
 
 
-def stage_decontaminate(cfg: PipelineConfig, records: list[dict]) -> StageResult:
+def stage_decontaminate(cfg: PipelineConfig, records: Iterable[dict]) -> StageResult:
+    records = list(records)
     if not (cfg.stages.decontaminate and records):
         return StageResult(records, len(records), fields={"benchmark_strings_skipped_short": 0})
     index: ContaminationIndex | None = None
@@ -431,60 +430,76 @@ def stage_decontaminate(cfg: PipelineConfig, records: list[dict]) -> StageResult
 # Stage 5: build (FIM + packing)
 # -----------------------
 
-def stage_build(cfg: PipelineConfig, records: list[dict]) -> StageResult:
-    """Disabled, the stage writes no entries. Enabled, it pops each
-    record's text as it transforms it, so no text is held twice."""
-    if not cfg.stages.build:
-        return StageResult(None, len(records), 0, fields={
-            "entry_len": cfg.build.entry_len, "fim_applied": 0, "total_tokens": 0,
-            "dropped_tokens": 0, "padded_tokens": 0,
-        })
-    sentinels = cfg.build.sentinel_set()
-    fim_cfg = FimConfig(fim_rate=cfg.build.fim_rate, mode=cfg.build.fim_mode, seed=cfg.seed)
-    counters: dict[str, int] = {}
+def _bin_shard(fh, shard: Iterable[tuple]) -> Iterator[dict]:
+    """Write each row of the shard to `fh`; yield its boundaries record."""
+    for row, bounds in shard:
+        fh.write(row.astype("<u4", copy=False))
+        yield {"doc_boundaries": bounds}
 
-    docs: list[str] = []
-    fim_applied = 0
-    for idx, rec in enumerate(records):
-        doc = fim_transform(rec.pop("text"), idx, fim_cfg, sentinels)
-        if doc is None:
-            _bump(counters, "sentinel_collision")
-            continue
-        if doc.startswith(sentinels.fim_start):
-            fim_applied += 1
-        docs.append(doc)
 
-    pack = pack_entries(docs, ByteTokenizer(sentinels), cfg.build.entry_len, cfg.build.pad_final)
-    if pack.skipped_docs:
-        _bump(counters, "tokenizer_failure", pack.skipped_docs)
-
+def _write_entries(cfg: PipelineConfig, rows: Iterator[tuple]) -> list[tuple[str, int]]:
+    """Write the (entry, doc_boundaries) rows to shards of
+    entries_per_shard rows, each row as it comes and each shard closed
+    once full; an empty build still writes one (empty) shard."""
     os.makedirs(os.path.join(cfg.output_dir, ENTRIES_DIR), exist_ok=True)
-    per_shard = cfg.build.entries_per_shard
-    outputs = []
-    # An empty build still writes one (empty) shard.
-    for shard_idx, lo in enumerate(range(0, len(pack.entries) or 1, per_shard)):
-        shard = pack.entries[lo : lo + per_shard]
-        bounds = pack.doc_boundaries[lo : lo + per_shard]
+    outputs: list[tuple[str, int]] = []
+    for shard_idx in itertools.count():
+        first = next(rows, None)
+        if first is None and shard_idx:
+            return outputs
+        shard = itertools.islice(itertools.chain([first], rows), cfg.build.entries_per_shard) if first else ()
         stem = f"{ENTRIES_DIR}/entries-{shard_idx:05d}"
         if cfg.build.output_format == "bin":
             with open(os.path.join(cfg.output_dir, stem + ".bin"), "wb") as fh:
-                shard.astype("<u4", copy=False).tofile(fh)
-            outputs.append((stem + ".bin", len(shard)))
-            rel = stem + ".boundaries.jsonl"
-            rows = ({"doc_boundaries": b} for b in bounds)
+                rel, n = _write_output(cfg, stem + ".boundaries.jsonl", _bin_shard(fh, shard))
+            outputs += [(stem + ".bin", n), (rel, n)]
         else:
-            rel = stem + ".jsonl"
-            rows = ({"token_ids": row.tolist(), "doc_boundaries": b} for row, b in zip(shard, bounds))
-        outputs.append(_write_output(cfg, rel, rows))
+            records = ({"token_ids": row.tolist(), "doc_boundaries": b} for row, b in shard)
+            outputs.append(_write_output(cfg, stem + ".jsonl", records))
 
-    fields = {
-        "entry_len": cfg.build.entry_len,
-        "fim_applied": fim_applied,
-        "total_tokens": pack.total_tokens,
-        "dropped_tokens": pack.dropped_tokens,
-        "padded_tokens": pack.padded_tokens,
-    }
-    return StageResult(None, len(records), len(pack.entries), counters, outputs, fields)
+
+def stage_build(cfg: PipelineConfig, records: Iterable[dict]) -> StageResult:
+    """Disabled, the stage writes no entries. Enabled, it transforms,
+    encodes and packs one record at a time and writes each entry once it
+    is full, so it holds one document and the unfilled entry."""
+    fields = {"entry_len": cfg.build.entry_len, "fim_applied": 0, "total_tokens": 0,
+              "dropped_tokens": 0, "padded_tokens": 0}
+    if not cfg.stages.build:
+        return StageResult(None, sum(1 for _ in records), 0, fields=fields)
+    sentinels = cfg.build.sentinel_set()
+    fim_cfg = FimConfig(fim_rate=cfg.build.fim_rate, mode=cfg.build.fim_mode, seed=cfg.seed)
+    tokenizer = ByteTokenizer(sentinels)
+    counters: dict[str, int] = {}
+    n_records = n_entries = 0
+
+    def pack(docs: list[str], carry: tuple, pad_final: bool = False):
+        """Pack `docs` after `carry`; yield copies of the rows, so a row
+        the writer still holds keeps no document's ids; return the carry."""
+        nonlocal n_entries
+        result = pack_entries(docs, tokenizer, cfg.build.entry_len, pad_final, carry)
+        if result.skipped_docs:
+            _bump(counters, "tokenizer_failure", result.skipped_docs)
+        n_entries += len(result.entries)
+        fields["total_tokens"] += result.total_tokens
+        fields.update(dropped_tokens=result.dropped_tokens, padded_tokens=result.padded_tokens)
+        for row, bounds in zip(result.entries, result.doc_boundaries):
+            yield row.copy(), bounds
+        return result.carry
+
+    def rows() -> Iterator[tuple]:
+        nonlocal n_records
+        carry: tuple = ((), ())
+        for n_records, rec in enumerate(records, 1):
+            doc = fim_transform(rec.pop("text"), n_records - 1, fim_cfg, sentinels)
+            if doc is None:
+                _bump(counters, "sentinel_collision")
+                continue
+            fields["fim_applied"] += doc.startswith(sentinels.fim_start)
+            carry = yield from pack([doc], carry)
+        yield from pack([], carry, cfg.build.pad_final)
+
+    outputs = _write_entries(cfg, rows())
+    return StageResult(None, n_records, n_entries, counters, outputs, fields)
 
 
 # -----------------------
@@ -496,8 +511,11 @@ def emit_stats(cfg: PipelineConfig) -> dict:
     the stage after the chain would read (after build, build's input),
     drop counters from the chain's manifests. Renders the summary table
     and writes stats.txt / stats.json; returns the stats.json object.
+    With no stage done it writes nothing and raises StageFailure.
     """
     chain = _chain(cfg)
+    if not chain:
+        raise StageFailure("stats", RuntimeError(f"no stage has completed in {cfg.output_dir}"))
     source = STAGES[min(len(chain), len(STAGES) - 1)].reads
     drops: dict[str, dict[str, int]] = {}
     for stage, manifest in zip(STAGES, chain):
@@ -521,7 +539,6 @@ def emit_stats(cfg: PipelineConfig) -> dict:
                 for lang, count in rec["lang_files"].items():
                     lang_files[lang] = lang_files.get(lang, 0) + count
     stats = compute_corpus_stats(lang_bytes, lang_files, drops)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "stats.txt"), "w", encoding="utf-8") as fh:
         fh.write(render_stats_table(stats))
     with open(os.path.join(cfg.output_dir, "stats.json"), "w", encoding="utf-8") as fh:

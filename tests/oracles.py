@@ -8,8 +8,9 @@ written, a depth-first search for connected components, a `min` over
 the unselected nodes per toposort step, a packer that slices and copies
 its buffer per entry, shingles joined from one list slice each, shingle
 hashes and a densified one-permutation MinHash in Python ints mod 2**64,
-and a contamination scan that looks up a window at every token position
-for every indexed length. The full-table MinHash over blake2b digests of
+a contamination scan that looks up a window at every token position
+for every indexed length, and a letter count that asks `str.isalpha`
+of every character. The full-table MinHash over blake2b digests of
 the shingle strings, which `repopipe` signed with before, stays here as
 the classic estimator the one-permutation form is measured against.
 """
@@ -270,6 +271,10 @@ def order_repo_files(files: Sequence[SourceFile]) -> tuple[list[SourceFile], lis
     edges = [(f.path, dep) for f in files for dep in extract_dependencies(f, paths)]
     ordered = [by_path[p] for sub in topological_sort(paths, edges) for p in sub]
     return ordered, edges
+
+
+def letter_count(content: str) -> int:
+    return sum(map(str.isalpha, content))
 
 
 def pack_entries(docs: Iterable[str], tokenizer: Tokenizer, entry_len: int, pad_final: bool = False) -> PackResult:

@@ -123,6 +123,15 @@ class TestFullRun:
         assert main(["stats", "--output-dir", str(tmp_path / "cli_out")]) == EXIT_OK
         assert capsys.readouterr().out == table
 
+    @pytest.mark.parametrize("made", [False, True], ids=["missing", "empty"])
+    def test_stats_without_a_completed_stage_exits_3(self, tmp_path, capsys, made):
+        out = tmp_path / "typo_out"
+        if made:
+            out.mkdir()
+        assert main(["stats", "--output-dir", str(out)]) == EXIT_STAGE
+        assert str(out) in capsys.readouterr().err
+        assert out.exists() == made and not (made and any(out.iterdir()))
+
     def test_stage_by_stage_matches_full_run(self, tmp_path):
         corpus, bench = build_fixture_corpus(tmp_path)
         staged_cfg = write_config(tmp_path, corpus, bench, out_name="staged")

@@ -8,6 +8,7 @@ brute-force oracles in `oracles.py` on generated inputs.
 from __future__ import annotations
 
 import posixpath
+import string
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from repopipe import deps
-from repopipe.corpus import SourceFile
+from repopipe.corpus import SourceFile, compute_file_stats
 from repopipe.decontam import ContaminationReport, build_contamination_index, scan_text
 from repopipe.dedup import minhash_signature, shingle_set
 from repopipe.deps import (
@@ -25,7 +26,7 @@ from repopipe.deps import (
     topological_sort,
 )
 from repopipe.fim import DEFAULT_SENTINELS
-from repopipe.packing import ByteTokenizer, pack_entries
+from repopipe.packing import ByteTokenizer, PackResult, pack_entries
 
 # A small vocabulary makes collisions likely: duplicate basenames,
 # directories that are suffixes of one another, refs that hit many paths.
@@ -288,6 +289,34 @@ def test_pack_entries_matches_slice_and_copy(texts, entry_len, pad_final):
     tok = RejectingTokenizer()
     assert_same_pack(pack_entries(texts, tok, entry_len, pad_final),
                      oracles.pack_entries(texts, tok, entry_len, pad_final))
+
+
+@settings(max_examples=300, deadline=None)
+@given(docs, st.integers(min_value=2, max_value=40), st.booleans())
+def test_chained_pack_calls_match_one_pass(texts, entry_len, pad_final):
+    """One call per document, each continuing from the last one's carry,
+    then a call with no documents that drops or pads the unfilled row."""
+    tok = RejectingTokenizer()
+    calls = [pack_entries(texts[:1], tok, entry_len)]
+    for text in texts[1:]:
+        calls.append(pack_entries([text], tok, entry_len, carry=calls[-1].carry))
+    calls.append(pack_entries([], tok, entry_len, pad_final, carry=calls[-1].carry))
+    chained = PackResult(
+        entries=np.concatenate([c.entries for c in calls]),
+        doc_boundaries=[b for c in calls for b in c.doc_boundaries],
+        total_tokens=sum(c.total_tokens for c in calls),
+        dropped_tokens=calls[-1].dropped_tokens,
+        padded_tokens=calls[-1].padded_tokens,
+        skipped_docs=sum(c.skipped_docs for c in calls),
+    )
+    assert_same_pack(chained, oracles.pack_entries(texts, tok, entry_len, pad_final))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet=string.printable), st.text()))
+def test_letter_count_matches_isalpha_scan(content):
+    want = oracles.letter_count(content) / len(content) if content else 0.0
+    assert compute_file_stats(content).alphabetic_fraction == want
 
 
 def test_pack_document_longer_than_many_entries():

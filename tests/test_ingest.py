@@ -146,6 +146,21 @@ def test_symlinked_files_skipped_and_counted(tmp_path):
     assert manifest["ingest_counters"] == {"symlink": 2}
 
 
+def test_symlinked_directory_skipped_and_counted(tmp_path):
+    # os.walk lists a linked directory but does not descend into it.
+    real = tmp_path / "corpus" / "real"
+    real.mkdir(parents=True)
+    (real / "b.py").write_text("b = 1\n")
+    root = tmp_path / "corpus" / "r1"
+    root.mkdir()
+    (root / "a.py").write_text("a = 1\n")
+    (root / "linked").symlink_to("../real", target_is_directory=True)
+    counters: dict[str, int] = {}
+    repos = load_repos([str(tmp_path / "corpus")], counters)
+    assert counters == {"symlink": 1}
+    assert [(r.repo_id, [f.path for f in r.files]) for r in repos] == [("r1", ["a.py"]), ("real", ["b.py"])]
+
+
 def test_jsonl_input_through_full_pipeline(tmp_path):
     stream = tmp_path / "corpus.jsonl"
     rows = [

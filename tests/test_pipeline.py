@@ -332,6 +332,34 @@ class TestInterruptedStage:
         assert summary.completed_stages[0] == stage
         assert output_digest(Path(cfg.output_dir)) == output_digest(fresh)
 
+    @pytest.mark.parametrize("output_format", ["jsonl", "bin"])
+    def test_failure_mid_shard_closes_its_files(self, tmp_path, monkeypatch, output_format):
+        """Build writes each shard while it packs; a sample that fails
+        after rows of the open shard are written leaves no file open (an
+        unclosed file warns, which the pytest config makes an error)."""
+        import gc
+
+        import repopipe.pipeline as pipeline_module
+        from repopipe.pipeline import StageFailure, run_stage
+
+        cfg = fixture_config(tmp_path)
+        cfg.build.output_format, cfg.build.entries_per_shard = output_format, 5
+        run_pipeline(cfg)
+        real_fim = pipeline_module.fim_transform
+
+        def fail_on_second(text, doc_index, *args):
+            if doc_index == 1:
+                raise RuntimeError("second sample failed")
+            return real_fim(text, doc_index, *args)
+
+        monkeypatch.setattr(pipeline_module, "fim_transform", fail_on_second)
+        with pytest.raises(StageFailure, match="second sample failed"):
+            run_stage(cfg, "build")
+        gc.collect()
+        last = sorted((Path(cfg.output_dir) / "entries").glob("*.jsonl"))[-1]  # a shard or its boundaries
+        assert 0 < len(read_jsonl(last)) < cfg.build.entries_per_shard
+        assert not (Path(cfg.output_dir) / "manifests" / "build.json").exists()
+
     @pytest.mark.parametrize(
         "stage, change, side, stop",
         [

@@ -2,17 +2,23 @@
 linearly: ordering a repo with thousands of files and a dense import
 graph, packing one multi-MB document, and extracting references from a
 file with a long run of blank lines, many unclosed Go import blocks or
-many JavaScript imports that never reach a `from`.
+many JavaScript imports that never reach a `from`. And a memory budget:
+the build stage's peak is set by its largest document, not by how many
+there are.
 """
 
 from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
+from conftest import code_lines, write_repo
+from repopipe.config import PipelineConfig
 from repopipe.corpus import SourceFile
 from repopipe.deps import EXTRACTION_LANGUAGES, extract_dependencies, order_repo_files
 from repopipe.packing import ByteTokenizer, pack_entries
+from repopipe.pipeline import run_stage
 
 
 def dense_repo(n_files: int = 4000, seed: int = 0) -> list[SourceFile]:
@@ -90,3 +96,29 @@ def test_js_imports_without_from_extract_within_budget():
     content = "import x\n" * 8_000  # 72 KB
     elapsed = _extract_seconds("JavaScript", content)
     assert elapsed < 0.5, f"8,000 import lines without `from` took {elapsed:.1f}s (budget 0.5s)"
+
+
+def build_peak_bytes(tmp_path, n_repos: int) -> int:
+    """tracemalloc peak of the build stage over `n_repos` one-file repos
+    of about 200 KB each, numpy's allocations included."""
+    corpus = tmp_path / f"corpus-{n_repos}"
+    for i in range(n_repos):
+        write_repo(corpus, f"repo_{i:03d}", {"main.py": code_lines(seed=i, n_lines=4000)})
+    cfg = PipelineConfig(inputs=[str(corpus)], output_dir=str(tmp_path / f"out-{n_repos}"))
+    cfg.stages.dedup = cfg.stages.decontaminate = False
+    cfg.build.entry_len, cfg.build.output_format = 1024, "bin"
+    for stage in ("filter", "order", "dedup", "decontaminate"):
+        run_stage(cfg, stage)
+    tracemalloc.start()
+    try:
+        manifest = run_stage(cfg, "build")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert manifest["input_records"] == n_repos
+    return peak
+
+
+def test_build_peak_does_not_grow_with_document_count(tmp_path):
+    one, four = build_peak_bytes(tmp_path, 4), build_peak_bytes(tmp_path, 16)
+    assert four <= 1.15 * one, f"build peak {one / 1e6:.1f} MB on 4 documents, {four / 1e6:.1f} MB on 16"

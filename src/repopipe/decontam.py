@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from typing import Iterable
 
+from .filters import text_slices
+
 NGRAM_SIZE = 10
 EXACT_MIN_TOKENS = 3
 
@@ -76,30 +78,36 @@ def scan_text(text: str, index: ContaminationIndex) -> ContaminationReport:
     """All matches in the token stream: 10-grams by position, then exact
     strings by ascending length and position. A window is joined and
     looked up only at positions whose token starts an indexed entry of
-    that length.
+    that length, in the slice of the text that holds its last token; a
+    slice's last NGRAM_SIZE - 1 tokens go on to the next.
     """
-    tokens = tokenize(text)
-    starts: dict[int, list[int]] = {}  # entry length -> candidate positions, ascending
-    for i in compress(count(), map(index.first_tokens.__contains__, tokens)):
-        for n in index.first_tokens[tokens[i]]:
-            starts.setdefault(n, []).append(i)
-    matched: list[str] = []
+    lengths = [NGRAM_SIZE, *sorted(index.exact_lengths)]
+    found: dict[int, list[str]] = {n: [] for n in lengths}  # per length, by position
     seen: set[str] = set()
-    passes = [(NGRAM_SIZE, index.ten_gram_set)]
-    passes += [(n, index.exact_set) for n in sorted(index.exact_lengths)]
-    for n, entries in passes:
-        last = len(tokens) - n
-        for i in starts.get(n, ()):
-            if i > last:
-                break
-            window = " ".join(tokens[i : i + n])
-            if window in entries and window not in seen:
-                seen.add(window)
-                matched.append(window)
+    tokens: list[str] = []
+    for part in text_slices(text):
+        carried = len(tokens)
+        tokens += tokenize(part)
+        starts: dict[int, list[int]] = {}  # entry length -> candidate positions, ascending
+        for i in compress(count(), map(index.first_tokens.__contains__, tokens)):
+            for n in index.first_tokens[tokens[i]]:
+                if i + n > carried:
+                    starts.setdefault(n, []).append(i)
+        for n in lengths:
+            entries = index.ten_gram_set if n == NGRAM_SIZE else index.exact_set
+            last = len(tokens) - n
+            for i in starts.get(n, ()):
+                if i > last:
+                    break
+                window = " ".join(tokens[i : i + n])
+                if window in entries and window not in seen:
+                    seen.add(window)
+                    found[n].append(window)
+        del tokens[: -(NGRAM_SIZE - 1)]
+    matched = [m for n in lengths for m in found[n]]
     benchmarks = sorted({index.source_labels[m] for m in matched})
     return ContaminationReport(
         hit=bool(matched),
         matched_entries=tuple(matched),
         benchmarks=tuple(benchmarks),
     )
-

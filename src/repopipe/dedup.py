@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
 from typing import Mapping, Sequence
@@ -16,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .deps import connected_components
+from .filters import text_slices
 
 _TOKEN = re.compile(r"\w+")
 # uint64 constants throughout, so every operation below stays in uint64
@@ -25,6 +28,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _DONOR_BLOCK = 64  # densification attempts drawn per round
+_BIN_BLOCK = 1 << 16  # shingle hashes mixed and binned per numpy call
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -44,16 +48,21 @@ def shingle_set(text: str, width: int) -> np.ndarray:
     tokens. A shingle's hash is the polynomial of its tokens' 8-byte
     blake2b digests (read little-endian) in base _GOLDEN, mod 2**64.
     Texts shorter than one shingle yield the single truncated shingle.
+    Each slice of the text is lowered and tokenized into one id array.
     """
-    tokens = _TOKEN.findall(text.lower())
-    pos = dict(zip(dict.fromkeys(tokens), count()))
+    pos: defaultdict[str, int] = defaultdict(count().__next__)  # token -> id, in first-seen order
+    ids = array("q")
+    for part in text_slices(text):
+        ids.extend(map(pos.__getitem__, _TOKEN.findall(part.lower())))
     digests = b"".join([hashlib.blake2b(t.encode(), digest_size=8).digest() for t in pos])
-    seq = np.frombuffer(digests, "<u8")[np.fromiter(map(pos.__getitem__, tokens), np.intp, len(tokens))]
-    n = max(len(tokens) - width + 1, 1)
+    seq = np.frombuffer(digests, "<u8")[np.frombuffer(ids, np.int64)]
+    del ids
+    n = max(len(seq) - width + 1, 1)
     hashes = np.zeros(n, dtype=np.uint64)
-    for k in range(min(width, len(tokens))):
+    for k in range(min(width, len(seq))):
         hashes *= _GOLDEN
         hashes += seq[k : k + n]
+    del seq
     hashes.sort()
     return hashes[np.concatenate(([True], hashes[1:] != hashes[:-1]))]
 
@@ -86,7 +95,8 @@ def minhash_signature(
     """Densified one-permutation MinHash (Li, Owen & Zhang, NeurIPS 2012),
     one 64-bit value per bin: each shingle hash is mixed once by
     splitmix64 keyed by `seed`, binned by `% num_perm`, and each bin
-    keeps its minimum; empty bins are filled by `_densify`.
+    keeps its minimum, taken over blocks of _BIN_BLOCK hashes; empty
+    bins are filled by `_densify`.
     Deterministic given (seed, num_perm); identical shingle sets give
     identical signatures.
     """
@@ -95,14 +105,19 @@ def minhash_signature(
     if not text:
         raise ValueError("cannot sign an empty sample")
     key = _mix(np.array([seed % 2**64], dtype=np.uint64))
-    mixed = _mix(shingle_set(text, shingle_width) ^ key)
-    bins = (mixed % np.uint64(num_perm)).astype(np.intp)
-    counts = np.bincount(bins, minlength=num_perm)
-    full = counts > 0
-    # Per-bin minima as a segmented min over the hashes grouped by bin;
-    # ufunc.at would be faster on numpy >= 1.25 but is slow before it.
+    hashes = shingle_set(text, shingle_width)
     values = np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-    values[full] = np.minimum.reduceat(mixed[np.argsort(bins)], (np.cumsum(counts) - counts)[full])
+    full = np.zeros(num_perm, dtype=bool)
+    for lo in range(0, len(hashes), _BIN_BLOCK):
+        mixed = _mix(hashes[lo : lo + _BIN_BLOCK] ^ key)
+        bins = (mixed % np.uint64(num_perm)).astype(np.intp)
+        counts = np.bincount(bins, minlength=num_perm)
+        hit = counts > 0
+        # Per-bin minima as a segmented min over the hashes grouped by
+        # bin; ufunc.at would be faster on numpy >= 1.25 but is slow before it.
+        lows = np.minimum.reduceat(mixed[np.argsort(bins)], (np.cumsum(counts) - counts)[hit])
+        values[hit] = np.minimum(values[hit], lows)
+        full |= hit
     _densify(values, full, key)
     return tuple(values.tolist())
 

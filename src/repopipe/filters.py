@@ -15,6 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
+from typing import Iterator
 
 from .corpus import FileStats, SourceFile
 
@@ -32,6 +33,21 @@ RULE_LONG_LINES = "long_lines"
 
 _XML_MARKER = "<?xml version="
 DATA_FILE_LANGUAGES = frozenset({"JSON", "YAML"})
+
+SLICE_CHARS = 1 << 16  # characters of a sample that a text kernel works on at once
+_CUT = {False: re.compile(r"\s"), True: re.compile(r"\n")}
+
+
+def text_slices(text: str, lines: bool = False) -> Iterator[str]:
+    """`text` in slices of SLICE_CHARS or more characters, each cut after
+    the first whitespace (with `lines`, newline) from there on: no token
+    of `str.split` or `\\w+`, nor with `lines` a line, spans two slices."""
+    start = 0
+    while start < len(text):
+        cut = _CUT[lines].search(text, start + SLICE_CHARS - 1)
+        end = cut.end() if cut else len(text)
+        yield text[start:end]
+        start = end
 
 
 @dataclass(frozen=True)
@@ -201,9 +217,14 @@ def apply_quality_heuristics(
     """
     if not content:
         return _accept()
-    tokens = content.split()
-    if tokens:
-        counts = Counter(tokens)
+    counts: Counter[str] = Counter()
+    code_lines = long_lines = 0
+    for part in text_slices(content, lines=True):
+        counts.update(part.split())
+        code = [ln for ln in part.splitlines() if ln.strip() and not _COMMENT_LINE.match(ln)]
+        code_lines += len(code)
+        long_lines += sum(len(ln) > thresholds.long_line_chars for ln in code)
+    if counts:
         top_tok, top_count = max(counts.items(), key=lambda kv: (kv[1] * len(kv[0]), kv[0]))
         covered = top_count * len(top_tok)
         if covered > thresholds.max_repeated_token_fraction * len(content):
@@ -211,13 +232,9 @@ def apply_quality_heuristics(
                 RULE_TOKEN_REPETITION,
                 f"token {top_tok[:20]!r} covers {covered}/{len(content)} chars",
             )
-    code_lines = [ln for ln in content.splitlines() if ln.strip() and not _COMMENT_LINE.match(ln)]
-    if code_lines:
-        long_lines = sum(1 for ln in code_lines if len(ln) > thresholds.long_line_chars)
-        frac = long_lines / len(code_lines)
-        if frac > thresholds.max_long_line_fraction:
-            return _reject(
-                RULE_LONG_LINES,
-                f"{long_lines}/{len(code_lines)} non-comment lines > {thresholds.long_line_chars} chars",
-            )
+    if code_lines and long_lines / code_lines > thresholds.max_long_line_fraction:
+        return _reject(
+            RULE_LONG_LINES,
+            f"{long_lines}/{code_lines} non-comment lines > {thresholds.long_line_chars} chars",
+        )
     return _accept()

@@ -79,15 +79,8 @@ def fim_split(
         raise ValueError(f"cut points out of range: i={i}, j={j}, len={len(doc)}")
     pre, middle, suf = doc[:i], doc[i:j], doc[j:]
     first, second = (pre, suf) if mode == PSM else (suf, pre)
-    return (
-        sentinels.fim_start
-        + first
-        + sentinels.fim_hole
-        + second
-        + sentinels.fim_end
-        + middle
-        + sentinels.eos
-    )
+    s = sentinels
+    return "".join((s.fim_start, first, s.fim_hole, second, s.fim_end, middle, s.eos))
 
 
 def fim_transform(

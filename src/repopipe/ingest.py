@@ -6,7 +6,7 @@ Two input shapes are accepted per configured path:
     (repo_id = subdirectory name), walked recursively in sorted order;
     dot-directories (.git and friends) are skipped, and so is a
     symlinked file or directory, which may lie outside the corpus or
-    nowhere;
+    nowhere, and a FIFO or other entry that is not a regular file;
   - a *.jsonl file: one object per file with repo_id, path, content.
 
 Files that fail UTF-8 decoding, or whose repo id, path or content holds
@@ -27,6 +27,7 @@ DROP_DECODE_ERROR = "decode_error"
 DROP_DUPLICATE_PATH = "duplicate_path"
 DROP_BAD_RECORD = "bad_record"
 DROP_SYMLINK = "symlink"
+DROP_NOT_REGULAR_FILE = "not_regular_file"
 
 
 @dataclass
@@ -42,23 +43,34 @@ class RawRepo:
 
 
 def _walk_repo_dir(root: str, counters: dict[str, int]) -> list[tuple[str, str]]:
-    """(repo-relative posix path, absolute path) pairs, sorted walk.
-    A symlinked file or directory is skipped and counted."""
+    """(repo-relative posix path, absolute path) pairs, each directory's
+    files then its subdirectories' in sorted order. A symlink or an entry
+    that is neither file nor directory is skipped and counted."""
     out: list[tuple[str, str]] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
-        for name in [d for d in dirnames if os.path.islink(os.path.join(dirpath, d))]:
-            dirnames.remove(name)
-            counters[DROP_SYMLINK] = counters.get(DROP_SYMLINK, 0) + 1
-        for name in sorted(filenames):
-            if name.startswith("."):
+    stack = [(root, "")]
+    while stack:
+        path, rel = stack.pop()
+        try:
+            with os.scandir(path) as it:
+                entries = sorted(it, key=lambda e: e.name)
+        except OSError:
+            continue
+        subdirs = []
+        for entry in entries:
+            if entry.name.startswith("."):
                 continue
-            abs_path = os.path.join(dirpath, name)
-            if os.path.islink(abs_path):
-                counters[DROP_SYMLINK] = counters.get(DROP_SYMLINK, 0) + 1
+            if entry.is_symlink():
+                reason = DROP_SYMLINK
+            elif entry.is_dir(follow_symlinks=False):
+                subdirs.append((entry.path, rel + entry.name + "/"))
                 continue
-            rel = os.path.relpath(abs_path, root).replace(os.sep, "/")
-            out.append((rel, abs_path))
+            elif entry.is_file(follow_symlinks=False):
+                out.append((rel + entry.name, entry.path))
+                continue
+            else:
+                reason = DROP_NOT_REGULAR_FILE
+            counters[reason] = counters.get(reason, 0) + 1
+        stack.extend(reversed(subdirs))
     return out
 
 

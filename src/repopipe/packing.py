@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -67,6 +67,25 @@ class ByteTokenizer:
                 pos = match.end()
         return ids
 
+    def slices(self, text: str) -> Iterator[str]:
+        """`text` in pieces of ENCODE_SLICE or more characters (the last
+        may be shorter, and "" stays one piece), none cut inside a
+        sentinel literal, so the ids of the pieces in turn are the ids
+        of `text`."""
+        matches = self._splitter.finditer(text)
+        match = next(matches, None)
+        start = 0
+        while True:
+            cut = start + ENCODE_SLICE
+            while match and match.end() <= cut:
+                match = next(matches, None)
+            if match and match.start() < cut:
+                cut = match.end()
+            yield text[start:cut]
+            if cut >= len(text):
+                return
+            start = cut
+
     def decode(self, ids: Iterable[int]) -> str:
         out: list[str] = []
         buf = bytearray()
@@ -106,6 +125,7 @@ def pack_entries(
     entry_len: int,
     pad_final: bool = False,
     carry: tuple[Sequence[int], Sequence[int]] = ((), ()),
+    continued: bool = False,
 ) -> PackResult:
     """Single ordered pass that appends every document's ids to one
     uint32 stream and views it as rows of entry_len tokens. A document
@@ -114,7 +134,9 @@ def pack_entries(
 
     A previous result's `carry` starts the stream, so chained calls, the
     last with no documents, give the rows of one call over them all.
-    `total_tokens` counts this call's documents only.
+    `total_tokens` counts this call's documents only. With `continued`,
+    the first of `docs` goes on with the document the carry ends in, so
+    a document can be packed one piece at a time.
     """
     if entry_len < 2:
         raise ValueError(f"entry_len must be >= 2, got {entry_len}")
@@ -122,13 +144,14 @@ def pack_entries(
     assert stream.itemsize == 4, "array('I') must hold 32-bit ids"
     starts = list(carry[1])  # stream offset where each document starts
     skipped = 0
-    for doc in docs:
+    for k, doc in enumerate(docs):
         try:
             ids = tokenizer.encode(doc)
         except Exception:
             skipped += 1
             continue
-        starts.append(len(stream))
+        if k or not continued:
+            starts.append(len(stream))
         stream.extend(ids)
     total = len(stream) - len(carry[0])
     tail = len(stream) % entry_len

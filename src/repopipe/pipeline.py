@@ -11,11 +11,14 @@ from scheduling. Manifests carry no timestamps for the same reason.
 
 from __future__ import annotations
 
+import collections
+import functools
 import hashlib
 import itertools
 import json
 import os
 import shutil
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -51,12 +54,13 @@ UNKNOWN_LANGUAGE = "(unknown)"
 
 @dataclass(frozen=True)
 class Stage:
-    """One step of the pipeline. The runner hands `stage_<name>` a lazy
-    reader of the records of `reads` (None: the ingested repos) and
-    writes the rows it returns to `writes[0]`. `writes` names every file
-    or directory the stage may write, and the runner deletes them all
-    before the stage runs. `config` lists the dotted config fields the
-    stage reads; its command takes the CLI flags that set them.
+    """One step of the pipeline. The runner hands `stage_<name>` a function
+    that opens a lazy reader of `reads` (None: the ingested repos
+    instead), and the stage writes its rows to `writes[0]` as it goes.
+    `writes` names every file or directory the stage may write, and the
+    runner deletes them all before the stage runs. `config` lists the
+    dotted config fields the stage reads; its command takes the CLI
+    flags that set them.
     """
 
     name: str
@@ -82,16 +86,15 @@ STAGES = (
 
 @dataclass
 class StageResult:
-    """What a stage function returns: `rows` for its main output (None
-    when it writes that itself, as build does), the other files it wrote
-    as (path, records), and the manifest fields only it has.
+    """What a stage function returns once it has written its files: each
+    as (path, records), the one the next stage reads first; its record
+    counts; and the manifest fields only it has.
     """
 
-    rows: list[dict] | None
+    outputs: list[tuple[str, int]]
     input_records: int
-    output_records: int | None = None  # None: len(rows)
+    output_records: int | None = None  # None: the records of outputs[0]
     counters: dict[str, int] = field(default_factory=dict)
-    outputs: list[tuple[str, int]] = field(default_factory=list)
     fields: dict = field(default_factory=dict)
 
 
@@ -115,12 +118,13 @@ class RunSummary:
 # -----------------------
 
 def _write_jsonl(path: str, records: Iterable[dict]) -> int:
+    """One UTF-8 line per record, as bytes, so no platform writes "\r\n"."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False))
-            fh.write("\n")
+            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False).encode())
+            fh.write(b"\n")
             n += 1
     return n
 
@@ -130,9 +134,30 @@ def _write_output(cfg: PipelineConfig, rel: str, records: Iterable[dict]) -> tup
 
 
 def _read_jsonl(path: str) -> Iterator[dict]:
-    """The file's records, one at a time; map holds no line it decoded."""
+    """The file's records, one at a time; map holds no line it decoded,
+    and `isspace` finds blank lines (a read line is never empty) uncopied."""
     with open(path, "r", encoding="utf-8") as fh:
-        yield from map(json.loads, filter(str.strip, fh))
+        yield from map(json.loads, itertools.filterfalse(str.isspace, fh))
+
+
+def _pmap_texts(fn: Callable, records: Iterable[dict], workers: int, shared: tuple) -> Iterator[tuple]:
+    """(record, fn(record["text"], *shared)) for each record, in order;
+    only texts go to `_pmap`, and records wait here while in flight."""
+    held: collections.deque[dict] = collections.deque()
+
+    def texts() -> Iterator[str]:
+        for rec in records:
+            held.append(rec)
+            yield rec["text"]
+
+    for result in _pmap(fn, texts(), workers, shared, len):
+        yield held.popleft(), result
+
+
+def _peek(records: Iterator[dict]) -> Iterator[dict] | None:
+    """`records` as they were, or None when there are none."""
+    first = next(records, None)
+    return None if first is None else itertools.chain([first], records)
 
 
 def _manifest_path(cfg: PipelineConfig, stage: str) -> str:
@@ -152,6 +177,7 @@ def _load_manifest(cfg: PipelineConfig, stage: str) -> dict | None:
 # -----------------------
 
 _shared: tuple = ()  # (fn, args) in a pool worker, set once by _init_shared
+CHUNK_CHARS = 1 << 16  # text a pool task carries, unless one item holds more
 
 
 def _init_shared(fn: Callable, args: tuple) -> None:
@@ -159,24 +185,49 @@ def _init_shared(fn: Callable, args: tuple) -> None:
     _shared = (fn, args)
 
 
-def _call_shared(item):
+def _call_shared(chunk: list) -> list:
     fn, args = _shared
-    return fn(item, *args)
+    return [fn(item, *args) for item in chunk]
 
 
-def _pmap(fn: Callable, items: Sequence, workers: int, shared: tuple = ()) -> list:
-    """Order-preserving map of fn(item, *shared), optionally over a
-    process pool no wider than `items`, since the pool starts every
-    worker up front. `shared` reaches each pool worker once, through
-    the pool initializer, not with every task."""
-    workers = min(workers, len(items))
-    if workers <= 1:
-        return [fn(item, *shared) for item in items]
-    chunksize = max(1, len(items) // (workers * 4))
+def _chunks(items: Iterable, size: Callable | None, singles: int) -> Iterator[list]:
+    """Runs of items: the first `singles` one item each, so that a few
+    items still spread over the workers, then each run closed once the
+    `size` of its items reaches CHUNK_CHARS (without `size`, one item)."""
+    chunk, total = [], 0
+    for n, item in enumerate(items):
+        chunk.append(item)
+        total += size(item) if size and n >= singles else CHUNK_CHARS
+        if total >= CHUNK_CHARS:
+            yield chunk
+            chunk, total = [], 0
+    if chunk:
+        yield chunk
+
+
+def _pmap(
+    fn: Callable, items: Iterable, workers: int, shared: tuple = (), size: Callable | None = None
+) -> Iterator:
+    """Lazy order-preserving map of fn(item, *shared). With workers > 1
+    it runs over a process pool, one `_chunks` run per task and at most
+    2 * workers tasks in flight, so it holds a bounded window of items
+    and results. The pool is no wider than its first window, since it
+    starts every worker up front. `shared` reaches each pool worker
+    once, through the pool initializer, not with every task."""
+    items = iter(items)
+    chunks = _chunks(items, size, 2 * workers)
+    window = list(itertools.islice(chunks, 2 * workers)) if workers > 1 else []
+    if len(window) <= 1:
+        yield from (fn(item, *shared) for item in itertools.chain(*window, items))
+        return
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_shared, initargs=(fn, shared)
+        max_workers=min(workers, len(window)), initializer=_init_shared, initargs=(fn, shared)
     ) as pool:
-        return list(pool.map(_call_shared, items, chunksize=chunksize))
+        pending = collections.deque(pool.submit(_call_shared, chunk) for chunk in window)
+        while pending:
+            done = pending.popleft().result()
+            pending.extend(pool.submit(_call_shared, chunk) for chunk in itertools.islice(chunks, 1))
+            yield from done
 
 
 def _bump(counters: dict[str, int], key: str, by: int = 1) -> None:
@@ -237,16 +288,21 @@ def ingest_and_fingerprint(cfg: PipelineConfig) -> tuple[list[RawRepo], dict[str
 def stage_filter(
     cfg: PipelineConfig, ingested: tuple[list[RawRepo], dict[str, int]]
 ) -> StageResult:
+    """Writes the kept files repo by repo, in repo_id order."""
     raw_repos, ingest_counters = ingested
     shared = (cfg.filters, LanguageMap.load(cfg.language_map), cfg.stages.filter)
+    size = lambda repo: sum(len(rf.content) for rf in repo.files)  # noqa: E731
     counters: dict[str, int] = {}
-    rows: list[dict] = []
-    for kept, repo_counters in _pmap(_filter_repo_worker, raw_repos, cfg.workers, shared):
-        rows.extend(kept)
-        for key, count in repo_counters.items():
-            _bump(counters, key, count)
+
+    def rows() -> Iterator[dict]:
+        for kept, repo_counters in _pmap(_filter_repo_worker, raw_repos, cfg.workers, shared, size):
+            yield from kept
+            for key, count in repo_counters.items():
+                _bump(counters, key, count)
+
+    outputs = [_write_output(cfg, FILES_OUT, rows())]
     n_files = sum(len(r.files) for r in raw_repos)
-    return StageResult(rows, n_files, counters=counters, fields={
+    return StageResult(outputs, n_files, counters=counters, fields={
         "raw_records": n_files + sum(ingest_counters.values()),
         "ingest_counters": dict(sorted(ingest_counters.items())),
     })
@@ -258,11 +314,9 @@ def stage_filter(
 
 def _order_repo_worker(
     repo: tuple[str, list[dict]], enabled: bool
-) -> tuple[dict | None, list[tuple[str, str]]]:
+) -> tuple[dict, list[tuple[str, str]]]:
     repo_id, file_records = repo
     files = [SourceFile(**rec) for rec in file_records]
-    if not files:
-        return None, []
     if enabled:
         ordered, edges = order_repo_files(files)
     else:
@@ -285,43 +339,61 @@ def _order_repo_worker(
     return record, edges
 
 
-def stage_order(cfg: PipelineConfig, file_records: Iterable[dict]) -> StageResult:
-    by_repo: dict[str, list[dict]] = {}
-    for rec in file_records:
-        by_repo.setdefault(rec["repo_id"], []).append(rec)
-    tasks = [(rid, by_repo[rid]) for rid in sorted(by_repo)]
-    results = _pmap(_order_repo_worker, tasks, cfg.workers, (cfg.stages.order,))
+def _repo_groups(file_records: Iterable[dict]) -> Iterator[tuple[str, list[dict]]]:
+    """(repo_id, its file records) per run of one repo_id; filter writes
+    repos in repo_id order, so one out of order raises."""
+    last = None
+    for repo_id, group in itertools.groupby(file_records, key=lambda rec: rec["repo_id"]):
+        if last is not None and repo_id <= last:
+            raise ValueError(f"{FILES_OUT}: repo {repo_id!r} comes after {last!r}")
+        last = repo_id
+        yield repo_id, list(group)
 
-    rows = [rec for rec, _ in results if rec is not None]
-    outputs = []
+
+def stage_order(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> StageResult:
+    """One repo at a time; every file read is in the paths written."""
+    n_files = 0
+    graphs: list[dict] = []
+    size = lambda task: sum(len(rec["content"]) for rec in task[1])  # noqa: E731
+
+    def rows() -> Iterator[dict]:
+        nonlocal n_files
+        tasks = _repo_groups(read())
+        for record, edges in _pmap(_order_repo_worker, tasks, cfg.workers, (cfg.stages.order,), size):
+            n_files += len(record["ordered_paths"])
+            if cfg.dump_graphs:
+                graphs.append({"repo_id": record["repo_id"], "edges": edges})
+            yield record
+
+    outputs = [_write_output(cfg, SAMPLES_OUT, rows())]
     if cfg.dump_graphs:
-        graphs = ({"repo_id": rid, "edges": edges} for (rid, _), (_, edges) in zip(tasks, results))
         outputs.append(_write_output(cfg, GRAPHS_OUT, graphs))
-    return StageResult(rows, sum(map(len, by_repo.values())), outputs=outputs, fields={
-        "output_file_total": sum(len(r["ordered_paths"]) for r in rows),
-    })
+    return StageResult(outputs, n_files, fields={"output_file_total": n_files})
 
 
 # -----------------------
 # Stage 3: dedup
 # -----------------------
 
-def stage_dedup(cfg: PipelineConfig, records: Iterable[dict]) -> StageResult:
-    records = list(records)
-    if not (cfg.stages.dedup and records):
-        return StageResult(records, len(records))
+def stage_dedup(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> StageResult:
+    """Signs each sample on a first pass, writes the survivors on a second."""
+    records = _peek(read())
+    if records is None or not cfg.stages.dedup:
+        main = _write_output(cfg, DEDUP_OUT, records or ())
+        return StageResult([main], main[1])
     d = cfg.dedup
-    texts = [rec["text"] for rec in records]
-    values = _pmap(minhash_signature, texts, cfg.workers, (d.num_perm, d.shingle_width, d.seed))
-    signatures = {rec["repo_id"]: sig for rec, sig in zip(records, values)}
-    char_counts = {rec["repo_id"]: rec["char_count"] for rec in records}
+    signatures: dict[str, array] = {}
+    char_counts: dict[str, int] = {}
+    shared = (d.num_perm, d.shingle_width, d.seed)
+    for rec, sig in _pmap_texts(minhash_signature, records, cfg.workers, shared):
+        signatures[rec["repo_id"]] = array("Q", sig)
+        char_counts[rec["repo_id"]] = rec["char_count"]
     clusters = find_near_duplicates(
         signatures, char_counts, threshold=d.threshold, bands=d.bands, rows=d.rows
     )
     drop: set[str] = set()
     for cluster in clusters:
         drop.update(rid for rid in cluster.member_repo_ids if rid != cluster.representative)
-    retained = [rec for rec in records if rec["repo_id"] not in drop]
     outputs = []
     if d.report:
         report_rows = [
@@ -339,8 +411,9 @@ def stage_dedup(cfg: PipelineConfig, records: Iterable[dict]) -> StageResult:
             for c in clusters
         ]
         outputs.append(_write_output(cfg, DEDUP_REPORT, report_rows))
+    outputs.insert(0, _write_output(cfg, DEDUP_OUT, (rec for rec in read() if rec["repo_id"] not in drop)))
     counters = {"near_duplicate": len(drop)} if drop else {}
-    return StageResult(retained, len(records), counters=counters, outputs=outputs)
+    return StageResult(outputs, len(signatures), counters=counters)
 
 
 # -----------------------
@@ -395,33 +468,38 @@ def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
     return rows
 
 
-def stage_decontaminate(cfg: PipelineConfig, records: Iterable[dict]) -> StageResult:
-    records = list(records)
-    if not (cfg.stages.decontaminate and records):
-        return StageResult(records, len(records), fields={"benchmark_strings_skipped_short": 0})
+def stage_decontaminate(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> StageResult:
+    """Screens and writes one sample at a time."""
+    records = _peek(read())
+    if records is None or not cfg.stages.decontaminate:
+        main = _write_output(cfg, CLEAN_OUT, records or ())
+        return StageResult([main], main[1], fields={"benchmark_strings_skipped_short": 0})
     index: ContaminationIndex | None = None
     if cfg.decontaminate.benchmark_files:
         index = build_contamination_index(load_benchmark_strings(cfg.decontaminate.benchmark_files))
-    texts = [rec["text"] for rec in records]
     shared = (cfg.filters, cfg.decontaminate.quality_heuristics, index)
     counters: dict[str, int] = {}
-    clean: list[dict] = []
     report_rows: list[dict] = []
-    for rec, (reason, report) in zip(records, _pmap(_screen, texts, cfg.workers, shared)):
-        if reason is None:
-            clean.append(rec)
-            continue
-        _bump(counters, reason)
-        if report is not None:
-            report_rows.append({
-                "repo_id": rec["repo_id"],
-                "benchmarks": list(report.benchmarks),
-                "matched_entries": list(report.matched_entries),
-            })
-    outputs = []
+
+    def clean() -> Iterator[dict]:
+        for rec, (reason, report) in _pmap_texts(_screen, records, cfg.workers, shared):
+            if reason is None:
+                yield rec
+                continue
+            _bump(counters, reason)
+            if report is not None:
+                report_rows.append({
+                    "repo_id": rec["repo_id"],
+                    "benchmarks": list(report.benchmarks),
+                    "matched_entries": list(report.matched_entries),
+                })
+
+    outputs = [_write_output(cfg, CLEAN_OUT, clean())]
     if cfg.decontaminate.report and index is not None:
         outputs.append(_write_output(cfg, CONTAMINATION_REPORT, report_rows))
-    return StageResult(clean, len(records), counters=counters, outputs=outputs, fields={
+    # Every sample is either written or counted under one reason.
+    n_records = outputs[0][1] + sum(counters.values())
+    return StageResult(outputs, n_records, counters=counters, fields={
         "benchmark_strings_skipped_short": index.skipped_short if index is not None else 0,
     })
 
@@ -458,25 +536,28 @@ def _write_entries(cfg: PipelineConfig, rows: Iterator[tuple]) -> list[tuple[str
             outputs.append(_write_output(cfg, stem + ".jsonl", records))
 
 
-def stage_build(cfg: PipelineConfig, records: Iterable[dict]) -> StageResult:
-    """Disabled, the stage writes no entries. Enabled, it transforms,
-    encodes and packs one record at a time and writes each entry once it
-    is full, so it holds one document and the unfilled entry."""
+def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> StageResult:
+    """Disabled, the stage writes no entries. Enabled, it transforms one
+    record, then encodes and packs it a slice at a time and writes each
+    entry once it is full, so it holds one document, one slice's ids and
+    the unfilled entry. (A slice is rejected only for a lone surrogate,
+    which no earlier stage can write, so no document is cut short.)"""
     fields = {"entry_len": cfg.build.entry_len, "fim_applied": 0, "total_tokens": 0,
               "dropped_tokens": 0, "padded_tokens": 0}
+    records = read()
     if not cfg.stages.build:
-        return StageResult(None, sum(1 for _ in records), 0, fields=fields)
+        return StageResult([], sum(1 for _ in records), 0, fields=fields)
     sentinels = cfg.build.sentinel_set()
     fim_cfg = FimConfig(fim_rate=cfg.build.fim_rate, mode=cfg.build.fim_mode, seed=cfg.seed)
     tokenizer = ByteTokenizer(sentinels)
     counters: dict[str, int] = {}
     n_records = n_entries = 0
 
-    def pack(docs: list[str], carry: tuple, pad_final: bool = False):
+    def pack(docs: list[str], carry: tuple, pad_final: bool = False, continued: bool = False):
         """Pack `docs` after `carry`; yield copies of the rows, so a row
-        the writer still holds keeps no document's ids; return the carry."""
+        the writer still holds keeps no slice's ids; return the carry."""
         nonlocal n_entries
-        result = pack_entries(docs, tokenizer, cfg.build.entry_len, pad_final, carry)
+        result = pack_entries(docs, tokenizer, cfg.build.entry_len, pad_final, carry, continued)
         if result.skipped_docs:
             _bump(counters, "tokenizer_failure", result.skipped_docs)
         n_entries += len(result.entries)
@@ -495,11 +576,12 @@ def stage_build(cfg: PipelineConfig, records: Iterable[dict]) -> StageResult:
                 _bump(counters, "sentinel_collision")
                 continue
             fields["fim_applied"] += doc.startswith(sentinels.fim_start)
-            carry = yield from pack([doc], carry)
+            for k, piece in enumerate(tokenizer.slices(doc)):
+                carry = yield from pack([piece], carry, continued=k > 0)
         yield from pack([], carry, cfg.build.pad_final)
 
     outputs = _write_entries(cfg, rows())
-    return StageResult(None, n_records, n_entries, counters, outputs, fields)
+    return StageResult(outputs, n_records, n_entries, counters, fields)
 
 
 # -----------------------
@@ -619,14 +701,11 @@ def _execute(cfg: PipelineConfig, stage: Stage, upstream: str, key: str, ingeste
     try:
         _clear(cfg, stage)
         if stage.reads is None:
-            records = ingested
+            source = ingested
         else:
-            records = _read_jsonl(os.path.join(cfg.output_dir, stage.reads))
+            source = functools.partial(_read_jsonl, os.path.join(cfg.output_dir, stage.reads))
         # Looked up at call time, so the stage functions can be wrapped.
-        result = globals()[f"stage_{stage.name}"](cfg, records)
-        outputs = list(result.outputs)
-        if result.rows is not None:
-            outputs.insert(0, _write_output(cfg, stage.writes[0], result.rows))
+        result = globals()[f"stage_{stage.name}"](cfg, source)
         manifest = {
             "stage": stage.name,
             "completed": True,
@@ -634,13 +713,13 @@ def _execute(cfg: PipelineConfig, stage: Stage, upstream: str, key: str, ingeste
             "upstream": upstream,
             "input_records": result.input_records,
             "output_records": (
-                len(result.rows) if result.output_records is None else result.output_records
+                result.outputs[0][1] if result.output_records is None else result.output_records
             ),
             "counters": dict(sorted(result.counters.items())),
             "outputs": [
                 {"path": rel, "sha256": sha256_file(os.path.join(cfg.output_dir, rel)),
                  "records": n}
-                for rel, n in outputs
+                for rel, n in result.outputs
             ],
             **result.fields,
         }

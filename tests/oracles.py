@@ -13,20 +13,36 @@ for every indexed length, and a letter count that asks `str.isalpha`
 of every character. The full-table MinHash over blake2b digests of
 the shingle strings, which `repopipe` signed with before, stays here as
 the classic estimator the one-permutation form is measured against.
+
+The whole-text forms of the sliced kernels (numpy shingle hashing, the
+quality heuristics and the indexed contamination scan), each holding
+every token of its text at once, and the `os.walk` form of the
+directory walk are kept as they were before they were rewritten.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import posixpath
 import re
+from collections import Counter
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repopipe.corpus import SourceFile
 from repopipe.decontam import NGRAM_SIZE, ContaminationIndex, ContaminationReport, tokenize
-from repopipe.dedup import _TOKEN
+from repopipe.dedup import _GOLDEN, _TOKEN
+from repopipe.filters import (
+    _COMMENT_LINE,
+    RULE_LONG_LINES,
+    RULE_TOKEN_REPETITION,
+    FilterThresholds,
+    FilterVerdict,
+)
+from repopipe.ingest import DROP_SYMLINK
 from repopipe.packing import PackResult, Tokenizer
 
 # The reference patterns and helpers as first written, copied rather
@@ -401,3 +417,83 @@ def scan_text(text: str, index: ContaminationIndex) -> ContaminationReport:
         matched_entries=tuple(matched),
         benchmarks=tuple(benchmarks),
     )
+
+
+def whole_text_shingle_set(text: str, width: int) -> np.ndarray:
+    tokens = _TOKEN.findall(text.lower())
+    pos = dict(zip(dict.fromkeys(tokens), count()))
+    digests = b"".join([hashlib.blake2b(t.encode(), digest_size=8).digest() for t in pos])
+    seq = np.frombuffer(digests, "<u8")[np.fromiter(map(pos.__getitem__, tokens), np.intp, len(tokens))]
+    n = max(len(tokens) - width + 1, 1)
+    hashes = np.zeros(n, dtype=np.uint64)
+    for k in range(min(width, len(tokens))):
+        hashes *= _GOLDEN
+        hashes += seq[k : k + n]
+    hashes.sort()
+    return hashes[np.concatenate(([True], hashes[1:] != hashes[:-1]))]
+
+
+def whole_text_quality_heuristics(content: str, thresholds: FilterThresholds) -> FilterVerdict:
+    if not content:
+        return FilterVerdict(True)
+    tokens = content.split()
+    if tokens:
+        counts = Counter(tokens)
+        top_tok, top_count = max(counts.items(), key=lambda kv: (kv[1] * len(kv[0]), kv[0]))
+        covered = top_count * len(top_tok)
+        if covered > thresholds.max_repeated_token_fraction * len(content):
+            return FilterVerdict(
+                False, RULE_TOKEN_REPETITION, f"token {top_tok[:20]!r} covers {covered}/{len(content)} chars"
+            )
+    code_lines = [ln for ln in content.splitlines() if ln.strip() and not _COMMENT_LINE.match(ln)]
+    if code_lines:
+        long_lines = sum(1 for ln in code_lines if len(ln) > thresholds.long_line_chars)
+        if long_lines / len(code_lines) > thresholds.max_long_line_fraction:
+            return FilterVerdict(
+                False,
+                RULE_LONG_LINES,
+                f"{long_lines}/{len(code_lines)} non-comment lines > {thresholds.long_line_chars} chars",
+            )
+    return FilterVerdict(True)
+
+
+def whole_text_scan(text: str, index: ContaminationIndex) -> ContaminationReport:
+    tokens = tokenize(text)
+    starts: dict[int, list[int]] = {}
+    for i in compress(count(), map(index.first_tokens.__contains__, tokens)):
+        for n in index.first_tokens[tokens[i]]:
+            starts.setdefault(n, []).append(i)
+    matched: list[str] = []
+    seen: set[str] = set()
+    passes = [(NGRAM_SIZE, index.ten_gram_set)]
+    passes += [(n, index.exact_set) for n in sorted(index.exact_lengths)]
+    for n, entries in passes:
+        last = len(tokens) - n
+        for i in starts.get(n, ()):
+            if i > last:
+                break
+            window = " ".join(tokens[i : i + n])
+            if window in entries and window not in seen:
+                seen.add(window)
+                matched.append(window)
+    benchmarks = sorted({index.source_labels[m] for m in matched})
+    return ContaminationReport(bool(matched), tuple(matched), tuple(benchmarks))
+
+
+def walk_repo_dir(root: str, counters: dict[str, int]) -> list[tuple[str, str]]:
+    out: list[tuple[str, str]] = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
+        for name in [d for d in dirnames if os.path.islink(os.path.join(dirpath, d))]:
+            dirnames.remove(name)
+            counters[DROP_SYMLINK] = counters.get(DROP_SYMLINK, 0) + 1
+        for name in sorted(filenames):
+            if name.startswith("."):
+                continue
+            abs_path = os.path.join(dirpath, name)
+            if os.path.islink(abs_path):
+                counters[DROP_SYMLINK] = counters.get(DROP_SYMLINK, 0) + 1
+                continue
+            rel = os.path.relpath(abs_path, root).replace(os.sep, "/")
+            out.append((rel, abs_path))
+    return out

@@ -2,20 +2,24 @@
 reference patterns, bounded JS/TS import pattern, union-find
 components, heap toposort, uint32-stream packer, numpy shingle hashing
 and densified one-permutation MinHash give exactly the results of the
-brute-force oracles in `oracles.py` on generated inputs.
+brute-force oracles in `oracles.py` on generated inputs. The kernels
+that work through a sample one slice at a time give, with the slice
+size patched down to a few characters, exactly the results of their
+whole-text forms kept there.
 """
 
 from __future__ import annotations
 
 import posixpath
 import string
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repopipe import deps
+from repopipe import deps, filters, packing
 from repopipe.corpus import SourceFile, compute_file_stats
 from repopipe.decontam import ContaminationReport, build_contamination_index, scan_text
 from repopipe.dedup import minhash_signature, shingle_set
@@ -25,7 +29,8 @@ from repopipe.deps import (
     order_repo_files,
     topological_sort,
 )
-from repopipe.fim import DEFAULT_SENTINELS
+from repopipe.filters import FilterThresholds, apply_quality_heuristics, text_slices
+from repopipe.fim import DEFAULT_SENTINELS, SentinelSet
 from repopipe.packing import ByteTokenizer, PackResult, pack_entries
 
 # A small vocabulary makes collisions likely: duplicate basenames,
@@ -441,3 +446,113 @@ def test_scan_named_cases_match_every_position_scan():
     index = build_contamination_index(cases["mixed exact lengths"][0])
     report = scan_text(" ".join(["w"] * 12), index)
     assert [len(m.split()) for m in report.matched_entries] == list(range(3, 10))
+
+
+# Pieces that stress the cuts between slices: a CRLF pair, which a cut
+# after "\r" would split, a final sigma and a dotted capital I, whose
+# lowercase depends on context or grows, other line and word
+# separators, comment starts, a token longer than one slice and the
+# sentinel literals.
+SLICE_PIECES = [
+    "a", "Σ", "İ", "ß", "x_1", "名前", "\r\n", "\r", "\n", " ", "\t", "\u3000", "\x1c", "\u2028",
+    "# c", "//", "y" * 30, *DEFAULT_SENTINELS.as_tuple(),
+]
+sliced_texts = st.lists(st.sampled_from(SLICE_PIECES), max_size=40).map("".join)
+slice_sizes = st.integers(min_value=1, max_value=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sliced_texts, st.booleans(), slice_sizes)
+def test_text_slices_cut_after_whitespace(text, lines, size):
+    with mock.patch.object(filters, "SLICE_CHARS", size):
+        parts = list(text_slices(text, lines))
+    assert "".join(parts) == text
+    assert all(part[-1] == "\n" if lines else part[-1].isspace() for part in parts[:-1])
+
+
+@settings(max_examples=500, deadline=None)
+@given(sliced_texts, st.integers(min_value=1, max_value=6), slice_sizes)
+@example("", 5, 1)
+@example(" \r\n\t\u3000 ", 5, 1)
+@example("ΑΣ İΣ\r\nσΣ", 2, 2)
+@example("only three tokens", 5, 3)
+def test_sliced_shingles_match_whole_text(text, width, size):
+    with mock.patch.object(filters, "SLICE_CHARS", size):
+        got = shingle_set(text, width)
+    assert got.tolist() == oracles.whole_text_shingle_set(text, width).tolist()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    sliced_texts,
+    slice_sizes,
+    st.sampled_from([0.05, 0.2, 0.5]),
+    st.integers(min_value=0, max_value=8),
+    st.sampled_from([0.0, 0.5, 0.9]),
+)
+@example("", 1, 0.5, 0, 0.0)
+@example("\r\n\r\n  ", 1, 0.5, 0, 0.0)
+@example("yyyy\r\nyyyy # c\n", 2, 0.5, 3, 0.0)
+def test_sliced_quality_heuristics_match_whole_text(text, size, repeated, long_chars, long_fraction):
+    thresholds = FilterThresholds(
+        max_repeated_token_fraction=repeated, long_line_chars=long_chars, max_long_line_fraction=long_fraction
+    )
+    with mock.patch.object(filters, "SLICE_CHARS", size):
+        got = apply_quality_heuristics(text, thresholds)
+    assert got == oracles.whole_text_quality_heuristics(text, thresholds)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data(), slice_sizes)
+def test_sliced_scan_matches_whole_text(data, size):
+    rows = data.draw(benchmark_rows())
+    index = build_contamination_index(rows)
+    text = data.draw(st.one_of(scanned_texts(rows), sliced_texts))
+    with mock.patch.object(filters, "SLICE_CHARS", size):
+        got = scan_text(text, index)
+    assert got == oracles.whole_text_scan(text, index)
+
+
+# The default literals, and literals that hold whitespace and overlap,
+# which a cut after whitespace alone could split.
+SENTINEL_SETS = [DEFAULT_SENTINELS, SentinelSet("<s>", "<s><s>", "s s", " <")]
+sentinel_texts = st.lists(
+    st.one_of(
+        st.text(alphabet="ab é\n<s>", max_size=6),
+        st.sampled_from([*DEFAULT_SENTINELS.as_tuple(), *SENTINEL_SETS[1].as_tuple()]),
+    ),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(sentinel_texts, max_size=6),
+    st.sampled_from(SENTINEL_SETS),
+    st.integers(min_value=2, max_value=24),
+    st.booleans(),
+    slice_sizes,
+)
+def test_packing_each_document_slice_by_slice_matches_one_pass(texts, sentinels, entry_len, pad_final, size):
+    """The build stage's calls: each slice of a document after the carry,
+    all but the first `continued`, then a call that drops or pads."""
+    tok = ByteTokenizer(sentinels)
+    calls = []
+    carry = ((), ())
+    with mock.patch.object(packing, "ENCODE_SLICE", size):
+        for text in texts:
+            pieces = list(tok.slices(text))
+            assert "".join(pieces) == text
+            for k, piece in enumerate(pieces):
+                calls.append(pack_entries([piece], tok, entry_len, carry=carry, continued=k > 0))
+                carry = calls[-1].carry
+    calls.append(pack_entries([], tok, entry_len, pad_final, carry=carry))
+    chained = PackResult(
+        entries=np.concatenate([c.entries for c in calls]),
+        doc_boundaries=[b for c in calls for b in c.doc_boundaries],
+        total_tokens=sum(c.total_tokens for c in calls),
+        dropped_tokens=calls[-1].dropped_tokens,
+        padded_tokens=calls[-1].padded_tokens,
+        skipped_docs=sum(c.skipped_docs for c in calls),
+    )
+    assert_same_pack(chained, oracles.pack_entries(texts, tok, entry_len, pad_final))

@@ -2,11 +2,19 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
+import oracles
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from repopipe.config import PipelineConfig
-from repopipe.ingest import load_repos
+from repopipe.ingest import _walk_repo_dir, load_repos
 from repopipe.pipeline import CLEAN_OUT, run_pipeline
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_directory_input_one_repo_per_subdir(tmp_path):
@@ -177,3 +185,62 @@ def test_jsonl_input_through_full_pipeline(tmp_path):
     ]
     assert clean[0]["repo_id"] == "jr"
     assert clean[0]["ordered_paths"] == ["util.py", "main.py"]
+
+
+def test_fifo_skipped_and_counted(tmp_path):
+    # Opening a FIFO that no process writes blocks forever, so the run
+    # goes in a child process under a timeout.
+    root = tmp_path / "corpus" / "r1"
+    root.mkdir(parents=True)
+    (root / "a.py").write_text("a = 1\n")
+    os.mkfifo(root / "pipe.py")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"inputs": [str(tmp_path / "corpus")], "output_dir": str(tmp_path / "out")}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-m", "repopipe.cli", "run", "--config", str(config)],
+                   check=True, capture_output=True, timeout=60, env=env)
+    manifest = json.loads((tmp_path / "out" / "manifests" / "filter.json").read_text())
+    assert manifest["ingest_counters"] == {"not_regular_file": 1}
+    assert manifest["input_records"] == 1
+
+
+# Names that sort around one another, dot-names, non-ASCII and `%` names.
+tree_names = st.sampled_from(["a", "b", "c.py", ".d", ".e.py", "é", "%25.py", "名前.go", "a b.py"])
+tree_specs = st.lists(
+    st.tuples(
+        st.lists(tree_names, min_size=1, max_size=3),
+        st.sampled_from(["file", "dir", "file link", "dir link", "loop link", "dangling link"]),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_specs)
+def test_scandir_walk_matches_os_walk(spec):
+    """Nested and empty directories, dot-entries, symlinked files and
+    directories (one a loop back to the repo root) and dangling links:
+    the same paths in the same order, and the same counters."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "repo"
+        root.mkdir()
+        (Path(tmp) / "outside.py").write_text("o = 1\n")
+        (Path(tmp) / "outside").mkdir()
+        targets = {"file link": Path(tmp) / "outside.py", "dir link": Path(tmp) / "outside",
+                   "loop link": root, "dangling link": Path(tmp) / "missing"}
+        for parts, kind in spec:
+            path = root.joinpath(*parts)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                if kind == "file":
+                    path.write_text("x = 1\n")
+                elif kind == "dir":
+                    path.mkdir()
+                else:
+                    path.symlink_to(targets[kind])
+            except OSError:  # the path, or a parent of it, is already there
+                pass
+        got: dict[str, int] = {}
+        want: dict[str, int] = {}
+        assert _walk_repo_dir(str(root), got) == oracles.walk_repo_dir(str(root), want)
+        assert got == want

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,19 @@ class TestFileRecords:
         assert rec["language"] == "Python"
         assert rec["byte_size"] == len(content.encode("utf-8")) == 16
 
+    def test_order_rejects_a_repo_whose_files_come_apart(self, tmp_path):
+        # Order reads one repo at a time, so its files must be together.
+        from repopipe.pipeline import StageFailure, run_stage
+
+        cfg = fixture_config(tmp_path)
+        run_stage(cfg, "filter")
+        files = Path(cfg.output_dir) / FILES_OUT
+        lines = files.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert json.loads(lines[0])["repo_id"] == json.loads(lines[1])["repo_id"] == "repo_alpha"
+        files.write_text("".join(lines[1:] + lines[:1]), encoding="utf-8")
+        with pytest.raises(StageFailure, match="'repo_alpha' comes after 'repo_gamma'"):
+            run_stage(cfg, "order")
+
 
 class TestVacuousRun:
     def test_empty_input_directory(self, tmp_path):
@@ -220,12 +234,14 @@ class TestWorkerCountInvariance:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(pipeline_module, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(pipeline_module, "_shared", ())
-        assert pipeline_module._pmap(divmod, [7, 8, 9], 16, (2,)) == [(3, 1), (4, 0), (4, 1)]
+        assert list(pipeline_module._pmap(divmod, [7, 8, 9], 16, (2,))) == [(3, 1), (4, 0), (4, 1)]
         assert widths == [3]
 
 

@@ -13,31 +13,36 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .deps import connected_components
 from .filters import text_slices
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _TOKEN = re.compile(r"\w+")
-# uint64 constants throughout, so every operation below stays in uint64
-# under numpy's old value-based casting as under NEP 50. The shingle
-# base is odd, hence invertible mod 2**64; the rest is splitmix64.
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+# numpy loads in the functions that use it, so a resume never imports it.
+# Each constant meets an array as np.uint64(...), so every operation stays
+# in uint64 under numpy's old value-based casting as under NEP 50. (A bare
+# int gives the same bits with the uint64 arrays here, but float64 with a
+# numpy scalar before 2.0.) The shingle base is odd, hence invertible mod
+# 2**64; the rest is splitmix64.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _DONOR_BLOCK = 64  # densification attempts drawn per round
 _BIN_BLOCK = 1 << 16  # shingle hashes mixed and binned per numpy call
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
     """splitmix64's output function, elementwise; a fresh array."""
-    z = x + _GOLDEN
+    import numpy as np
+    z = x + np.uint64(_GOLDEN)
     z ^= z >> np.uint64(30)
-    z *= _MIX1
+    z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
-    z *= _MIX2
+    z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
     return z
 
@@ -50,6 +55,7 @@ def shingle_set(text: str, width: int) -> np.ndarray:
     Texts shorter than one shingle yield the single truncated shingle.
     Each slice of the text is lowered and tokenized into one id array.
     """
+    import numpy as np
     pos: defaultdict[str, int] = defaultdict(count().__next__)  # token -> id, in first-seen order
     ids = array("q")
     for part in text_slices(text):
@@ -59,8 +65,9 @@ def shingle_set(text: str, width: int) -> np.ndarray:
     del ids
     n = max(len(seq) - width + 1, 1)
     hashes = np.zeros(n, dtype=np.uint64)
+    base = np.uint64(_GOLDEN)
     for k in range(min(width, len(seq))):
-        hashes *= _GOLDEN
+        hashes *= base
         hashes += seq[k : k + n]
     del seq
     hashes.sort()
@@ -72,6 +79,7 @@ def _densify(values: np.ndarray, full: np.ndarray, key: np.ndarray) -> None:
     bin i takes the value of the first full bin among its donor draws
     mix(key ^ (i << 32 | a)) % num_perm for attempts a = 1, 2, ...
     """
+    import numpy as np
     num_perm = np.uint64(len(values))
     empty = np.flatnonzero(~full).astype(np.uint64)
     attempt = 1
@@ -104,6 +112,7 @@ def minhash_signature(
         raise ValueError(f"num_perm must be >= 16, got {num_perm}")
     if not text:
         raise ValueError("cannot sign an empty sample")
+    import numpy as np
     key = _mix(np.array([seed % 2**64], dtype=np.uint64))
     hashes = shingle_set(text, shingle_width)
     values = np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
@@ -168,7 +177,7 @@ def find_near_duplicates(
 
     buckets: dict[tuple[int, bytes], list[int]] = {}
     for idx, sig in enumerate(sigs):
-        arr = np.asarray(sig, dtype=np.uint64)
+        arr = array("Q", sig)
         for band in range(bands):
             key = (band, arr[band * rows : (band + 1) * rows].tobytes())
             buckets.setdefault(key, []).append(idx)

@@ -7,7 +7,8 @@ Two input shapes are accepted per configured path:
     dot-directories (.git and friends) are skipped, and so is a
     symlinked file or directory, which may lie outside the corpus or
     nowhere, and a FIFO or other entry that is not a regular file;
-  - a *.jsonl file: one object per file with repo_id, path, content.
+  - a *.jsonl file: one object per file with repo_id, path, content,
+    one per line; only "\n" ends a line, so a bare "\r" stays inside it.
 
 Files that fail UTF-8 decoding, or whose repo id, path or content holds
 a lone surrogate (no UTF-8 output can hold one), or that repeat a path
@@ -19,6 +20,8 @@ so does a line holding one that does not parse as such a record.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -34,6 +37,7 @@ DROP_NOT_REGULAR_FILE = "not_regular_file"
 class RawFile:
     path: str
     content: str
+    sha256: bytes  # digest of the content's UTF-8 bytes
 
 
 @dataclass
@@ -82,10 +86,11 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
     repos: dict[str, RawRepo] = {}
     seen_paths: dict[str, set[str]] = {}
 
-    def add_file(repo_id: str, path: str, content: str) -> None:
+    def add_file(repo_id: str, path: str, content: str, data: bytes | None = None) -> None:
+        """`data`, when given, is the bytes `content` was decoded from."""
         try:  # lone surrogates, from a JSON `\ud800` escape or a non-UTF-8 file name
-            for text in (repo_id, path, content):
-                text.encode("utf-8")
+            (repo_id + path).encode("utf-8")
+            data = content.encode("utf-8") if data is None else data
         except UnicodeEncodeError:
             counters[DROP_DECODE_ERROR] = counters.get(DROP_DECODE_ERROR, 0) + 1
             return
@@ -95,7 +100,7 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
             counters[DROP_DUPLICATE_PATH] = counters.get(DROP_DUPLICATE_PATH, 0) + 1
             return
         seen.add(path)
-        repo.files.append(RawFile(path=path, content=content))
+        repo.files.append(RawFile(path, content, hashlib.sha256(data).digest()))
 
     for source in inputs:
         if os.path.isdir(source):
@@ -104,16 +109,19 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
                 if not os.path.isdir(repo_root) or entry.startswith("."):
                     continue
                 for rel, abs_path in _walk_repo_dir(repo_root, counters):
-                    with open(abs_path, "rb") as fh:
-                        raw = fh.read()
+                    fd = os.open(abs_path, os.O_RDONLY)
+                    try:  # by os.read in 64 KiB blocks, without io's buffer objects
+                        raw = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))
+                    finally:
+                        os.close(fd)
                     try:
                         content = raw.decode("utf-8")
                     except UnicodeDecodeError:
                         counters[DROP_DECODE_ERROR] = counters.get(DROP_DECODE_ERROR, 0) + 1
                         continue
-                    add_file(entry, rel, content)
+                    add_file(entry, rel, content, raw)
         else:
-            with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
                 for line in fh:
                     line = line.strip()
                     if not line:

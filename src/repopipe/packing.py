@@ -13,11 +13,12 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 from .fim import DEFAULT_SENTINELS, SentinelSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENCODE_SLICE = 1 << 16  # characters per numpy conversion: a 256 KiB uint32 temporary
 
@@ -55,6 +56,7 @@ class ByteTokenizer:
         """An array("I") of ids; the text between sentinels goes through
         numpy in slices of ENCODE_SLICE characters, neither one Python
         int per byte nor one uint32 temporary per document."""
+        import numpy as np
         ids = array("I")
         pos = 0
         for match in [*self._splitter.finditer(text), None]:
@@ -140,6 +142,7 @@ def pack_entries(
     """
     if entry_len < 2:
         raise ValueError(f"entry_len must be >= 2, got {entry_len}")
+    import numpy as np
     stream = array("I", carry[0])
     assert stream.itemsize == 4, "array('I') must hold 32-bit ids"
     starts = list(carry[1])  # stream offset where each document starts

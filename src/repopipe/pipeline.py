@@ -19,7 +19,6 @@ import json
 import os
 import shutil
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -220,6 +219,7 @@ def _pmap(
     if len(window) <= 1:
         yield from (fn(item, *shared) for item in itertools.chain(*window, items))
         return
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
     with ProcessPoolExecutor(
         max_workers=min(workers, len(window)), initializer=_init_shared, initargs=(fn, shared)
     ) as pool:
@@ -280,7 +280,7 @@ def ingest_and_fingerprint(cfg: PipelineConfig) -> tuple[list[RawRepo], dict[str
             h.update(b"\x00")
             h.update(rf.path.encode("utf-8"))
             h.update(b"\x00")
-            h.update(hashlib.sha256(rf.content.encode("utf-8")).digest())
+            h.update(rf.sha256)
     h.update(json.dumps(counters, sort_keys=True).encode("utf-8"))
     return repos, counters, h.hexdigest()
 
@@ -381,6 +381,8 @@ def stage_dedup(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> Stag
     if records is None or not cfg.stages.dedup:
         main = _write_output(cfg, DEDUP_OUT, records or ())
         return StageResult([main], main[1])
+    # Before the pool starts, so forked workers inherit numpy, not import it.
+    import numpy  # noqa: F401
     d = cfg.dedup
     signatures: dict[str, array] = {}
     char_counts: dict[str, int] = {}
@@ -445,9 +447,9 @@ def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
     rows: list[tuple[str, str]] = []
     for path in paths:
         default_label = os.path.splitext(os.path.basename(path))[0]
-        # surrogateescape turns each byte that is not UTF-8 into a lone
-        # surrogate, which encoding back to UTF-8 rejects.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
+        # which encoding back to UTF-8 rejects; a bare "\r" is JSON whitespace.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue

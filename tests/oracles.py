@@ -427,7 +427,7 @@ def whole_text_shingle_set(text: str, width: int) -> np.ndarray:
     n = max(len(tokens) - width + 1, 1)
     hashes = np.zeros(n, dtype=np.uint64)
     for k in range(min(width, len(tokens))):
-        hashes *= _GOLDEN
+        hashes *= np.uint64(_GOLDEN)
         hashes += seq[k : k + n]
     hashes.sort()
     return hashes[np.concatenate(([True], hashes[1:] != hashes[:-1]))]

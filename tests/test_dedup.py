@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from repopipe import dedup
 from repopipe.dedup import (
     DuplicateCluster,
     choose_representative,
@@ -33,6 +36,34 @@ def oracle_shingles(text: str, width: int) -> set[str]:
 def exact_jaccard(a: str, b: str, width: int = 5) -> float:
     sa, sb = oracle_shingles(a, width), oracle_shingles(b, width)
     return len(sa & sb) / len(sa | sb)
+
+
+# --- independent oracle: dedup's hashes over Python ints mod 2**64 ------
+
+_M64 = 2**64 - 1
+
+
+def python_splitmix64(x: int) -> int:
+    z = (x + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def python_shingle_set(text: str, width: int) -> list[int]:
+    """Sorted distinct shingle hashes: the polynomial in base
+    0x9E3779B97F4A7C15 of each run of `width` token digests."""
+    seq = [
+        int.from_bytes(hashlib.blake2b(t.encode(), digest_size=8).digest(), "little")
+        for t in _ORACLE_TOKEN.findall(text.lower())
+    ]
+    hashes = set()
+    for i in range(max(len(seq) - width + 1, 1)):
+        h = 0
+        for d in seq[i : i + width]:
+            h = (h * 0x9E3779B97F4A7C15 + d) & _M64
+        hashes.add(h)
+    return sorted(hashes)
 
 
 def dedup_input(texts: dict[str, str], **kwargs) -> tuple[dict, dict]:
@@ -111,6 +142,22 @@ class TestSignature:
         assert s[:4] == (
             13067506693598074736, 11831557251777760545, 8698850239035061250, 8210881239056348427,
         )
+
+    def test_mix_matches_python_int_splitmix64(self):
+        # Checks the bits under whichever integer promotion the installed
+        # numpy uses: value-based before 2.0, NEP 50 from it.
+        xs = np.random.default_rng(0).integers(0, 2**64, size=1000, dtype=np.uint64)
+        xs = np.concatenate([xs, np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64)])
+        assert (xs >= 2**63).sum() > 400
+        assert dedup._mix(xs).tolist() == [python_splitmix64(x) for x in xs.tolist()]
+
+    @pytest.mark.parametrize("text", [
+        "", "one", "only three tokens", "the quick brown fox jumps over the lazy dog",
+        "Ünïcode wörter, DIGITS 123 and_underscores " * 7, "x = f(y)\n" * 40,
+    ])
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_shingle_set_matches_python_int_polynomial(self, text, width):
+        assert shingle_set(text, width).tolist() == python_shingle_set(text, width)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(

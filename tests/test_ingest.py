@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from repopipe.config import PipelineConfig
 from repopipe.ingest import _walk_repo_dir, load_repos
-from repopipe.pipeline import CLEAN_OUT, run_pipeline
+from repopipe.pipeline import CLEAN_OUT, load_benchmark_strings, run_pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -70,8 +70,8 @@ def test_undecodable_jsonl_line_counted_as_decode_error(tmp_path):
     good = json.dumps({"repo_id": "r", "path": "a.py", "content": "a = 1\n"}).encode()
     bad = b'{"repo_id": "r", "path": "b.py", "content": "\xff"}'
     unparsed = b'{"repo_id": "r", \xff "path": "e.py", "content": ""}'
-    # Line ends as text mode reads them: "\r\n", "\n" and a lone "\r".
-    tail = good.replace(b"a.py", b"c.py") + b"\r" + good.replace(b"a.py", b"d.py")
+    # Line ends "\r\n" and "\n"; a lone "\r" is JSON whitespace inside a record.
+    tail = good.replace(b"a.py", b"c.py").replace(b", ", b",\r", 1) + b"\n" + good.replace(b"a.py", b"d.py")
     stream.write_bytes(good + b"\r\n" + bad + b"\n" + unparsed + b"\n" + tail + b"\n{}")
     counters: dict[str, int] = {}
     repos = load_repos([str(stream)], counters)
@@ -185,6 +185,23 @@ def test_jsonl_input_through_full_pipeline(tmp_path):
     ]
     assert clean[0]["repo_id"] == "jr"
     assert clean[0]["ordered_paths"] == ["util.py", "main.py"]
+
+
+def test_carriage_return_inside_a_jsonl_record_stays_in_it(tmp_path):
+    # JSON allows a bare "\r" between tokens; only "\n" ends a record.
+    stream = tmp_path / "files.jsonl"
+    b = json.dumps({"repo_id": "r", "path": "b.py", "content": "b = 2\n"}).encode()
+    stream.write_bytes(b'{"repo_id": "r", "path": "a.py",\r"content": "print(1)\\n"}\n' + b + b"\r\n")
+    counters: dict[str, int] = {}
+    repos = load_repos([str(stream)], counters)
+    assert counters == {}
+    assert [(f.path, f.content) for f in repos[0].files] == [("a.py", "print(1)\n"), ("b.py", "b = 2\n")]
+
+
+def test_carriage_return_inside_a_benchmark_record_stays_in_it(tmp_path):
+    bench = tmp_path / "bench.jsonl"
+    bench.write_bytes(b'{"text": "one",\r"benchmark": "x"}\n{"text": "two"}\r\n')
+    assert load_benchmark_strings([str(bench)]) == [("one", "x"), ("two", "bench")]
 
 
 def test_fifo_skipped_and_counted(tmp_path):

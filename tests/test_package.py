@@ -1,13 +1,18 @@
 """The package root loads no stage module, so importing it, the config
-and the language table loads neither numpy nor the pipeline."""
+and the language table loads neither numpy nor the pipeline; a resume
+and `stats` load neither numpy nor the process pool."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 
 import repopipe
+from conftest import fixture_config
+from repopipe.config import config_to_dict
+from repopipe.pipeline import run_pipeline, run_stage
 
 
 def test_config_and_corpus_load_no_numpy_or_pipeline():
@@ -19,3 +24,61 @@ def test_config_and_corpus_load_no_numpy_or_pipeline():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+HEAVY = ["concurrent.futures.process", "multiprocessing", "numpy"]
+
+
+def run_child(code: str, *args: str) -> str:
+    """The last line `code` prints to stdout in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(repopipe.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip().splitlines()[-1]
+
+
+def write_config(cfg, path) -> str:
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    return str(path)
+
+
+def test_resume_stats_and_default_config_load_no_numpy_or_pool(tmp_path):
+    cfg = fixture_config(tmp_path)
+    run_pipeline(cfg)
+    config = write_config(cfg, tmp_path / "config.json")
+    code = (
+        "import sys\n"
+        "from repopipe.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        f"print(sorted(set({HEAVY!r}) & set(sys.modules)))\n"
+    )
+    for argv in (["run", "--config", config], ["stats", "--config", config], ["--print-default-config"]):
+        assert run_child(code, *argv) == "[]", argv
+    run_record = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert run_record["stages_completed"] == []
+
+
+def test_dedup_pool_starts_after_the_parent_imports_numpy(tmp_path):
+    # Forked pool workers inherit the parent's modules; without numpy
+    # there, each worker would import it again.
+    cfg = fixture_config(tmp_path)
+    run_stage(cfg, "filter")
+    run_stage(cfg, "order")
+    cfg.workers = 2
+    config = write_config(cfg, tmp_path / "config.json")
+    code = (
+        "import concurrent.futures, sys\n"
+        "from repopipe.config import load_config\n"
+        "from repopipe.pipeline import run_stage\n"
+        "assert 'numpy' not in sys.modules\n"
+        "seen = []\n"
+        "class Pool(concurrent.futures.ProcessPoolExecutor):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        seen.append('numpy' in sys.modules)\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "concurrent.futures.ProcessPoolExecutor = Pool\n"
+        "run_stage(load_config(sys.argv[1]), 'dedup')\n"
+        "print(seen)\n"
+    )
+    assert run_child(code, config) == "[True]"

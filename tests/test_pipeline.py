@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import copy
 import hashlib
 import json
@@ -239,7 +240,7 @@ class TestWorkerCountInvariance:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(pipeline_module, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(pipeline_module, "_shared", ())
         assert list(pipeline_module._pmap(divmod, [7, 8, 9], 16, (2,))) == [(3, 1), (4, 0), (4, 1)]
         assert widths == [3]

@@ -17,7 +17,6 @@ from .config import (
     covers,
     default_config,
     load_config,
-    require_valid,
 )
 from .pipeline import STAGES, StageFailure, emit_stats, run_pipeline, run_stage
 from .stats import render_stats_table
@@ -50,8 +49,6 @@ def _load(args: argparse.Namespace) -> PipelineConfig:
         if value is not None:
             section, _, leaf = name.rpartition(".")
             setattr(getattr(cfg, section) if section else cfg, leaf, value)
-    if args.command != "stats":  # it reads only the output directory
-        require_valid(cfg)
     return cfg
 
 

@@ -12,10 +12,8 @@ Two input shapes are accepted per configured path:
 
 Files that fail UTF-8 decoding, or whose repo id, path or content holds
 a lone surrogate (no UTF-8 output can hold one), or that repeat a path
-within their repo are dropped with a counted reason. JSONL is read with
-surrogateescape, so a byte that is not UTF-8 becomes a lone surrogate:
-in a record's repo id, path or content it counts as a decode error, and
-so does a line holding one that does not parse as such a record.
+within their repo are dropped with a counted reason. A JSONL line that
+is not UTF-8 counts as a decode error, whichever field holds the byte.
 """
 
 from __future__ import annotations
@@ -25,12 +23,14 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from typing import Iterator
 
 DROP_DECODE_ERROR = "decode_error"
 DROP_DUPLICATE_PATH = "duplicate_path"
 DROP_BAD_RECORD = "bad_record"
 DROP_SYMLINK = "symlink"
 DROP_NOT_REGULAR_FILE = "not_regular_file"
+NOT_UTF8 = "not UTF-8"  # the problem read_jsonl names for such a line
 
 
 @dataclass
@@ -44,6 +44,27 @@ class RawFile:
 class RawRepo:
     repo_id: str
     files: list[RawFile] = field(default_factory=list)
+
+
+def read_jsonl(path: str) -> Iterator[tuple[int, object, str | None]]:
+    """(line number, value, None) for each non-blank line of a JSONL file
+    read from outside, or (line number, None, problem) for a line that is
+    not UTF-8 or not JSON. Only "\n" ends a line: JSON allows a bare "\r"
+    between tokens."""
+    # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
+    # which encoding back to UTF-8 rejects.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                line.encode("utf-8")
+                value, problem = json.loads(line), None
+            except UnicodeEncodeError:
+                value, problem = None, NOT_UTF8
+            except json.JSONDecodeError as exc:
+                value, problem = None, f"not JSON: {exc}"
+            yield number, value, problem
 
 
 def _walk_repo_dir(root: str, counters: dict[str, int]) -> list[tuple[str, str]]:
@@ -121,28 +142,17 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
                         continue
                     add_file(entry, rel, content, raw)
         else:
-            with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                        repo_id = obj["repo_id"]
-                        path = obj["path"]
-                        content = obj["content"]
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        try:
-                            line.encode("utf-8")
-                            reason = DROP_BAD_RECORD
-                        except UnicodeEncodeError:
-                            reason = DROP_DECODE_ERROR
-                        counters[reason] = counters.get(reason, 0) + 1
-                        continue
-                    texts = (repo_id, path, content)
-                    if not (repo_id and path and all(isinstance(t, str) for t in texts)):
-                        counters[DROP_BAD_RECORD] = counters.get(DROP_BAD_RECORD, 0) + 1
-                        continue
-                    add_file(*texts)
+            for _, obj, problem in read_jsonl(source):
+                if problem == NOT_UTF8:
+                    counters[DROP_DECODE_ERROR] = counters.get(DROP_DECODE_ERROR, 0) + 1
+                    continue
+                try:  # a line that is not JSON has obj None
+                    texts = (obj["repo_id"], obj["path"], obj["content"])
+                except (KeyError, TypeError):
+                    texts = (None, None, None)
+                if not (texts[0] and texts[1] and all(isinstance(t, str) for t in texts)):
+                    counters[DROP_BAD_RECORD] = counters.get(DROP_BAD_RECORD, 0) + 1
+                    continue
+                add_file(*texts)
 
     return [repos[rid] for rid in sorted(repos)]

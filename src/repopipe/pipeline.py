@@ -36,7 +36,7 @@ from .filters import (
     filter_html,
 )
 from .fim import FimConfig, fim_transform
-from .ingest import RawRepo, load_repos
+from .ingest import RawRepo, load_repos, read_jsonl
 from .packing import ByteTokenizer, pack_entries
 from .stats import compute_corpus_stats, render_stats_table
 
@@ -153,22 +153,8 @@ def _pmap_texts(fn: Callable, records: Iterable[dict], workers: int, shared: tup
         yield held.popleft(), result
 
 
-def _peek(records: Iterator[dict]) -> Iterator[dict] | None:
-    """`records` as they were, or None when there are none."""
-    first = next(records, None)
-    return None if first is None else itertools.chain([first], records)
-
-
 def _manifest_path(cfg: PipelineConfig, stage: str) -> str:
     return os.path.join(cfg.output_dir, "manifests", f"{stage}.json")
-
-
-def _load_manifest(cfg: PipelineConfig, stage: str) -> dict | None:
-    try:
-        with open(_manifest_path(cfg, stage), "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
 
 
 # -----------------------
@@ -230,10 +216,6 @@ def _pmap(
             yield from done
 
 
-def _bump(counters: dict[str, int], key: str, by: int = 1) -> None:
-    counters[key] = counters.get(key, 0) + by
-
-
 # -----------------------
 # Stage 1: filter
 # -----------------------
@@ -242,11 +224,11 @@ def _filter_repo_worker(
     raw_repo: RawRepo, thresholds: FilterThresholds, lang_map: LanguageMap, enabled: bool
 ) -> tuple[list[dict], dict[str, int]]:
     kept: list[dict] = []
-    counters: dict[str, int] = {}
+    counters: collections.Counter[str] = collections.Counter()
     for rf in raw_repo.files:
         language = detect_language(rf.path, lang_map)
         if enabled and language is None:
-            _bump(counters, "unrecognized_language")
+            counters["unrecognized_language"] += 1
             continue
         byte_size = len(rf.content.encode("utf-8"))
         if enabled:
@@ -258,7 +240,7 @@ def _filter_repo_worker(
             if verdict.accepted and language in DATA_FILE_LANGUAGES:
                 verdict = filter_data_file(sf.content, language, thresholds)
             if not verdict.accepted:
-                _bump(counters, verdict.rule_fired)
+                counters[verdict.rule_fired] += 1
                 continue
         kept.append({
             "repo_id": raw_repo.repo_id, "path": rf.path, "language": language,
@@ -270,9 +252,13 @@ def _filter_repo_worker(
 def ingest_and_fingerprint(cfg: PipelineConfig) -> tuple[list[RawRepo], dict[str, int], str]:
     """Load the raw corpus and fingerprint it (content digests plus the
     ingest drop counters) so stage-1 checkpoints can detect input drift.
+    An input that cannot be read fails the filter stage.
     """
     counters: dict[str, int] = {}
-    repos = load_repos(cfg.inputs, counters)
+    try:
+        repos = load_repos(cfg.inputs, counters)
+    except Exception as exc:
+        raise StageFailure(STAGES[0].name, exc) from exc
     h = hashlib.sha256()
     for repo in repos:
         for rf in repo.files:
@@ -285,20 +271,18 @@ def ingest_and_fingerprint(cfg: PipelineConfig) -> tuple[list[RawRepo], dict[str
     return repos, counters, h.hexdigest()
 
 
-def stage_filter(
-    cfg: PipelineConfig, ingested: tuple[list[RawRepo], dict[str, int]]
-) -> StageResult:
-    """Writes the kept files repo by repo, in repo_id order."""
+def stage_filter(cfg: PipelineConfig, ingested: Sequence) -> StageResult:
+    """Writes the kept files repo by repo, in repo_id order. `ingested`
+    holds the repos and the counters that `ingest_and_fingerprint` returns."""
     raw_repos, ingest_counters = ingested
     shared = (cfg.filters, LanguageMap.load(cfg.language_map), cfg.stages.filter)
     size = lambda repo: sum(len(rf.content) for rf in repo.files)  # noqa: E731
-    counters: dict[str, int] = {}
+    counters: collections.Counter[str] = collections.Counter()
 
     def rows() -> Iterator[dict]:
         for kept, repo_counters in _pmap(_filter_repo_worker, raw_repos, cfg.workers, shared, size):
             yield from kept
-            for key, count in repo_counters.items():
-                _bump(counters, key, count)
+            counters.update(repo_counters)
 
     outputs = [_write_output(cfg, FILES_OUT, rows())]
     n_files = sum(len(r.files) for r in raw_repos)
@@ -322,12 +306,12 @@ def _order_repo_worker(
     else:
         ordered, edges = list(files), []
     text = concatenate_with_paths(ordered)
-    lang_bytes: dict[str, int] = {}
-    lang_files: dict[str, int] = {}
+    lang_bytes: collections.Counter[str] = collections.Counter()
+    lang_files: collections.Counter[str] = collections.Counter()
     for f in files:
         lang = f.language or UNKNOWN_LANGUAGE
-        lang_bytes[lang] = lang_bytes.get(lang, 0) + f.byte_size
-        lang_files[lang] = lang_files.get(lang, 0) + 1
+        lang_bytes[lang] += f.byte_size
+        lang_files[lang] += 1
     record = {
         "repo_id": repo_id,
         "ordered_paths": [f.path for f in ordered],
@@ -377,9 +361,8 @@ def stage_order(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> Stag
 
 def stage_dedup(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> StageResult:
     """Signs each sample on a first pass, writes the survivors on a second."""
-    records = _peek(read())
-    if records is None or not cfg.stages.dedup:
-        main = _write_output(cfg, DEDUP_OUT, records or ())
+    if not cfg.stages.dedup:
+        main = _write_output(cfg, DEDUP_OUT, read())
         return StageResult([main], main[1])
     # Before the pool starts, so forked workers inherit numpy, not import it.
     import numpy  # noqa: F401
@@ -387,7 +370,7 @@ def stage_dedup(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> Stag
     signatures: dict[str, array] = {}
     char_counts: dict[str, int] = {}
     shared = (d.num_perm, d.shingle_width, d.seed)
-    for rec, sig in _pmap_texts(minhash_signature, records, cfg.workers, shared):
+    for rec, sig in _pmap_texts(minhash_signature, read(), cfg.workers, shared):
         signatures[rec["repo_id"]] = array("Q", sig)
         char_counts[rec["repo_id"]] = rec["char_count"]
     clusters = find_near_duplicates(
@@ -447,48 +430,36 @@ def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
     rows: list[tuple[str, str]] = []
     for path in paths:
         default_label = os.path.splitext(os.path.basename(path))[0]
-        # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
-        # which encoding back to UTF-8 rejects; a bare "\r" is JSON whitespace.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-            for number, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ValueError(f"{path}:{number}: not UTF-8") from None
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{number}: not JSON: {exc}") from exc
-                if not isinstance(obj, dict) or "text" not in obj:
-                    raise ValueError(f'{path}:{number}: not an object with a "text" field')
-                text, label = obj["text"], obj.get("benchmark", default_label)
-                if not (isinstance(text, str) and isinstance(label, str)):
-                    raise ValueError(f'{path}:{number}: "text" and "benchmark" must be strings')
-                rows.append((text, label))
+        for number, obj, problem in read_jsonl(path):
+            if problem is not None:
+                raise ValueError(f"{path}:{number}: {problem}")
+            if not isinstance(obj, dict) or "text" not in obj:
+                raise ValueError(f'{path}:{number}: not an object with a "text" field')
+            text, label = obj["text"], obj.get("benchmark", default_label)
+            if not (isinstance(text, str) and isinstance(label, str)):
+                raise ValueError(f'{path}:{number}: "text" and "benchmark" must be strings')
+            rows.append((text, label))
     return rows
 
 
 def stage_decontaminate(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> StageResult:
     """Screens and writes one sample at a time."""
-    records = _peek(read())
-    if records is None or not cfg.stages.decontaminate:
-        main = _write_output(cfg, CLEAN_OUT, records or ())
+    if not cfg.stages.decontaminate:
+        main = _write_output(cfg, CLEAN_OUT, read())
         return StageResult([main], main[1], fields={"benchmark_strings_skipped_short": 0})
     index: ContaminationIndex | None = None
     if cfg.decontaminate.benchmark_files:
         index = build_contamination_index(load_benchmark_strings(cfg.decontaminate.benchmark_files))
     shared = (cfg.filters, cfg.decontaminate.quality_heuristics, index)
-    counters: dict[str, int] = {}
+    counters: collections.Counter[str] = collections.Counter()
     report_rows: list[dict] = []
 
     def clean() -> Iterator[dict]:
-        for rec, (reason, report) in _pmap_texts(_screen, records, cfg.workers, shared):
+        for rec, (reason, report) in _pmap_texts(_screen, read(), cfg.workers, shared):
             if reason is None:
                 yield rec
                 continue
-            _bump(counters, reason)
+            counters[reason] += 1
             if report is not None:
                 report_rows.append({
                     "repo_id": rec["repo_id"],
@@ -552,7 +523,7 @@ def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> Stag
     sentinels = cfg.build.sentinel_set()
     fim_cfg = FimConfig(fim_rate=cfg.build.fim_rate, mode=cfg.build.fim_mode, seed=cfg.seed)
     tokenizer = ByteTokenizer(sentinels)
-    counters: dict[str, int] = {}
+    counters: collections.Counter[str] = collections.Counter()
     n_records = n_entries = 0
 
     def pack(docs: list[str], carry: tuple, pad_final: bool = False, continued: bool = False):
@@ -561,7 +532,7 @@ def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> Stag
         nonlocal n_entries
         result = pack_entries(docs, tokenizer, cfg.build.entry_len, pad_final, carry, continued)
         if result.skipped_docs:
-            _bump(counters, "tokenizer_failure", result.skipped_docs)
+            counters["tokenizer_failure"] += result.skipped_docs
         n_entries += len(result.entries)
         fields["total_tokens"] += result.total_tokens
         fields.update(dropped_tokens=result.dropped_tokens, padded_tokens=result.padded_tokens)
@@ -575,7 +546,7 @@ def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> Stag
         for n_records, rec in enumerate(records, 1):
             doc = fim_transform(rec.pop("text"), n_records - 1, fim_cfg, sentinels)
             if doc is None:
-                _bump(counters, "sentinel_collision")
+                counters["sentinel_collision"] += 1
                 continue
             fields["fim_applied"] += doc.startswith(sentinels.fim_start)
             for k, piece in enumerate(tokenizer.slices(doc)):
@@ -590,14 +561,15 @@ def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> Stag
 # Stats
 # -----------------------
 
-def emit_stats(cfg: PipelineConfig) -> dict:
+def emit_stats(cfg: PipelineConfig, chain: list[dict] | None = None) -> dict:
     """Summarise the last stage done: per-language sizes from the file
     the stage after the chain would read (after build, build's input),
-    drop counters from the chain's manifests. Renders the summary table
-    and writes stats.txt / stats.json; returns the stats.json object.
-    With no stage done it writes nothing and raises StageFailure.
+    drop counters from the manifests of `chain` (None: `_chain(cfg)`).
+    Renders the summary table and writes stats.txt / stats.json; returns
+    the stats.json object. With no stage done it writes nothing and
+    raises StageFailure.
     """
-    chain = _chain(cfg)
+    chain = _chain(cfg) if chain is None else chain
     if not chain:
         raise StageFailure("stats", RuntimeError(f"no stage has completed in {cfg.output_dir}"))
     source = STAGES[min(len(chain), len(STAGES) - 1)].reads
@@ -607,21 +579,19 @@ def emit_stats(cfg: PipelineConfig) -> dict:
             drops["ingest"] = dict(manifest["ingest_counters"])
         if manifest.get("counters"):
             drops[stage.name] = dict(manifest["counters"])
-    lang_bytes: dict[str, int] = {}
-    lang_files: dict[str, int] = {}
+    lang_bytes: collections.Counter[str] = collections.Counter()
+    lang_files: collections.Counter[str] = collections.Counter()
     if source is not None:
         records = _read_jsonl(os.path.join(cfg.output_dir, source))
         if source == FILES_OUT:
             for rec in records:
                 lang = rec["language"] or UNKNOWN_LANGUAGE
-                lang_bytes[lang] = lang_bytes.get(lang, 0) + rec["byte_size"]
-                lang_files[lang] = lang_files.get(lang, 0) + 1
+                lang_bytes[lang] += rec["byte_size"]
+                lang_files[lang] += 1
         else:
             for rec in records:
-                for lang, size in rec["lang_bytes"].items():
-                    lang_bytes[lang] = lang_bytes.get(lang, 0) + size
-                for lang, count in rec["lang_files"].items():
-                    lang_files[lang] = lang_files.get(lang, 0) + count
+                lang_bytes.update(rec["lang_bytes"])
+                lang_files.update(rec["lang_files"])
     stats = compute_corpus_stats(lang_bytes, lang_files, drops)
     with open(os.path.join(cfg.output_dir, "stats.txt"), "w", encoding="utf-8") as fh:
         fh.write(render_stats_table(stats))
@@ -635,37 +605,32 @@ def emit_stats(cfg: PipelineConfig) -> dict:
 # Orchestration
 # -----------------------
 
-def _ingest(cfg: PipelineConfig) -> tuple[tuple[list[RawRepo], dict[str, int]], str]:
-    try:
-        raw_repos, counters, fingerprint = ingest_and_fingerprint(cfg)
-    except Exception as exc:
-        raise StageFailure(STAGES[0].name, exc) from exc
-    return (raw_repos, counters), fingerprint
-
-
 def _input_digest(manifest: dict) -> str:
     """sha256 of the file the next stage reads: the stage's first output."""
     return manifest["outputs"][0]["sha256"]
 
 
 def _done(cfg: PipelineConfig, stage: Stage, upstream: str | None, key: str | None = None) -> dict | None:
-    """The stage's manifest if it records a completed run on the input
-    whose digest is `upstream` (None: any input) and its first output is
-    on disk. `run` also passes its config `key` and asks more: that key
-    in the manifest, and every output still matching its digest.
+    """The stage's manifest if it parses to an object that records a
+    completed run on the input whose digest is `upstream` (None: any
+    input) under the config `key` (None: any), and every output it lists
+    is a regular file that still has its recorded sha256.
     """
-    manifest = _load_manifest(cfg, stage.name)
+    try:
+        with open(_manifest_path(cfg, stage.name), "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):  # missing, not UTF-8 or not JSON
+        return None
     if (
-        manifest is None
+        not isinstance(manifest, dict)
         or not manifest.get("completed")
         or upstream is not None and manifest.get("upstream") != upstream
         or key is not None and manifest.get("config_hash") != key
     ):
         return None
-    strict = key is not None
-    for entry in manifest["outputs"] if strict else manifest["outputs"][:1]:
+    for entry in manifest["outputs"]:
         path = os.path.join(cfg.output_dir, entry["path"])
-        if not os.path.exists(path) or strict and sha256_file(path) != entry["sha256"]:
+        if not os.path.isfile(path) or sha256_file(path) != entry["sha256"]:
             return None
     return manifest
 
@@ -744,7 +709,7 @@ def run_stage(cfg: PipelineConfig, name: str) -> dict:
     require_valid(cfg)
     i = [stage.name for stage in STAGES].index(name)
     if i == 0:
-        ingested, upstream = _ingest(cfg)
+        *ingested, upstream = ingest_and_fingerprint(cfg)
         return _execute(cfg, STAGES[0], upstream, config_hash(cfg), ingested)
     chain = _chain(cfg)
     if len(chain) < i:
@@ -763,19 +728,21 @@ def run_pipeline(cfg: PipelineConfig) -> RunSummary:
     summary = RunSummary()
     key = config_hash(cfg)
 
-    ingested, upstream = _ingest(cfg)
+    *ingested, upstream = ingest_and_fingerprint(cfg)
+    chain: list[dict] = []
     for stage in STAGES:
-        if stage.reads is not None:  # the previous stage's first output
-            ingested, upstream = None, _input_digest(manifest)
+        if chain:  # the previous stage's first output
+            ingested, upstream = None, _input_digest(chain[-1])
         manifest = _done(cfg, stage, upstream, key)
         if manifest is None:
             manifest = _execute(cfg, stage, upstream, key, ingested)
             summary.completed_stages.append(stage.name)
         else:
             summary.skipped_stages.append(stage.name)
+        chain.append(manifest)
     summary.output_files = [entry["path"] for entry in manifest["outputs"]]
 
-    summary.stats = emit_stats(cfg)
+    summary.stats = emit_stats(cfg, chain)
     run_record = {
         "config_hash": key,
         "stages_completed": summary.completed_stages,

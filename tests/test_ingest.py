@@ -11,7 +11,7 @@ import oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from repopipe.config import PipelineConfig
-from repopipe.ingest import _walk_repo_dir, load_repos
+from repopipe.ingest import _walk_repo_dir, load_repos, read_jsonl
 from repopipe.pipeline import CLEAN_OUT, load_benchmark_strings, run_pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -77,6 +77,27 @@ def test_undecodable_jsonl_line_counted_as_decode_error(tmp_path):
     repos = load_repos([str(stream)], counters)
     assert counters == {"decode_error": 2, "bad_record": 1}
     assert [f.path for f in repos[0].files] == ["a.py", "c.py", "d.py"]
+
+
+def test_undecodable_byte_in_any_field_is_a_decode_error(tmp_path):
+    stream = tmp_path / "files.jsonl"
+    stream.write_bytes(
+        b'{"repo_id": "r", "path": "a.py", "content": "a = 1", "license": "\xff"}\n'
+        b'{"repo_id": "r", "path": "b.py", "content": "b = 1", "license": "MIT"}\n'
+    )
+    counters: dict[str, int] = {}
+    repos = load_repos([str(stream)], counters)
+    assert counters == {"decode_error": 1}
+    assert [f.path for f in repos[0].files] == ["b.py"]
+
+
+def test_read_jsonl_numbers_lines_and_names_problems(tmp_path):
+    stream = tmp_path / "rows.jsonl"
+    stream.write_bytes(b'{"a": 1}\n\n \r\n[2,\r3]\r\nnot json\n"\xff"\n')
+    rows = list(read_jsonl(str(stream)))
+    assert [(n, value) for n, value, _ in rows] == [(1, {"a": 1}), (4, [2, 3]), (5, None), (6, None)]
+    assert [problem for _, _, problem in rows][:2] == [None, None]
+    assert rows[2][2].startswith("not JSON: ") and rows[3][2] == "not UTF-8"
 
 
 def test_lone_surrogate_records_counted_as_decode_errors(tmp_path):

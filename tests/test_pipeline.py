@@ -139,6 +139,10 @@ class TestFileRecords:
         lines = files.read_text(encoding="utf-8").splitlines(keepends=True)
         assert json.loads(lines[0])["repo_id"] == json.loads(lines[1])["repo_id"] == "repo_alpha"
         files.write_text("".join(lines[1:] + lines[:1]), encoding="utf-8")
+        # Record the shuffled file's digest, so that order takes it as done.
+        manifest = read_manifest(cfg, "filter")
+        manifest["outputs"][0]["sha256"] = hashlib.sha256(files.read_bytes()).hexdigest()
+        (Path(cfg.output_dir) / "manifests" / "filter.json").write_text(json.dumps(manifest))
         with pytest.raises(StageFailure, match="'repo_alpha' comes after 'repo_gamma'"):
             run_stage(cfg, "order")
 
@@ -153,6 +157,24 @@ class TestVacuousRun:
         assert summary.stats["languages"] == []
         stats = json.loads((tmp_path / "out" / "stats.json").read_text())
         assert stats["total"]["files"] == 0
+
+    def test_empty_corpus_writes_the_reports_it_is_asked_for(self, tmp_path):
+        # A stage with no samples runs the same code as one with samples.
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text(json.dumps({"text": "too short", "benchmark": "b"}) + "\n")
+        cfg = PipelineConfig(inputs=[str(empty)], output_dir=str(tmp_path / "out"))
+        cfg.dedup.report = True
+        cfg.decontaminate.benchmark_files = [str(bench)]
+        run_pipeline(cfg)
+        dedup, decon = read_manifest(cfg, "dedup"), read_manifest(cfg, "decontaminate")
+        reports = ["reports/dedup_report.jsonl", "reports/contamination_report.jsonl"]
+        assert [entry["path"] for entry in dedup["outputs"]] == [DEDUP_OUT, reports[0]]
+        assert [entry["path"] for entry in decon["outputs"]] == [CLEAN_OUT, reports[1]]
+        for rel in reports:
+            assert (tmp_path / "out" / rel).read_bytes() == b""
+        assert decon["benchmark_strings_skipped_short"] == 1
 
 
 class TestStageToggles:
@@ -496,6 +518,32 @@ class TestChain:
             run_stage(cfg, "build")
         assert exc_info.value.stage == "build"
         assert "'dedup'" in str(exc_info.value.cause)
+
+    def test_changed_output_byte_ends_the_chain_for_every_command(self, tmp_path):
+        from repopipe.pipeline import StageFailure, emit_stats, run_stage
+
+        cfg = fixture_config(tmp_path)
+        run_pipeline(cfg)
+        assert {"dedup", "decontaminate"} <= set(emit_stats(cfg)["drop_counters"])
+        dedup_out = Path(cfg.output_dir) / DEDUP_OUT
+        data = bytearray(dedup_out.read_bytes())
+        data[len(data) // 2] ^= 1
+        dedup_out.write_bytes(bytes(data))
+        with pytest.raises(StageFailure) as exc_info:
+            run_stage(cfg, "decontaminate")
+        assert "'dedup'" in str(exc_info.value.cause)
+        drops = emit_stats(cfg)["drop_counters"]
+        assert "dedup" not in drops and "decontaminate" not in drops
+
+    @pytest.mark.parametrize("text", [b"[]", b"1", b'"completed"', b"\xff{}"])
+    def test_manifest_that_is_not_an_object_is_not_done(self, tmp_path, text):
+        from repopipe.pipeline import emit_stats
+
+        cfg = fixture_config(tmp_path)
+        run_pipeline(cfg)
+        (Path(cfg.output_dir) / "manifests" / "order.json").write_bytes(text)
+        assert "dedup" not in emit_stats(cfg)["drop_counters"]  # the chain ends at filter
+        assert run_pipeline(cfg).completed_stages == ["order"]
 
     def test_upstream_is_digest_of_predecessor_first_output(self, tmp_path):
         from repopipe.pipeline import STAGES

@@ -10,18 +10,13 @@ repository with a path comment heading each file.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import posixpath
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import SourceFile
-
-# Languages with reference extraction wired up; everything else
-# contributes no edges and falls back to input order.
-EXTRACTION_LANGUAGES = frozenset(
-    {"Python", "C", "C++", "C#", "Java", "TypeScript", "JavaScript", "Go"}
-)
 
 # Patterns anchored at a line start skip only that line's leading blanks
 # (`[^\S\n]*`, not `\s*`), so a run of blank lines is read once, not
@@ -87,14 +82,6 @@ def _go_refs(content: str) -> list[str]:
     return refs
 
 
-def _module_candidates(module: str, extensions: Sequence[str]) -> list[str]:
-    base = module.replace(".", "/")
-    cands = [f"{base}{ext}" for ext in extensions]
-    if ".py" in extensions:
-        cands.append(f"{base}/__init__.py")
-    return cands
-
-
 def _relative_candidates(ref: str, from_path: str) -> list[str]:
     """Repo paths a relative Python module (`.b`, `..pkg.c`, `.`) may
     name from the file at `from_path`. The first dot is the file's own
@@ -126,22 +113,20 @@ def _slash_suffixes(path: str) -> Iterator[str]:
 
 class _PathIndex:
     """One repo's paths keyed for reference resolution, each list in
-    sorted-path order. Iterating it yields the paths, sorted.
+    sorted-path order.
 
     by_suffix maps every `/`-suffix of a path to the paths ending with
-    it. Looked up with a basename, it yields the paths of that basename,
-    which serves the C include fallback. go_by_dir_suffix maps every
-    `/`-suffix of a `.go` file's parent directory to its files, and
-    go_by_dir maps the parent directory itself.
+    it. go_by_dir_suffix maps every `/`-suffix of a `.go` file's parent
+    directory to its files, and go_by_dir maps the parent directory
+    itself.
     """
 
     def __init__(self, repo_paths: Iterable[str]) -> None:
         self.by_suffix: dict[str, list[str]] = {}
         self.go_by_dir_suffix: dict[str, list[str]] = {}
         self.go_by_dir: dict[str, list[str]] = {}
-        self.paths = sorted(repo_paths)
-        self.path_set = frozenset(self.paths)
-        for p in self.paths:
+        self.path_set = frozenset(repo_paths)
+        for p in sorted(self.path_set):
             for tail in _slash_suffixes(p):
                 self.by_suffix.setdefault(tail, []).append(p)
             parent = posixpath.dirname(p)
@@ -150,84 +135,82 @@ class _PathIndex:
                     self.go_by_dir_suffix.setdefault(tail, []).append(p)
                 self.go_by_dir.setdefault(parent, []).append(p)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.paths)
-
-    def match(self, candidate: str) -> list[str]:
-        return self.by_suffix.get(candidate, [])
-
-
-def _resolve_modules(modules: Iterable[str], extensions: Sequence[str], index: _PathIndex) -> list[str]:
-    out: list[str] = []
-    for module in modules:
-        for cand in _module_candidates(module, extensions):
-            out.extend(index.match(cand))
-    return out
+    def find(self, candidates: Iterable[str], exact: bool = False) -> list[str]:
+        """The paths equal to each candidate in turn or, unless `exact`,
+        ending in `/` + the candidate."""
+        if exact:
+            return [c for c in candidates if c in self.path_set]
+        return [p for c in candidates for p in self.by_suffix.get(c, ())]
 
 
-def _resolve_python(refs: Iterable[str], from_path: str, index: _PathIndex) -> list[str]:
-    """Absolute modules match by path suffix, relative ones (leading
-    dots) only the exact paths they name."""
-    out: list[str] = []
-    for ref in refs:
-        if ref.startswith("."):
-            out.extend(c for c in _relative_candidates(ref, from_path) if c in index.path_set)
-        else:
-            out.extend(_resolve_modules((ref,), (".py",), index))
-    return out
+# Each resolver maps one reference of the file at `from_path` to the
+# repo paths it names.
+
+def _python_paths(ref: str, from_path: str, index: _PathIndex) -> list[str]:
+    """Relative modules (leading dots) name exact paths, absolute ones
+    match by path suffix."""
+    if ref.startswith("."):
+        return index.find(_relative_candidates(ref, from_path), exact=True)
+    base = ref.replace(".", "/")
+    return index.find([f"{base}.py", f"{base}/__init__.py"])
 
 
-def _resolve_includes(refs: Iterable[str], index: _PathIndex) -> list[str]:
-    out: list[str] = []
-    for ref in refs:
-        ref = ref.strip()
-        if not ref:
-            continue
-        out.extend(index.match(ref) or index.match(posixpath.basename(ref)))
-    return out
+def _include_paths(ref: str, from_path: str, index: _PathIndex) -> list[str]:
+    """By path suffix, else every file of the included basename."""
+    ref = ref.strip()
+    return (index.find([ref]) or index.find([posixpath.basename(ref)])) if ref else []
+
+
+def _dotted_paths(ext: str, ref: str, from_path: str, index: _PathIndex) -> list[str]:
+    """A C# or Java name as a path suffix; a Java wildcard `a.b.*` reads as `a.b`."""
+    return index.find([ref.removesuffix(".*").replace(".", "/") + ext])
 
 
 _JS_EXTS = (".ts", ".tsx", ".js", ".jsx", ".mjs", ".cjs")
 
 
-def _resolve_js(refs: Iterable[str], from_path: str, index: _PathIndex) -> list[str]:
+def _js_paths(ref: str, from_path: str, index: _PathIndex) -> list[str]:
     """Relative specifiers (`./x`, `../x`) name exact paths from the
     importing file, as Python relative imports do; bare ones match by
     path suffix."""
-    here = posixpath.dirname(from_path)
-    out: list[str] = []
-    for ref in refs:
-        relative = ref.startswith(".")
-        target = posixpath.normpath(posixpath.join(here, ref)) if relative else ref
-        if target == ".":  # the repository root: only its index file
-            cands = ["index" + ext for ext in _JS_EXTS]
-        elif posixpath.splitext(target)[1]:
-            cands = [target]
-        else:
-            cands = [*(target + ext for ext in _JS_EXTS),
-                     *(posixpath.join(target, "index" + ext) for ext in _JS_EXTS)]
-        if relative:
-            out.extend(c for c in cands if c in index.path_set)
-        else:
-            for cand in cands:
-                out.extend(index.match(cand))
-    return out
+    relative = ref.startswith(".")
+    target = posixpath.normpath(posixpath.join(posixpath.dirname(from_path), ref)) if relative else ref
+    if target == ".":  # the repository root: only its index file
+        cands = ["index" + ext for ext in _JS_EXTS]
+    elif posixpath.splitext(target)[1]:
+        cands = [target]
+    else:
+        cands = [*(target + ext for ext in _JS_EXTS),
+                 *(posixpath.join(target, "index" + ext) for ext in _JS_EXTS)]
+    return index.find(cands, exact=relative)
 
 
-def _resolve_go(refs: Iterable[str], index: _PathIndex) -> list[str]:
-    # Go import paths carry an unknown module prefix, so match the
-    # package directory by suffix in either direction: directories
-    # ending with the ref, and directories the ref ends with.
-    out: list[str] = []
-    for ref in refs:
-        ref = ref.strip("/")
-        if not ref:
-            continue
-        hits = set(index.go_by_dir_suffix.get(ref, ()))
-        for tail in _slash_suffixes(ref):
-            hits.update(index.go_by_dir.get(tail, ()))
-        out.extend(sorted(hits))
-    return out
+def _go_paths(ref: str, from_path: str, index: _PathIndex) -> list[str]:
+    """Go import paths carry an unknown module prefix, so match the
+    package directory by suffix in either direction: directories ending
+    with the ref, and directories the ref ends with."""
+    ref = ref.strip("/")
+    if not ref:
+        return []
+    hits = set(index.go_by_dir_suffix.get(ref, ()))
+    for tail in _slash_suffixes(ref):
+        hits.update(index.go_by_dir.get(tail, ()))
+    return sorted(hits)
+
+
+# language: (the references in a file's content, the paths one names).
+_RESOLVERS: dict[str, tuple[Callable[[str], list[str]], Callable[[str, str, _PathIndex], list[str]]]] = {
+    "Python": (_python_refs, _python_paths),
+    "C": (_C_INCLUDE.findall, _include_paths),
+    "C++": (_C_INCLUDE.findall, _include_paths),
+    "C#": (_CSHARP_USING.findall, functools.partial(_dotted_paths, ".cs")),
+    "Java": (_JAVA_IMPORT.findall, functools.partial(_dotted_paths, ".java")),
+    "TypeScript": (_js_refs, _js_paths),
+    "JavaScript": (_js_refs, _js_paths),
+    "Go": (_go_refs, _go_paths),
+}
+# Every other language contributes no edges and falls back to input order.
+EXTRACTION_LANGUAGES = frozenset(_RESOLVERS)
 
 
 def extract_dependencies(file: SourceFile, repo_paths: Iterable[str]) -> list[str]:
@@ -236,34 +219,12 @@ def extract_dependencies(file: SourceFile, repo_paths: Iterable[str]) -> list[st
     yield no edges. `order_repo_files` passes a `_PathIndex` of the
     repo's paths, so the index is built once per repo, not per file.
     """
-    index = repo_paths if isinstance(repo_paths, _PathIndex) else _PathIndex(repo_paths)
-    lang = file.language
-    if lang == "Python":
-        hits = _resolve_python(_python_refs(file.content), file.path, index)
-    elif lang in ("C", "C++"):
-        hits = _resolve_includes(
-            (m.group(1) for m in _C_INCLUDE.finditer(file.content)), index
-        )
-    elif lang == "C#":
-        hits = _resolve_modules(
-            (m.group(1) for m in _CSHARP_USING.finditer(file.content)), (".cs",), index
-        )
-    elif lang == "Java":
-        modules = [m.group(1).removesuffix(".*") for m in _JAVA_IMPORT.finditer(file.content)]
-        hits = _resolve_modules(modules, (".java",), index)
-    elif lang in ("TypeScript", "JavaScript"):
-        hits = _resolve_js(_js_refs(file.content), file.path, index)
-    elif lang == "Go":
-        hits = _resolve_go(_go_refs(file.content), index)
-    else:
+    if file.language not in _RESOLVERS:
         return []
-    seen: set[str] = set()
-    deps: list[str] = []
-    for p in hits:
-        if p != file.path and p not in seen:
-            seen.add(p)
-            deps.append(p)
-    return deps
+    refs, paths = _RESOLVERS[file.language]
+    index = repo_paths if isinstance(repo_paths, _PathIndex) else _PathIndex(repo_paths)
+    hits = (p for ref in refs(file.content) for p in paths(ref, file.path, index))
+    return [p for p in dict.fromkeys(hits) if p != file.path]
 
 
 def connected_components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:

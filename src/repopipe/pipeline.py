@@ -128,6 +128,13 @@ def _write_jsonl(path: str, records: Iterable[dict]) -> int:
     return n
 
 
+def _write_json(path: str, obj: dict) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2, ensure_ascii=False)
+        fh.write("\n")
+
+
 def _write_output(cfg: PipelineConfig, rel: str, records: Iterable[dict]) -> tuple[str, int]:
     return rel, _write_jsonl(os.path.join(cfg.output_dir, rel), records)
 
@@ -581,23 +588,20 @@ def emit_stats(cfg: PipelineConfig, chain: list[dict] | None = None) -> dict:
             drops[stage.name] = dict(manifest["counters"])
     lang_bytes: collections.Counter[str] = collections.Counter()
     lang_files: collections.Counter[str] = collections.Counter()
-    if source is not None:
-        records = _read_jsonl(os.path.join(cfg.output_dir, source))
-        if source == FILES_OUT:
-            for rec in records:
-                lang = rec["language"] or UNKNOWN_LANGUAGE
-                lang_bytes[lang] += rec["byte_size"]
-                lang_files[lang] += 1
-        else:
-            for rec in records:
-                lang_bytes.update(rec["lang_bytes"])
-                lang_files.update(rec["lang_files"])
+    records = _read_jsonl(os.path.join(cfg.output_dir, source))
+    if source == FILES_OUT:
+        for rec in records:
+            lang = rec["language"] or UNKNOWN_LANGUAGE
+            lang_bytes[lang] += rec["byte_size"]
+            lang_files[lang] += 1
+    else:
+        for rec in records:
+            lang_bytes.update(rec["lang_bytes"])
+            lang_files.update(rec["lang_files"])
     stats = compute_corpus_stats(lang_bytes, lang_files, drops)
     with open(os.path.join(cfg.output_dir, "stats.txt"), "w", encoding="utf-8") as fh:
         fh.write(render_stats_table(stats))
-    with open(os.path.join(cfg.output_dir, "stats.json"), "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    _write_json(os.path.join(cfg.output_dir, "stats.json"), stats)
     return stats
 
 
@@ -613,7 +617,8 @@ def _input_digest(manifest: dict) -> str:
 def _done(cfg: PipelineConfig, stage: Stage, upstream: str | None, key: str | None = None) -> dict | None:
     """The stage's manifest if it parses to an object that records a
     completed run on the input whose digest is `upstream` (None: any
-    input) under the config `key` (None: any), and every output it lists
+    input) under the config `key` (None: any), its `outputs` is a list of
+    objects with string `path` and `sha256`, and every output it lists
     is a regular file that still has its recorded sha256.
     """
     try:
@@ -628,7 +633,13 @@ def _done(cfg: PipelineConfig, stage: Stage, upstream: str | None, key: str | No
         or key is not None and manifest.get("config_hash") != key
     ):
         return None
-    for entry in manifest["outputs"]:
+    outputs = manifest.get("outputs")
+    # Every stage but the last has a reader, which needs its first output.
+    if not isinstance(outputs, list) or not (outputs or stage is STAGES[-1]):
+        return None
+    for entry in outputs:
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in ("path", "sha256")):
+            return None
         path = os.path.join(cfg.output_dir, entry["path"])
         if not os.path.isfile(path) or sha256_file(path) != entry["sha256"]:
             return None
@@ -690,11 +701,7 @@ def _execute(cfg: PipelineConfig, stage: Stage, upstream: str, key: str, ingeste
             ],
             **result.fields,
         }
-        path = _manifest_path(cfg, stage.name)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2, ensure_ascii=False)
-            fh.write("\n")
+        _write_json(_manifest_path(cfg, stage.name), manifest)
         return manifest
     except Exception as exc:  # halt with the stage name attached
         raise StageFailure(stage.name, exc) from exc
@@ -749,7 +756,5 @@ def run_pipeline(cfg: PipelineConfig) -> RunSummary:
         "stages_skipped": summary.skipped_stages,
         "output_files": summary.output_files,
     }
-    with open(os.path.join(cfg.output_dir, "run.json"), "w", encoding="utf-8") as fh:
-        json.dump(run_record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(cfg.output_dir, "run.json"), run_record)
     return summary

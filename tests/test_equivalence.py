@@ -40,6 +40,8 @@ LANGUAGES = {
     ".py": "Python",
     ".h": "C",
     ".c": "C",
+    ".hpp": "C++",
+    ".cpp": "C++",
     ".go": "Go",
     ".js": "JavaScript",
     ".ts": "TypeScript",
@@ -101,6 +103,7 @@ def import_line(draw, here: str, repo_paths: list[str]) -> str:
         "C#": [f"using {dotted};"],
     }
     by_language["TypeScript"] = by_language["JavaScript"]
+    by_language["C++"] = by_language["C"]
     return draw(st.sampled_from(by_language.get(LANGUAGES[here[here.rindex(".") :]], ["x"])))
 
 

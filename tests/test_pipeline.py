@@ -545,6 +545,40 @@ class TestChain:
         assert "dedup" not in emit_stats(cfg)["drop_counters"]  # the chain ends at filter
         assert run_pipeline(cfg).completed_stages == ["order"]
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.update(outputs={"path": SAMPLES_OUT, "sha256": ""}),
+            lambda m: m.update(outputs=[]),
+            lambda m: m.pop("outputs"),
+            lambda m: m["outputs"][0].pop("sha256"),
+            lambda m: m["outputs"][0].update(path=1),
+        ],
+        ids=["object", "empty", "missing", "entry_without_sha256", "numeric_path"],
+    )
+    def test_manifest_with_malformed_outputs_is_not_done(self, tmp_path, capsys, edit):
+        from repopipe.cli import EXIT_STAGE, main
+        from repopipe.config import config_to_dict
+        from repopipe.pipeline import emit_stats
+
+        cfg = fixture_config(tmp_path)
+        run_pipeline(cfg)
+        out = Path(cfg.output_dir)
+        fresh = output_digest(out)
+        manifest = read_manifest(cfg, "order")
+        edit(manifest)
+        (out / "manifests" / "order.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+        stats = emit_stats(cfg)  # the chain ends at filter
+        assert set(stats["drop_counters"]) <= {"ingest", "filter"}
+        assert stats["total"]["files"] == len(read_jsonl(out / FILES_OUT))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
+        assert main(["dedup", "--config", str(config)]) == EXIT_STAGE
+        assert "stage 'order' has not completed" in capsys.readouterr().err
+        assert run_pipeline(cfg).completed_stages == ["order"]
+        assert output_digest(out) == fresh
+
     def test_upstream_is_digest_of_predecessor_first_output(self, tmp_path):
         from repopipe.pipeline import STAGES
 

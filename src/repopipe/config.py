@@ -199,9 +199,15 @@ def _range_violations(section, where: str = ""):
 def validate_config(cfg: PipelineConfig) -> list[str]:
     """Every violation, not just the first."""
     v = list(_range_violations(cfg))
+    out = os.path.realpath(cfg.output_dir)
     for path in cfg.inputs:
         if not os.path.exists(path):
             v.append(f"inputs: path does not exist: {path}")
+        elif os.path.isdir(path):  # ingest skips only '.'-named directories
+            rel = os.path.relpath(out, os.path.realpath(path))
+            if rel == os.curdir or not any(part.startswith(".") for part in rel.split(os.sep)):
+                v.append(f"output_dir: {cfg.output_dir} lies in input directory {path}, "
+                         "which would ingest the outputs")
     if cfg.language_map is not None and not os.path.exists(cfg.language_map):
         v.append(f"language_map: path does not exist: {cfg.language_map}")
 

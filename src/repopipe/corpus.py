@@ -10,7 +10,7 @@ import json
 import string
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import PurePosixPath
+from pathlib import Path, PurePosixPath
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,9 @@ class LanguageMap:
     @classmethod
     def load(cls, path: str | None = None) -> "LanguageMap":
         """Load the bundled table, or an override file with the same schema."""
-        if path is None:
-            with resources.files("repopipe.data").joinpath("languages.json").open("rb") as fh:
-                raw = json.load(fh)
-        else:
-            with open(path, "rb") as fh:
-                raw = json.load(fh)
-        return cls.from_dict(raw)
+        source = resources.files("repopipe.data").joinpath("languages.json") if path is None else Path(path)
+        with source.open("rb") as fh:
+            return cls.from_dict(json.load(fh))
 
 
 def detect_language(path: str, lang_map: LanguageMap) -> str | None:

@@ -26,18 +26,18 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class ContaminationIndex:
-    """Lookup tables built once from benchmark test data, then read-only."""
+    """Lookup tables built once from benchmark test data, then read-only.
+    `source_labels` holds every entry, 10-grams and exact strings alike:
+    a window of n tokens can only equal an entry of n tokens."""
 
-    ten_gram_set: set[str] = field(default_factory=set)
-    exact_set: set[str] = field(default_factory=set)
-    source_labels: dict[str, str] = field(default_factory=dict)
+    source_labels: dict[str, str] = field(default_factory=dict)  # entry -> its benchmark
     exact_lengths: set[int] = field(default_factory=set)
     skipped_short: int = 0
     # first token of an entry -> the lengths of the entries it starts
     first_tokens: dict[str, set[int]] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.ten_gram_set) + len(self.exact_set)
+        return len(self.source_labels)
 
 
 def build_contamination_index(
@@ -55,12 +55,10 @@ def build_contamination_index(
         if len(tokens) >= NGRAM_SIZE:
             for i in range(len(tokens) - NGRAM_SIZE + 1):
                 gram = " ".join(tokens[i : i + NGRAM_SIZE])
-                index.ten_gram_set.add(gram)
                 index.source_labels.setdefault(gram, benchmark)
                 index.first_tokens.setdefault(tokens[i], set()).add(NGRAM_SIZE)
         else:
             entry = " ".join(tokens)
-            index.exact_set.add(entry)
             index.exact_lengths.add(len(tokens))
             index.source_labels.setdefault(entry, benchmark)
             index.first_tokens.setdefault(tokens[0], set()).add(len(tokens))
@@ -69,9 +67,12 @@ def build_contamination_index(
 
 @dataclass(frozen=True)
 class ContaminationReport:
-    hit: bool
     matched_entries: tuple[str, ...] = ()
     benchmarks: tuple[str, ...] = ()
+
+    @property
+    def hit(self) -> bool:
+        return bool(self.matched_entries)
 
 
 def scan_text(text: str, index: ContaminationIndex) -> ContaminationReport:
@@ -94,20 +95,15 @@ def scan_text(text: str, index: ContaminationIndex) -> ContaminationReport:
                 if i + n > carried:
                     starts.setdefault(n, []).append(i)
         for n in lengths:
-            entries = index.ten_gram_set if n == NGRAM_SIZE else index.exact_set
             last = len(tokens) - n
             for i in starts.get(n, ()):
                 if i > last:
                     break
                 window = " ".join(tokens[i : i + n])
-                if window in entries and window not in seen:
+                if window in index.source_labels and window not in seen:
                     seen.add(window)
                     found[n].append(window)
         del tokens[: -(NGRAM_SIZE - 1)]
     matched = [m for n in lengths for m in found[n]]
     benchmarks = sorted({index.source_labels[m] for m in matched})
-    return ContaminationReport(
-        hit=bool(matched),
-        matched_entries=tuple(matched),
-        benchmarks=tuple(benchmarks),
-    )
+    return ContaminationReport(tuple(matched), tuple(benchmarks))

@@ -116,24 +116,25 @@ class _PathIndex:
     sorted-path order.
 
     by_suffix maps every `/`-suffix of a path to the paths ending with
-    it. go_by_dir_suffix maps every `/`-suffix of a `.go` file's parent
-    directory to its files, and go_by_dir maps the parent directory
-    itself.
+    it. packages[ext] maps every `/`-suffix of an `ext` file's parent
+    directory to the `ext` files directly in it, for Go and Java, and
+    go_by_dir maps a `.go` file's parent directory itself.
     """
 
     def __init__(self, repo_paths: Iterable[str]) -> None:
         self.by_suffix: dict[str, list[str]] = {}
-        self.go_by_dir_suffix: dict[str, list[str]] = {}
+        self.packages: dict[str, dict[str, list[str]]] = {".go": {}, ".java": {}}
         self.go_by_dir: dict[str, list[str]] = {}
         self.path_set = frozenset(repo_paths)
         for p in sorted(self.path_set):
             for tail in _slash_suffixes(p):
                 self.by_suffix.setdefault(tail, []).append(p)
-            parent = posixpath.dirname(p)
-            if p.endswith(".go") and parent:
+            parent, ext = posixpath.dirname(p), p[p.rfind(".") :]
+            if ext in self.packages and parent:
                 for tail in _slash_suffixes(parent):
-                    self.go_by_dir_suffix.setdefault(tail, []).append(p)
-                self.go_by_dir.setdefault(parent, []).append(p)
+                    self.packages[ext].setdefault(tail, []).append(p)
+                if ext == ".go":
+                    self.go_by_dir.setdefault(parent, []).append(p)
 
     def find(self, candidates: Iterable[str], exact: bool = False) -> list[str]:
         """The paths equal to each candidate in turn or, unless `exact`,
@@ -162,8 +163,14 @@ def _include_paths(ref: str, from_path: str, index: _PathIndex) -> list[str]:
 
 
 def _dotted_paths(ext: str, ref: str, from_path: str, index: _PathIndex) -> list[str]:
-    """A C# or Java name as a path suffix; a Java wildcard `a.b.*` reads as `a.b`."""
-    return index.find([ref.removesuffix(".*").replace(".", "/") + ext])
+    """A C# or Java name as a path suffix. A Java wildcard `a.b.*` names
+    the class `a/b.java` (for `import static`), then the `.java` files
+    directly in a directory ending in `a/b` (package `a.b`)."""
+    name = ref.removesuffix(".*").replace(".", "/")
+    hits = index.find([name + ext])
+    if ref.endswith(".*"):
+        hits += index.packages[ext].get(name, [])
+    return hits
 
 
 _JS_EXTS = (".ts", ".tsx", ".js", ".jsx", ".mjs", ".cjs")
@@ -172,17 +179,17 @@ _JS_EXTS = (".ts", ".tsx", ".js", ".jsx", ".mjs", ".cjs")
 def _js_paths(ref: str, from_path: str, index: _PathIndex) -> list[str]:
     """Relative specifiers (`./x`, `../x`) name exact paths from the
     importing file, as Python relative imports do; bare ones match by
-    path suffix."""
+    path suffix. A name is completed with each extension, then as a
+    directory's index file; one whose last segment has a dot
+    (`./user.service`) names its own path instead where that exists."""
     relative = ref.startswith(".")
     target = posixpath.normpath(posixpath.join(posixpath.dirname(from_path), ref)) if relative else ref
     if target == ".":  # the repository root: only its index file
-        cands = ["index" + ext for ext in _JS_EXTS]
-    elif posixpath.splitext(target)[1]:
-        cands = [target]
-    else:
-        cands = [*(target + ext for ext in _JS_EXTS),
-                 *(posixpath.join(target, "index" + ext) for ext in _JS_EXTS)]
-    return index.find(cands, exact=relative)
+        return index.find(["index" + ext for ext in _JS_EXTS], exact=relative)
+    found = index.find([target], exact=relative) if posixpath.splitext(target)[1] else []
+    cands = [*(target + ext for ext in _JS_EXTS),
+             *(posixpath.join(target, "index" + ext) for ext in _JS_EXTS)]
+    return found or index.find(cands, exact=relative)
 
 
 def _go_paths(ref: str, from_path: str, index: _PathIndex) -> list[str]:
@@ -192,7 +199,7 @@ def _go_paths(ref: str, from_path: str, index: _PathIndex) -> list[str]:
     ref = ref.strip("/")
     if not ref:
         return []
-    hits = set(index.go_by_dir_suffix.get(ref, ()))
+    hits = set(index.packages[".go"].get(ref, ()))
     for tail in _slash_suffixes(ref):
         hits.update(index.go_by_dir.get(tail, ()))
     return sorted(hits)

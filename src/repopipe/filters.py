@@ -52,23 +52,15 @@ def text_slices(text: str, lines: bool = False) -> Iterator[str]:
 
 @dataclass(frozen=True)
 class FilterVerdict:
-    """Outcome of one filter evaluation. accepted is True iff no rule fired."""
+    """Outcome of one filter evaluation: the rule that rejected the file
+    and why, or no rule for an accepted file."""
 
-    accepted: bool
     rule_fired: str | None = None
     detail: str = ""
 
-    def __post_init__(self) -> None:
-        if self.accepted != (self.rule_fired is None):
-            raise ValueError("accepted must be True exactly when rule_fired is None")
-
-
-def _accept() -> FilterVerdict:
-    return FilterVerdict(accepted=True)
-
-
-def _reject(rule: str, detail: str) -> FilterVerdict:
-    return FilterVerdict(accepted=False, rule_fired=rule, detail=detail)
+    @property
+    def accepted(self) -> bool:
+        return self.rule_fired is None
 
 
 @dataclass(frozen=True)
@@ -103,26 +95,26 @@ def apply_base_filters(
     XSLT files are exempt from the XML-declaration rule.
     """
     if stats.avg_line_len > thresholds.max_avg_line_len:
-        return _reject(
+        return FilterVerdict(
             RULE_AVG_LINE_LEN,
             f"avg line length {stats.avg_line_len:.1f} > {thresholds.max_avg_line_len}",
         )
     if stats.max_line_len > thresholds.max_line_len:
-        return _reject(
+        return FilterVerdict(
             RULE_MAX_LINE_LEN,
             f"max line length {stats.max_line_len} > {thresholds.max_line_len}",
         )
     if stats.alphabetic_fraction < thresholds.min_alpha_fraction:
-        return _reject(
+        return FilterVerdict(
             RULE_ALPHA_FRACTION,
             f"alphabetic fraction {stats.alphabetic_fraction:.3f} < {thresholds.min_alpha_fraction}",
         )
     if file.language != "XSLT" and _XML_MARKER in file.content[: thresholds.xml_window]:
-        return _reject(
+        return FilterVerdict(
             RULE_XML_DECLARATION,
             f"{_XML_MARKER!r} within first {thresholds.xml_window} characters",
         )
-    return _accept()
+    return FilterVerdict()
 
 
 class _VisibleTextExtractor(HTMLParser):
@@ -172,17 +164,17 @@ def filter_html(
     visible_chars = len(visible)
     total_chars = len(content)
     if visible_chars < thresholds.html_min_visible_chars:
-        return _reject(
+        return FilterVerdict(
             RULE_VISIBLE_MIN_CHARS,
             f"visible text {visible_chars} chars < {thresholds.html_min_visible_chars}",
         )
     ratio = visible_chars / total_chars if total_chars else 0.0
     if ratio < thresholds.html_min_visible_ratio:
-        return _reject(
+        return FilterVerdict(
             RULE_VISIBLE_RATIO,
             f"visible ratio {ratio:.3f} < {thresholds.html_min_visible_ratio}",
         )
-    return _accept()
+    return FilterVerdict()
 
 
 def filter_data_file(
@@ -195,10 +187,10 @@ def filter_data_file(
         raise ValueError(f"data-file rule applies to {sorted(DATA_FILE_LANGUAGES)}, got {language!r}")
     n = len(content)
     if n < thresholds.data_min_chars:
-        return _reject(RULE_DATA_TOO_SMALL, f"{n} chars < {thresholds.data_min_chars}")
+        return FilterVerdict(RULE_DATA_TOO_SMALL, f"{n} chars < {thresholds.data_min_chars}")
     if n > thresholds.data_max_chars:
-        return _reject(RULE_DATA_TOO_LARGE, f"{n} chars > {thresholds.data_max_chars}")
-    return _accept()
+        return FilterVerdict(RULE_DATA_TOO_LARGE, f"{n} chars > {thresholds.data_max_chars}")
+    return FilterVerdict()
 
 
 _COMMENT_LINE = re.compile(r"^\s*(#|//|/\*|\*|--|;|%|')")
@@ -216,7 +208,7 @@ def apply_quality_heuristics(
       (minified or generated blobs).
     """
     if not content:
-        return _accept()
+        return FilterVerdict()
     counts: Counter[str] = Counter()
     code_lines = long_lines = 0
     for part in text_slices(content, lines=True):
@@ -228,13 +220,13 @@ def apply_quality_heuristics(
         top_tok, top_count = max(counts.items(), key=lambda kv: (kv[1] * len(kv[0]), kv[0]))
         covered = top_count * len(top_tok)
         if covered > thresholds.max_repeated_token_fraction * len(content):
-            return _reject(
+            return FilterVerdict(
                 RULE_TOKEN_REPETITION,
                 f"token {top_tok[:20]!r} covers {covered}/{len(content)} chars",
             )
     if code_lines and long_lines / code_lines > thresholds.max_long_line_fraction:
-        return _reject(
+        return FilterVerdict(
             RULE_LONG_LINES,
             f"{long_lines}/{code_lines} non-comment lines > {thresholds.long_line_chars} chars",
         )
-    return _accept()
+    return FilterVerdict()

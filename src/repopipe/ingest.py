@@ -51,16 +51,14 @@ def read_jsonl(path: str) -> Iterator[tuple[int, object, str | None]]:
     read from outside, or (line number, None, problem) for a line that is
     not UTF-8 or not JSON. Only "\n" ends a line: JSON allows a bare "\r"
     between tokens."""
-    # surrogateescape turns each byte that is not UTF-8 into a lone surrogate,
-    # which encoding back to UTF-8 rejects.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
-            if line.isspace():
-                continue
             try:
-                line.encode("utf-8")
-                value, problem = json.loads(line), None
-            except UnicodeEncodeError:
+                text = line.decode("utf-8")
+                if text.isspace():
+                    continue
+                value, problem = json.loads(text), None
+            except UnicodeDecodeError:
                 value, problem = None, NOT_UTF8
             except json.JSONDecodeError as exc:
                 value, problem = None, f"not JSON: {exc}"

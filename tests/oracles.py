@@ -175,18 +175,30 @@ def resolve_js(refs: Iterable[str], from_path: str, repo_paths: Sequence[str]) -
             target = posixpath.normpath(posixpath.join(here, ref))
         else:
             target = ref
-        if target == ".":  # the repository root
-            cands = ["index" + ext for ext in JS_EXTS]
-        else:
-            cands = [target] if posixpath.splitext(target)[1] else [
-                *(target + ext for ext in JS_EXTS),
-                *(posixpath.join(target, "index" + ext) for ext in JS_EXTS),
-            ]
-        for cand in cands:
+
+        def lookup(cands: list[str]) -> list[str]:
             if ref.startswith("."):
-                out.extend(p for p in repo_paths if p == cand)
-            else:
-                out.extend(match_suffix(cand, repo_paths))
+                return [p for cand in cands for p in repo_paths if p == cand]
+            return [p for cand in cands for p in match_suffix(cand, repo_paths)]
+
+        if target == ".":  # the repository root
+            out.extend(lookup(["index" + ext for ext in JS_EXTS]))
+            continue
+        # a dotted last segment names its own path, where that exists
+        found = lookup([target]) if posixpath.splitext(target)[1] else []
+        out.extend(found or lookup([
+            *(target + ext for ext in JS_EXTS),
+            *(posixpath.join(target, "index" + ext) for ext in JS_EXTS),
+        ]))
+    return out
+
+
+def resolve_package(directory: str, ext: str, repo_paths: Sequence[str]) -> list[str]:
+    out: list[str] = []
+    for p in repo_paths:
+        parent = posixpath.dirname(p)
+        if p.endswith(ext) and (parent == directory or parent.endswith("/" + directory)):
+            out.append(p)
     return out
 
 
@@ -217,8 +229,11 @@ def extract_dependencies(file: SourceFile, repo_paths: Iterable[str]) -> list[st
     elif lang == "C#":
         hits = resolve_modules(_groups("_CSHARP_USING", file.content), (".cs",), paths)
     elif lang == "Java":
-        modules = [m.removesuffix(".*") for m in _groups("_JAVA_IMPORT", file.content)]
-        hits = resolve_modules(modules, (".java",), paths)
+        hits = []
+        for ref in _groups("_JAVA_IMPORT", file.content):
+            hits += resolve_modules([ref.removesuffix(".*")], (".java",), paths)
+            if ref.endswith(".*"):  # the class for `import static`, then the package
+                hits += resolve_package(ref.removesuffix(".*").replace(".", "/"), ".java", paths)
     elif lang in ("TypeScript", "JavaScript"):
         hits = resolve_js(js_refs(file.content), file.path, paths)
     elif lang == "Go":
@@ -397,10 +412,10 @@ def scan_text(text: str, index: ContaminationIndex) -> ContaminationReport:
     tokens = tokenize(text)
     matched: list[str] = []
     seen: set[str] = set()
-    if index.ten_gram_set and len(tokens) >= NGRAM_SIZE:
+    if len(tokens) >= NGRAM_SIZE:
         for i in range(len(tokens) - NGRAM_SIZE + 1):
             gram = " ".join(tokens[i : i + NGRAM_SIZE])
-            if gram in index.ten_gram_set and gram not in seen:
+            if gram in index.source_labels and gram not in seen:
                 seen.add(gram)
                 matched.append(gram)
     for n in sorted(index.exact_lengths):
@@ -408,15 +423,11 @@ def scan_text(text: str, index: ContaminationIndex) -> ContaminationReport:
             continue
         for i in range(len(tokens) - n + 1):
             window = " ".join(tokens[i : i + n])
-            if window in index.exact_set and window not in seen:
+            if window in index.source_labels and window not in seen:
                 seen.add(window)
                 matched.append(window)
     benchmarks = sorted({index.source_labels[m] for m in matched})
-    return ContaminationReport(
-        hit=bool(matched),
-        matched_entries=tuple(matched),
-        benchmarks=tuple(benchmarks),
-    )
+    return ContaminationReport(matched_entries=tuple(matched), benchmarks=tuple(benchmarks))
 
 
 def whole_text_shingle_set(text: str, width: int) -> np.ndarray:
@@ -435,7 +446,7 @@ def whole_text_shingle_set(text: str, width: int) -> np.ndarray:
 
 def whole_text_quality_heuristics(content: str, thresholds: FilterThresholds) -> FilterVerdict:
     if not content:
-        return FilterVerdict(True)
+        return FilterVerdict()
     tokens = content.split()
     if tokens:
         counts = Counter(tokens)
@@ -443,18 +454,17 @@ def whole_text_quality_heuristics(content: str, thresholds: FilterThresholds) ->
         covered = top_count * len(top_tok)
         if covered > thresholds.max_repeated_token_fraction * len(content):
             return FilterVerdict(
-                False, RULE_TOKEN_REPETITION, f"token {top_tok[:20]!r} covers {covered}/{len(content)} chars"
+                RULE_TOKEN_REPETITION, f"token {top_tok[:20]!r} covers {covered}/{len(content)} chars"
             )
     code_lines = [ln for ln in content.splitlines() if ln.strip() and not _COMMENT_LINE.match(ln)]
     if code_lines:
         long_lines = sum(1 for ln in code_lines if len(ln) > thresholds.long_line_chars)
         if long_lines / len(code_lines) > thresholds.max_long_line_fraction:
             return FilterVerdict(
-                False,
                 RULE_LONG_LINES,
                 f"{long_lines}/{len(code_lines)} non-comment lines > {thresholds.long_line_chars} chars",
             )
-    return FilterVerdict(True)
+    return FilterVerdict()
 
 
 def whole_text_scan(text: str, index: ContaminationIndex) -> ContaminationReport:
@@ -465,19 +475,17 @@ def whole_text_scan(text: str, index: ContaminationIndex) -> ContaminationReport
             starts.setdefault(n, []).append(i)
     matched: list[str] = []
     seen: set[str] = set()
-    passes = [(NGRAM_SIZE, index.ten_gram_set)]
-    passes += [(n, index.exact_set) for n in sorted(index.exact_lengths)]
-    for n, entries in passes:
+    for n in [NGRAM_SIZE, *sorted(index.exact_lengths)]:
         last = len(tokens) - n
         for i in starts.get(n, ()):
             if i > last:
                 break
             window = " ".join(tokens[i : i + n])
-            if window in entries and window not in seen:
+            if window in index.source_labels and window not in seen:
                 seen.add(window)
                 matched.append(window)
     benchmarks = sorted({index.source_labels[m] for m in matched})
-    return ContaminationReport(bool(matched), tuple(matched), tuple(benchmarks))
+    return ContaminationReport(tuple(matched), tuple(benchmarks))
 
 
 def walk_repo_dir(root: str, counters: dict[str, int]) -> list[tuple[str, str]]:

@@ -33,6 +33,17 @@ class TestPrintDefaultConfig:
 
 
 class TestExitCodes:
+    def test_bare_command_prints_help(self, capsys):
+        assert main([]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: repopipe")
+
+    def test_output_dir_inside_an_input_exits_2(self, tmp_path, capsys):
+        corpus, _ = build_fixture_corpus(tmp_path)
+        code = main(["run", "--inputs", str(corpus), "--output-dir", str(corpus / "out")])
+        assert code == EXIT_CONFIG
+        assert "output_dir" in capsys.readouterr().err
+        assert not (corpus / "out").exists()
+
     def test_validation_error_exits_2(self, tmp_path, capsys):
         code = main(["run", "--inputs", str(tmp_path / "nope"), "--output-dir", str(tmp_path / "o")])
         assert code == EXIT_CONFIG

@@ -56,6 +56,12 @@ class TestRoundTrip:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_config_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="must contain a JSON object"):
+            load_config(str(path))
+
 
 FILTER_LENGTHS = ["max_avg_line_len", "max_line_len", "xml_window", "html_min_visible_chars",
                   "data_min_chars", "data_max_chars", "long_line_chars"]
@@ -65,6 +71,8 @@ OUT_OF_RANGE = [
     [("dedup.bands", -16), ("dedup.rows", -8)],  # bands * rows is still num_perm
     *([(f"filters.{name}", -1)] for name in FILTER_LENGTHS),
     *([(f"filters.{name}", value)] for name in FILTER_FRACTIONS for value in (-0.1, 1.1)),
+    [("build.fim_mode", "msp")],
+    [("build.output_format", "parquet")],
 ]
 
 
@@ -90,10 +98,14 @@ class TestValidation:
         cfg.dedup.bands = 10  # 10*8 != 128
         cfg.build.fim_rate = -0.1
         cfg.build.entry_len = 1
+        cfg.language_map = str(tmp_path / "missing_map.json")
+        cfg.decontaminate.benchmark_files = [str(tmp_path / "missing_bench.jsonl")]
         violations = validate_config(cfg)
         text = "\n".join(violations)
-        assert len(violations) >= 6
+        assert len(violations) >= 8
         assert "missing" in text
+        assert "language_map: path does not exist" in text
+        assert "decontaminate.benchmark_files: path does not exist" in text
         assert "workers" in text
         assert "threshold" in text
         assert "bands" in text
@@ -107,6 +119,31 @@ class TestValidation:
         cfg.inputs = [str(corpus)]
         cfg.output_dir = str(tmp_path / "out")
         assert validate_config(cfg) == []
+
+    @pytest.mark.parametrize("out,ingested", [
+        (".", True), ("out", True), ("repo/deep/out", True),
+        (".out", False), ("repo/.cache/out", False), ("../out", False),
+    ])
+    def test_output_dir_that_ingest_would_read_is_a_violation(self, tmp_path, out, ingested):
+        # Without the check, `run` read its own manifests back as a repo
+        # named after the output directory, and so never resumed.
+        corpus = tmp_path / "corpus"
+        (corpus / "repo").mkdir(parents=True)
+        cfg = default_config()
+        cfg.inputs = [str(corpus)]
+        cfg.output_dir = str(corpus / out)
+        assert any(v.startswith("output_dir:") for v in validate_config(cfg)) == ingested
+
+    def test_output_dir_check_resolves_symlinks(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (tmp_path / "link").symlink_to(corpus)
+        cfg = default_config()
+        cfg.inputs = [str(tmp_path / "link")]
+        cfg.output_dir = str(corpus / "out")
+        assert [v.split(":")[0] for v in validate_config(cfg)] == ["output_dir"]
+        cfg.inputs, cfg.output_dir = [str(corpus)], str(tmp_path / "link" / "out")
+        assert [v.split(":")[0] for v in validate_config(cfg)] == ["output_dir"]
 
     def test_empty_inputs_rejected(self):
         cfg = default_config()

@@ -13,13 +13,12 @@ FIVE = "alpha bravo charlie delta echo"
 class TestBuildIndex:
     def test_twelve_token_string_yields_three_grams(self):
         index = build_contamination_index([(TWELVE, "benchA")])
-        assert len(index.ten_gram_set) == 3
-        assert not index.exact_set
+        assert len(index.source_labels) == 3
+        assert not index.exact_lengths
 
     def test_five_token_string_goes_to_exact_set(self):
         index = build_contamination_index([(FIVE, "benchB")])
-        assert index.exact_set == {FIVE}
-        assert not index.ten_gram_set
+        assert set(index.source_labels) == {FIVE}
         assert index.exact_lengths == {5}
 
     def test_two_token_string_ignored_and_counted(self):
@@ -34,7 +33,8 @@ class TestBuildIndex:
     def test_exactly_ten_tokens_single_gram(self):
         ten = " ".join(f"t{i}" for i in range(10))
         index = build_contamination_index([(ten, "b")])
-        assert index.ten_gram_set == {ten}
+        assert set(index.source_labels) == {ten}
+        assert not index.exact_lengths
 
 
 class TestScan:

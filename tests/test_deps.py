@@ -123,6 +123,31 @@ class TestExtractDependencies:
             "com/acme/Tool.java"
         ]
 
+    def test_java_wildcard_import_names_the_package_files(self):
+        f = sf("app/Main.java", "import com.x.*;\n")
+        paths = {"app/Main.java", "com/x/Foo.java", "com/x/Bar.java", "com/x/sub/Deep.java", "com/x/notes.md"}
+        assert extract_dependencies(f, paths) == ["com/x/Bar.java", "com/x/Foo.java"]
+        # the package directory matches by suffix, wherever the source root is
+        nested = {"app/Main.java", "src/main/java/com/x/Foo.java", "src/main/java/xcom/x/No.java"}
+        assert extract_dependencies(f, nested) == ["src/main/java/com/x/Foo.java"]
+
+    def test_java_static_wildcard_import_names_the_class(self):
+        f = sf("Main.java", "import static com.x.Util.*;\n")
+        assert extract_dependencies(f, {"Main.java", "com/x/Util.java"}) == ["com/x/Util.java"]
+
+    def test_js_dotted_module_name_is_completed(self):
+        f = sf("src/app.ts", "import { U } from './user.service';\n")
+        assert extract_dependencies(f, {"src/app.ts", "src/user.service.ts"}) == ["src/user.service.ts"]
+        index = sf("src/app.ts", "import m from './models.v2';\n")
+        paths = {"src/app.ts", "src/models.v2/index.ts"}
+        assert extract_dependencies(index, paths) == ["src/models.v2/index.ts"]
+        bare = sf("app.js", "import u from 'lib/user.service';\n")
+        assert extract_dependencies(bare, {"app.js", "x/lib/user.service.js"}) == ["x/lib/user.service.js"]
+        # a file with exactly the named path is the one dependency
+        exact = sf("src/app.js", "import d from './data.json';\n")
+        paths = {"src/app.js", "src/data.json", "src/data.json.js"}
+        assert extract_dependencies(exact, paths) == ["src/data.json"]
+
     def test_js_relative_import(self):
         f = sf("src/app.ts", "import { x } from './lib/helpers';\n")
         assert extract_dependencies(f, {"src/app.ts", "src/lib/helpers.ts"}) == [

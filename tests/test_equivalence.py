@@ -34,8 +34,9 @@ from repopipe.fim import DEFAULT_SENTINELS, SentinelSet
 from repopipe.packing import ByteTokenizer, PackResult, pack_entries
 
 # A small vocabulary makes collisions likely: duplicate basenames,
-# directories that are suffixes of one another, refs that hit many paths.
-SEGMENTS = ["a", "b", "lib", "db", "pkg", "index", "util", ""]
+# directories that are suffixes of one another, refs that hit many paths,
+# and a dotted name that reads like an extension.
+SEGMENTS = ["a", "b", "lib", "db", "pkg", "index", "util", "user.service", ""]
 LANGUAGES = {
     ".py": "Python",
     ".h": "C",
@@ -118,8 +119,18 @@ def repos(draw) -> list[SourceFile]:
     return files
 
 
+def _repo(contents: dict[str, str]) -> list[SourceFile]:
+    return [SourceFile("r", p, LANGUAGES[p[p.rindex(".") :]], text, len(text)) for p, text in contents.items()]
+
+
 @settings(max_examples=200, deadline=None)
 @given(repos())
+# A dotted JS/TS name and a Java wildcard, which random repos seldom pair
+# with a file they name.
+@example(_repo({"src/app.ts": "import u from './user.service';\nimport d from 'lib/db.v2';\n",
+                "src/user.service.ts": "", "lib/db.v2/index.js": "", "x/lib/db.v2.ts": ""}))
+@example(_repo({"app/Main.java": "import com.x.*;\nimport static com.x.Util.*;\n",
+                "com/x/Util.java": "", "com/x/Foo.java": "", "com/x/sub/Bar.java": ""}))
 def test_dependency_order_matches_brute_force(files):
     repo_paths = {f.path for f in files}
     for f in files:
@@ -441,9 +452,10 @@ def test_scan_named_cases_match_every_position_scan():
         index = build_contamination_index(rows)
         assert scan_text(text, index) == oracles.scan_text(text, index), name
     index = build_contamination_index(cases["gram from two benchmarks"][0])
-    assert scan_text(shared_gram, index) == ContaminationReport(True, (shared_gram,), ("first",))
+    assert scan_text(shared_gram, index) == ContaminationReport((shared_gram,), ("first",))
     index = build_contamination_index(cases["short text, grams only"][0])
-    assert len(index.ten_gram_set) == 3 and not scan_text(cases["short text, grams only"][1], index).hit
+    assert len(index.source_labels) == 3 and not index.exact_lengths
+    assert not scan_text(cases["short text, grams only"][1], index).hit
     index = build_contamination_index(cases["overlapping and repeated"][0])
     assert scan_text("a a a a a a a", index).matched_entries == ("a a a", "a a a a")
     index = build_contamination_index(cases["mixed exact lengths"][0])

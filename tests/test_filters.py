@@ -194,12 +194,6 @@ class TestQualityHeuristics:
 
 
 class TestVerdictInvariants:
-    def test_accepted_iff_no_rule(self):
-        with pytest.raises(ValueError):
-            FilterVerdict(accepted=True, rule_fired="x")
-        with pytest.raises(ValueError):
-            FilterVerdict(accepted=False, rule_fired=None)
-
     def test_partition_over_corpus(self):
         samples = [
             "a" * 101,

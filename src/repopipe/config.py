@@ -203,11 +203,15 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
     for path in cfg.inputs:
         if not os.path.exists(path):
             v.append(f"inputs: path does not exist: {path}")
-        elif os.path.isdir(path):  # ingest skips only '.'-named directories
-            rel = os.path.relpath(out, os.path.realpath(path))
-            if rel == os.curdir or not any(part.startswith(".") for part in rel.split(os.sep)):
-                v.append(f"output_dir: {cfg.output_dir} lies in input directory {path}, "
-                         "which would ingest the outputs")
+        elif os.path.isdir(path):  # ingest skips only '.'-named directories, and follows repo links
+            with os.scandir(path) as it:
+                links = [e.path for e in it if not e.name.startswith(".") and e.is_symlink() and e.is_dir()]
+            for root in [path, *links]:
+                rel = os.path.relpath(out, os.path.realpath(root))
+                if rel == os.curdir or not any(part.startswith(".") for part in rel.split(os.sep)):
+                    via = "" if root == path else f" through the repo link {root}"
+                    v.append(f"output_dir: {cfg.output_dir} lies in input directory {path}{via}, "
+                             "which would ingest the outputs")
     if cfg.language_map is not None and not os.path.exists(cfg.language_map):
         v.append(f"language_map: path does not exist: {cfg.language_map}")
 

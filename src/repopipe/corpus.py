@@ -10,7 +10,7 @@ import json
 import string
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,13 @@ def detect_language(path: str, lang_map: LanguageMap) -> str | None:
     """
     if not path:
         raise ValueError("path must be non-empty")
-    name = PurePosixPath(path).name
+    # The name as PurePosixPath gives it: the last part that is not "" or ".".
+    name = next((part for part in reversed(path.split("/")) if part not in ("", ".")), "")
     if name in lang_map.basenames:
         return lang_map.basenames[name]
-    suffix = PurePosixPath(path).suffix.lower()
-    if suffix:
-        return lang_map.extensions.get(suffix)
+    dot = name.rfind(".")
+    if 0 < dot < len(name) - 1:
+        return lang_map.extensions.get(name[dot:].lower())
     return None
 
 

@@ -15,6 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
+from operator import mul
 from typing import Iterator
 
 from .corpus import FileStats, SourceFile
@@ -217,9 +218,9 @@ def apply_quality_heuristics(
         code_lines += len(code)
         long_lines += sum(len(ln) > thresholds.long_line_chars for ln in code)
     if counts:
-        top_tok, top_count = max(counts.items(), key=lambda kv: (kv[1] * len(kv[0]), kv[0]))
-        covered = top_count * len(top_tok)
+        covered = max(map(mul, counts.values(), map(len, counts)))
         if covered > thresholds.max_repeated_token_fraction * len(content):
+            top_tok = max(tok for tok, n in counts.items() if n * len(tok) == covered)
             return FilterVerdict(
                 RULE_TOKEN_REPETITION,
                 f"token {top_tok[:20]!r} covers {covered}/{len(content)} chars",

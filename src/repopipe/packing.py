@@ -51,6 +51,7 @@ class ByteTokenizer:
         longest_first = sorted(literals, key=len, reverse=True)
         self._splitter = re.compile("(" + "|".join(map(re.escape, longest_first)) + ")")
         self.eos_id = self._sentinel_ids[sentinels.eos]
+        self.vocab_size = 256 + len(literals)
 
     def encode(self, text: str) -> array:
         """An array("I") of ids; the text between sentinels goes through

@@ -116,15 +116,16 @@ class RunSummary:
 # Small IO helpers
 # -----------------------
 
-def _write_jsonl(path: str, records: Iterable[dict]) -> int:
-    """One UTF-8 line per record, as bytes, so no platform writes "\r\n"."""
+def _write_jsonl(path: str, records: Iterable[dict | bytes]) -> int:
+    """One UTF-8 line per record, as bytes, so no platform writes "\r\n";
+    a record given as bytes is the line already encoded, without "\n"."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     n = 0
     with open(path, "wb") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False).encode())
+        for n, rec in enumerate(records, 1):
+            fh.write(rec if isinstance(rec, bytes)
+                     else json.dumps(rec, sort_keys=True, ensure_ascii=False).encode())
             fh.write(b"\n")
-            n += 1
     return n
 
 
@@ -135,7 +136,7 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-def _write_output(cfg: PipelineConfig, rel: str, records: Iterable[dict]) -> tuple[str, int]:
+def _write_output(cfg: PipelineConfig, rel: str, records: Iterable[dict | bytes]) -> tuple[str, int]:
     return rel, _write_jsonl(os.path.join(cfg.output_dir, rel), records)
 
 
@@ -495,11 +496,28 @@ def _bin_shard(fh, shard: Iterable[tuple]) -> Iterator[dict]:
         yield {"doc_boundaries": bounds}
 
 
-def _write_entries(cfg: PipelineConfig, rows: Iterator[tuple]) -> list[tuple[str, int]]:
-    """Write the (entry, doc_boundaries) rows to shards of
-    entries_per_shard rows, each row as it comes and each shard closed
-    once full; an empty build still writes one (empty) shard."""
+def _entry_line(n_ids: int) -> Callable[[Sequence[int], list[int]], bytes]:
+    """A function from an entry's ids, each below `n_ids`, and its
+    doc_boundaries to the line, without "\n", that `_write_jsonl` writes
+    for {"token_ids": ids, "doc_boundaries": bounds}. It gathers each id's
+    digits and ", " from a table of zero-padded rows, built once, and
+    cuts the zeros and the last ", "; an id past the table raises
+    IndexError."""
+    import numpy as np
+    table = np.array([b"%d, " % i for i in range(n_ids)])
+
+    def line(ids: Sequence[int], bounds: list[int]) -> bytes:
+        body = table[ids].tobytes().replace(b"\0", b"")[:-2]
+        return b'{"doc_boundaries": %s, "token_ids": [%s]}' % (json.dumps(bounds).encode(), body)
+    return line
+
+
+def _write_entries(cfg: PipelineConfig, rows: Iterator[tuple], n_ids: int) -> list[tuple[str, int]]:
+    """Write the (entry, doc_boundaries) rows, of ids below `n_ids`, to
+    shards of entries_per_shard rows, each row as it comes and each
+    shard closed once full; an empty build still writes one (empty) shard."""
     os.makedirs(os.path.join(cfg.output_dir, ENTRIES_DIR), exist_ok=True)
+    line = _entry_line(n_ids)
     outputs: list[tuple[str, int]] = []
     for shard_idx in itertools.count():
         first = next(rows, None)
@@ -512,8 +530,7 @@ def _write_entries(cfg: PipelineConfig, rows: Iterator[tuple]) -> list[tuple[str
                 rel, n = _write_output(cfg, stem + ".boundaries.jsonl", _bin_shard(fh, shard))
             outputs += [(stem + ".bin", n), (rel, n)]
         else:
-            records = ({"token_ids": row.tolist(), "doc_boundaries": b} for row, b in shard)
-            outputs.append(_write_output(cfg, stem + ".jsonl", records))
+            outputs.append(_write_output(cfg, stem + ".jsonl", itertools.starmap(line, shard)))
 
 
 def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> StageResult:
@@ -560,7 +577,7 @@ def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> Stag
                 carry = yield from pack([piece], carry, continued=k > 0)
         yield from pack([], carry, cfg.build.pad_final)
 
-    outputs = _write_entries(cfg, rows())
+    outputs = _write_entries(cfg, rows(), tokenizer.vocab_size)
     return StageResult(outputs, n_records, n_entries, counters, fields)
 
 

@@ -15,14 +15,20 @@ the shingle strings, which `repopipe` signed with before, stays here as
 the classic estimator the one-permutation form is measured against.
 
 The whole-text forms of the sliced kernels (numpy shingle hashing, the
-quality heuristics and the indexed contamination scan), each holding
+quality heuristics, whose top token is a `max` keyed on coverage and
+then the token, and the indexed contamination scan), each holding
 every token of its text at once, and the `os.walk` form of the
 directory walk are kept as they were before they were rewritten.
+
+An entry row is a `json.dumps` of its ids as Python ints, and a path's
+language comes from the name and suffix `PurePosixPath` gives on
+Python 3.10-3.12, written out as its rules.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import posixpath
 import re
@@ -32,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repopipe.corpus import SourceFile
+from repopipe.corpus import LanguageMap, SourceFile
 from repopipe.decontam import NGRAM_SIZE, ContaminationIndex, ContaminationReport, tokenize
 from repopipe.dedup import _GOLDEN, _TOKEN
 from repopipe.filters import (
@@ -505,3 +511,35 @@ def walk_repo_dir(root: str, counters: dict[str, int]) -> list[tuple[str, str]]:
             rel = os.path.relpath(abs_path, root).replace(os.sep, "/")
             out.append((rel, abs_path))
     return out
+
+
+def entry_line(ids: Sequence[int], bounds: list[int]) -> bytes:
+    return (json.dumps({"token_ids": [int(i) for i in ids], "doc_boundaries": bounds},
+                       sort_keys=True, ensure_ascii=False) + "\n").encode()
+
+
+def pure_path_name(path: str) -> str:
+    """`PurePosixPath(path).name`: the last of the parts left when `/`
+    splits the path and the empty and `.` parts are dropped (`..` stays a
+    part), or "" when none is left."""
+    parts = [part for part in path.split("/") if part not in ("", ".")]
+    return parts[-1] if parts else ""
+
+
+def pure_path_suffix(name: str) -> str:
+    """`PurePosixPath(path).suffix` for that name: from its last `.` on,
+    when that dot is neither its first nor its last character."""
+    i = name.rfind(".")
+    return name[i:] if 0 < i < len(name) - 1 else ""
+
+
+def detect_language(path: str, lang_map: LanguageMap) -> str | None:
+    if not path:
+        raise ValueError("path must be non-empty")
+    name = pure_path_name(path)
+    if name in lang_map.basenames:
+        return lang_map.basenames[name]
+    suffix = pure_path_suffix(name).lower()
+    if suffix:
+        return lang_map.extensions.get(suffix)
+    return None

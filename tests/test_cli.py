@@ -44,6 +44,15 @@ class TestExitCodes:
         assert "output_dir" in capsys.readouterr().err
         assert not (corpus / "out").exists()
 
+    def test_output_dir_inside_a_linked_repo_exits_2(self, tmp_path, capsys):
+        corpus, _ = build_fixture_corpus(tmp_path)
+        (corpus / "linked").symlink_to(tmp_path / "elsewhere")
+        (tmp_path / "elsewhere").mkdir()
+        code = main(["run", "--inputs", str(corpus), "--output-dir", str(tmp_path / "elsewhere" / "out")])
+        assert code == EXIT_CONFIG
+        assert "through the repo link" in capsys.readouterr().err
+        assert not (tmp_path / "elsewhere" / "out").exists()
+
     def test_validation_error_exits_2(self, tmp_path, capsys):
         code = main(["run", "--inputs", str(tmp_path / "nope"), "--output-dir", str(tmp_path / "o")])
         assert code == EXIT_CONFIG

@@ -145,6 +145,25 @@ class TestValidation:
         cfg.inputs, cfg.output_dir = [str(corpus)], str(tmp_path / "link" / "out")
         assert [v.split(":")[0] for v in validate_config(cfg)] == ["output_dir"]
 
+    @pytest.mark.parametrize("out,ingested", [
+        ("r", True), ("r/out", True), ("r/deep/out", True),
+        ("r/.cache/out", False), ("out", False), (".hidden/out", False),
+    ])
+    def test_output_dir_in_the_target_of_a_repo_symlink_is_a_violation(self, tmp_path, out, ingested):
+        # Ingest follows a symlinked repo root, so `corpus/r -> elsewhere/r`
+        # made `--output-dir elsewhere/r/out` a repo `r` file set that the
+        # check on the input directory's own path could not see.
+        corpus, elsewhere = tmp_path / "corpus", tmp_path / "elsewhere"
+        (elsewhere / "r").mkdir(parents=True)
+        (elsewhere / ".hidden").mkdir()
+        corpus.mkdir()
+        (corpus / "r").symlink_to(elsewhere / "r")
+        (corpus / ".hidden").symlink_to(elsewhere / ".hidden")  # ingest skips it
+        cfg = default_config()
+        cfg.inputs = [str(corpus)]
+        cfg.output_dir = str(elsewhere / out)
+        assert any(v.startswith("output_dir:") for v in validate_config(cfg)) == ingested
+
     def test_empty_inputs_rejected(self):
         cfg = default_config()
         cfg.inputs = []

@@ -5,22 +5,28 @@ and densified one-permutation MinHash give exactly the results of the
 brute-force oracles in `oracles.py` on generated inputs. The kernels
 that work through a sample one slice at a time give, with the slice
 size patched down to a few characters, exactly the results of their
-whole-text forms kept there.
+whole-text forms kept there. The byte-table entry-line writer, the
+string-split path name and suffix, and the top token looked up only on
+rejection give exactly `json.dumps`, the `PurePosixPath` rules and the
+keyed `max` kept there.
 """
 
 from __future__ import annotations
 
 import posixpath
 import string
+import sys
+from pathlib import PurePosixPath
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repopipe import deps, filters, packing
-from repopipe.corpus import SourceFile, compute_file_stats
+from repopipe import deps, filters, packing, pipeline
+from repopipe.corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
 from repopipe.decontam import ContaminationReport, build_contamination_index, scan_text
 from repopipe.dedup import minhash_signature, shingle_set
 from repopipe.deps import (
@@ -571,3 +577,85 @@ def test_packing_each_document_slice_by_slice_matches_one_pass(texts, sentinels,
         skipped_docs=sum(c.skipped_docs for c in calls),
     )
     assert_same_pack(chained, oracles.pack_entries(texts, tok, entry_len, pad_final))
+
+
+@st.composite
+def entry_rows(draw) -> tuple[np.ndarray, list[int]]:
+    """A row of ByteTokenizer ids, drawn at its head and from a seeded
+    generator after it, with an eos-padded tail, and its boundaries."""
+    entry_len = draw(st.sampled_from([2, 3, 16, 4096]))
+    head = draw(st.lists(st.integers(min_value=0, max_value=259), max_size=entry_len))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    ids = head + rng.integers(0, 260, entry_len - len(head)).tolist()
+    pad = draw(st.integers(min_value=0, max_value=entry_len))
+    ids[entry_len - pad :] = [ByteTokenizer().eos_id] * pad
+    bounds = sorted(draw(st.sets(st.integers(min_value=0, max_value=entry_len - 1), max_size=6)))
+    return np.array(ids, dtype=np.uint32), bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_rows())
+@example((np.array([0, 259], dtype=np.uint32), []))
+@example((np.array([10, 9, 100, 255], dtype=np.uint32), [0, 1, 3]))
+def test_entry_line_matches_json_dumps(row):
+    line = pipeline._entry_line(ByteTokenizer().vocab_size)
+    assert line(*row) + b"\n" == oracles.entry_line(*row)
+
+
+def test_entry_line_rejects_an_id_past_the_table():
+    line = pipeline._entry_line(ByteTokenizer().vocab_size)
+    with pytest.raises(IndexError):
+        line(np.array([0, 260], dtype=np.uint32), [0])
+
+
+# Parts that PurePosixPath drops ("", "."), keeps as a name (".."),
+# or splits into a suffix in ways `posixpath.splitext` does not
+# ("..py", "x.", "..."); upper-case and non-ASCII names; basename hits.
+PATH_PARTS = ["", ".", "..", "src", "b.py", "B.PY", "..py", "x.", "...", ".bashrc",
+              "Makefile", "é.txt", "Ü.TXT", "c.tar.gz", "d.é", "ä"]
+PATH_MAP = LanguageMap(
+    frozenset({"Python", "Text", "Make", "Odd"}),
+    {".py": "Python", ".txt": "Text", ".gz": "Odd", ".": "Odd", ".é": "Odd"},
+    {"Makefile": "Make", ".bashrc": "Make", "..": "Odd", ".": "Odd", "é.txt": "Make"},
+)
+language_paths = st.lists(st.sampled_from(PATH_PARTS), min_size=1, max_size=5).map("/".join).filter(bool)
+
+
+@settings(max_examples=500, deadline=None)
+@given(language_paths, st.sampled_from([PATH_MAP, LanguageMap.load()]))
+@example("a//b.py/./", PATH_MAP)
+@example("a/..py", PATH_MAP)
+@example("src/x.", PATH_MAP)
+@example("b.py/..", PATH_MAP)
+@example("/", PATH_MAP)
+def test_detect_language_matches_pure_path_rules(path, lang_map):
+    assert detect_language(path, lang_map) == oracles.detect_language(path, lang_map)
+
+
+@pytest.mark.skipif(not (3, 10) <= sys.version_info[:2] <= (3, 12),
+                    reason="the oracle's rules are those of PurePosixPath on Python 3.10-3.12")
+@settings(max_examples=300, deadline=None)
+@given(language_paths)
+def test_pure_path_rules_match_pure_posix_path(path):
+    name = oracles.pure_path_name(path)
+    assert (name, oracles.pure_path_suffix(name)) == (PurePosixPath(path).name, PurePosixPath(path).suffix)
+
+
+# Tokens whose counts times lengths often tie: "ab ab" and "abab" both
+# cover 4 characters, as do "cc cc" and "cccc".
+tied_texts = st.lists(st.sampled_from(["ab", "ba", "abab", "c", "cc", "cccc", "dd"]),
+                      min_size=1, max_size=12).map(" ".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tied_texts, st.sampled_from([0.0, 0.2, 0.5]))
+@example("ab ab ba ba", 0.2)
+@example("cccc cc cc dd dd", 0.2)
+def test_token_repetition_ties_match_keyed_max(text, repeated):
+    thresholds = FilterThresholds(max_repeated_token_fraction=repeated)
+    assert apply_quality_heuristics(text, thresholds) == oracles.whole_text_quality_heuristics(text, thresholds)
+
+
+def test_token_repetition_tie_names_the_largest_token():
+    verdict = apply_quality_heuristics("ab ab ba ba", FilterThresholds(max_repeated_token_fraction=0.2))
+    assert verdict == filters.FilterVerdict(filters.RULE_TOKEN_REPETITION, "token 'ba' covers 4/11 chars")

@@ -20,7 +20,7 @@ import os
 import shutil
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .config import PipelineConfig, config_hash, require_valid, sha256_file
 from .corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
@@ -54,12 +54,12 @@ UNKNOWN_LANGUAGE = "(unknown)"
 @dataclass(frozen=True)
 class Stage:
     """One step of the pipeline. The runner hands `stage_<name>` a function
-    that opens a lazy reader of `reads` (None: the ingested repos
-    instead), and the stage writes its rows to `writes[0]` as it goes.
-    `writes` names every file or directory the stage may write, and the
-    runner deletes them all before the stage runs. `config` lists the
-    dotted config fields the stage reads; its command takes the CLI
-    flags that set them.
+    that opens a lazy reader of `reads` (None: the ingested repos instead)
+    and the `_Out` sink it writes its rows through as it goes, the first
+    file opened there being the one the next stage reads. `writes` names
+    every file or directory the stage may write, and the runner deletes
+    them all before the stage runs. `config` lists the dotted config
+    fields the stage reads; its command takes the CLI flags that set them.
     """
 
     name: str
@@ -83,20 +83,6 @@ STAGES = (
 )
 
 
-@dataclass
-class StageResult:
-    """What a stage function returns once it has written its files: each
-    as (path, records), the one the next stage reads first; its record
-    counts; and the manifest fields only it has.
-    """
-
-    outputs: list[tuple[str, int]]
-    input_records: int
-    output_records: int | None = None  # None: the records of outputs[0]
-    counters: dict[str, int] = field(default_factory=dict)
-    fields: dict = field(default_factory=dict)
-
-
 class StageFailure(Exception):
     def __init__(self, stage: str, cause: Exception) -> None:
         self.stage = stage
@@ -116,19 +102,6 @@ class RunSummary:
 # Small IO helpers
 # -----------------------
 
-def _write_jsonl(path: str, records: Iterable[dict | bytes]) -> int:
-    """One UTF-8 line per record, as bytes, so no platform writes "\r\n";
-    a record given as bytes is the line already encoded, without "\n"."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    n = 0
-    with open(path, "wb") as fh:
-        for n, rec in enumerate(records, 1):
-            fh.write(rec if isinstance(rec, bytes)
-                     else json.dumps(rec, sort_keys=True, ensure_ascii=False).encode())
-            fh.write(b"\n")
-    return n
-
-
 def _write_json(path: str, obj: dict) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -136,8 +109,40 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-def _write_output(cfg: PipelineConfig, rel: str, records: Iterable[dict | bytes]) -> tuple[str, int]:
-    return rel, _write_jsonl(os.path.join(cfg.output_dir, rel), records)
+class _Out:
+    """The files one stage writes under `root`, in the order opened, and
+    the rows written to each; `counters` and `fields` take the stage's
+    drops and the manifest fields it sets over the runner's defaults."""
+
+    def __init__(self, root: str) -> None:
+        self.root = root
+        self.rows: dict[str, int] = {}  # every file opened: rows written
+        self.files: dict[str, BinaryIO] = {}  # the files still open
+        self.counters: collections.Counter[str] = collections.Counter()
+        self.fields: dict = {}
+
+    def open(self, rel: str) -> None:
+        path = os.path.join(self.root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        self.files[rel] = open(path, "wb")
+        self.rows[rel] = 0
+
+    def write(self, rel: str, data) -> None:
+        """One row of raw bytes, or of any buffer, such as an array."""
+        self.files[rel].write(data)
+        self.rows[rel] += 1
+
+    def row(self, rel: str, rec: dict | bytes) -> None:
+        """One UTF-8 line, as bytes, so no platform writes "\r\n"; a
+        record given as bytes is the line already encoded, without "\n"."""
+        self.write(rel, rec if isinstance(rec, bytes)
+                   else json.dumps(rec, sort_keys=True, ensure_ascii=False).encode())
+        self.files[rel].write(b"\n")
+
+    def close(self, *rels: str) -> None:
+        """Close the named files (none named: every one still open)."""
+        for rel in rels or list(self.files):
+            self.files.pop(rel).close()
 
 
 def _read_jsonl(path: str) -> Iterator[dict]:
@@ -279,25 +284,20 @@ def ingest_and_fingerprint(cfg: PipelineConfig) -> tuple[list[RawRepo], dict[str
     return repos, counters, h.hexdigest()
 
 
-def stage_filter(cfg: PipelineConfig, ingested: Sequence) -> StageResult:
+def stage_filter(cfg: PipelineConfig, ingested: Sequence, out: _Out) -> None:
     """Writes the kept files repo by repo, in repo_id order. `ingested`
     holds the repos and the counters that `ingest_and_fingerprint` returns."""
     raw_repos, ingest_counters = ingested
     shared = (cfg.filters, LanguageMap.load(cfg.language_map), cfg.stages.filter)
     size = lambda repo: sum(len(rf.content) for rf in repo.files)  # noqa: E731
-    counters: collections.Counter[str] = collections.Counter()
-
-    def rows() -> Iterator[dict]:
-        for kept, repo_counters in _pmap(_filter_repo_worker, raw_repos, cfg.workers, shared, size):
-            yield from kept
-            counters.update(repo_counters)
-
-    outputs = [_write_output(cfg, FILES_OUT, rows())]
+    out.open(FILES_OUT)
+    for kept, repo_counters in _pmap(_filter_repo_worker, raw_repos, cfg.workers, shared, size):
+        for rec in kept:
+            out.row(FILES_OUT, rec)
+        out.counters.update(repo_counters)
     n_files = sum(len(r.files) for r in raw_repos)
-    return StageResult(outputs, n_files, counters=counters, fields={
-        "raw_records": n_files + sum(ingest_counters.values()),
-        "ingest_counters": dict(sorted(ingest_counters.items())),
-    })
+    out.fields.update(input_records=n_files, raw_records=n_files + sum(ingest_counters.values()),
+                      ingest_counters=dict(sorted(ingest_counters.items())))
 
 
 # -----------------------
@@ -342,36 +342,33 @@ def _repo_groups(file_records: Iterable[dict]) -> Iterator[tuple[str, list[dict]
         yield repo_id, list(group)
 
 
-def stage_order(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> StageResult:
-    """One repo at a time; every file read is in the paths written."""
+def stage_order(cfg: PipelineConfig, read: Callable[[], Iterator[dict]], out: _Out) -> None:
+    """One repo at a time, with its edges; every file read is in the paths written."""
     n_files = 0
-    graphs: list[dict] = []
     size = lambda task: sum(len(rec["content"]) for rec in task[1])  # noqa: E731
-
-    def rows() -> Iterator[dict]:
-        nonlocal n_files
-        tasks = _repo_groups(read())
-        for record, edges in _pmap(_order_repo_worker, tasks, cfg.workers, (cfg.stages.order,), size):
-            n_files += len(record["ordered_paths"])
-            if cfg.dump_graphs:
-                graphs.append({"repo_id": record["repo_id"], "edges": edges})
-            yield record
-
-    outputs = [_write_output(cfg, SAMPLES_OUT, rows())]
+    out.open(SAMPLES_OUT)
     if cfg.dump_graphs:
-        outputs.append(_write_output(cfg, GRAPHS_OUT, graphs))
-    return StageResult(outputs, n_files, fields={"output_file_total": n_files})
+        out.open(GRAPHS_OUT)
+    tasks = _repo_groups(read())
+    for record, edges in _pmap(_order_repo_worker, tasks, cfg.workers, (cfg.stages.order,), size):
+        n_files += len(record["ordered_paths"])
+        out.row(SAMPLES_OUT, record)
+        if cfg.dump_graphs:
+            out.row(GRAPHS_OUT, {"repo_id": record["repo_id"], "edges": edges})
+    out.fields.update(input_records=n_files, output_file_total=n_files)
 
 
 # -----------------------
 # Stage 3: dedup
 # -----------------------
 
-def stage_dedup(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> StageResult:
+def stage_dedup(cfg: PipelineConfig, read: Callable[[], Iterator[dict]], out: _Out) -> None:
     """Signs each sample on a first pass, writes the survivors on a second."""
+    out.open(DEDUP_OUT)
     if not cfg.stages.dedup:
-        main = _write_output(cfg, DEDUP_OUT, read())
-        return StageResult([main], main[1])
+        for rec in read():
+            out.row(DEDUP_OUT, rec)
+        return
     # Before the pool starts, so forked workers inherit numpy, not import it.
     import numpy  # noqa: F401
     d = cfg.dedup
@@ -387,10 +384,10 @@ def stage_dedup(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> Stag
     drop: set[str] = set()
     for cluster in clusters:
         drop.update(rid for rid in cluster.member_repo_ids if rid != cluster.representative)
-    outputs = []
     if d.report:
-        report_rows = [
-            {
+        out.open(DEDUP_REPORT)
+        for c in clusters:
+            out.row(DEDUP_REPORT, {
                 "members": list(c.member_repo_ids),
                 "representative": c.representative,
                 "similarity_to_representative": {
@@ -400,13 +397,14 @@ def stage_dedup(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> Stag
                     for rid in c.member_repo_ids
                     if rid != c.representative
                 },
-            }
-            for c in clusters
-        ]
-        outputs.append(_write_output(cfg, DEDUP_REPORT, report_rows))
-    outputs.insert(0, _write_output(cfg, DEDUP_OUT, (rec for rec in read() if rec["repo_id"] not in drop)))
-    counters = {"near_duplicate": len(drop)} if drop else {}
-    return StageResult(outputs, len(signatures), counters=counters)
+            })
+        out.close(DEDUP_REPORT)
+    for rec in read():
+        if rec["repo_id"] not in drop:
+            out.row(DEDUP_OUT, rec)
+    if drop:
+        out.counters["near_duplicate"] = len(drop)
+    out.fields["input_records"] = len(signatures)
 
 
 # -----------------------
@@ -450,59 +448,46 @@ def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
     return rows
 
 
-def stage_decontaminate(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> StageResult:
-    """Screens and writes one sample at a time."""
+def stage_decontaminate(cfg: PipelineConfig, read: Callable[[], Iterator[dict]], out: _Out) -> None:
+    """Screens and writes one sample at a time, and its report row."""
+    out.open(CLEAN_OUT)
+    out.fields["benchmark_strings_skipped_short"] = 0
     if not cfg.stages.decontaminate:
-        main = _write_output(cfg, CLEAN_OUT, read())
-        return StageResult([main], main[1], fields={"benchmark_strings_skipped_short": 0})
+        for rec in read():
+            out.row(CLEAN_OUT, rec)
+        return
     index: ContaminationIndex | None = None
     if cfg.decontaminate.benchmark_files:
         index = build_contamination_index(load_benchmark_strings(cfg.decontaminate.benchmark_files))
+        out.fields["benchmark_strings_skipped_short"] = index.skipped_short
+    reported = cfg.decontaminate.report and index is not None
+    if reported:
+        out.open(CONTAMINATION_REPORT)
     shared = (cfg.filters, cfg.decontaminate.quality_heuristics, index)
-    counters: collections.Counter[str] = collections.Counter()
-    report_rows: list[dict] = []
-
-    def clean() -> Iterator[dict]:
-        for rec, (reason, report) in _pmap_texts(_screen, read(), cfg.workers, shared):
-            if reason is None:
-                yield rec
-                continue
-            counters[reason] += 1
-            if report is not None:
-                report_rows.append({
-                    "repo_id": rec["repo_id"],
-                    "benchmarks": list(report.benchmarks),
-                    "matched_entries": list(report.matched_entries),
-                })
-
-    outputs = [_write_output(cfg, CLEAN_OUT, clean())]
-    if cfg.decontaminate.report and index is not None:
-        outputs.append(_write_output(cfg, CONTAMINATION_REPORT, report_rows))
-    # Every sample is either written or counted under one reason.
-    n_records = outputs[0][1] + sum(counters.values())
-    return StageResult(outputs, n_records, counters=counters, fields={
-        "benchmark_strings_skipped_short": index.skipped_short if index is not None else 0,
-    })
+    for rec, (reason, report) in _pmap_texts(_screen, read(), cfg.workers, shared):
+        if reason is None:
+            out.row(CLEAN_OUT, rec)
+            continue
+        out.counters[reason] += 1
+        if report is not None and reported:
+            out.row(CONTAMINATION_REPORT, {
+                "repo_id": rec["repo_id"],
+                "benchmarks": list(report.benchmarks),
+                "matched_entries": list(report.matched_entries),
+            })
 
 
 # -----------------------
 # Stage 5: build (FIM + packing)
 # -----------------------
 
-def _bin_shard(fh, shard: Iterable[tuple]) -> Iterator[dict]:
-    """Write each row of the shard to `fh`; yield its boundaries record."""
-    for row, bounds in shard:
-        fh.write(row.astype("<u4", copy=False))
-        yield {"doc_boundaries": bounds}
-
-
 def _entry_line(n_ids: int) -> Callable[[Sequence[int], list[int]], bytes]:
     """A function from an entry's ids, each below `n_ids`, and its
-    doc_boundaries to the line, without "\n", that `_write_jsonl` writes
-    for {"token_ids": ids, "doc_boundaries": bounds}. It gathers each id's
-    digits and ", " from a table of zero-padded rows, built once, and
-    cuts the zeros and the last ", "; an id past the table raises
-    IndexError."""
+    doc_boundaries to the line, without "\n", that the sink's `row`
+    writes for {"token_ids": ids, "doc_boundaries": bounds}. It gathers
+    each id's digits and ", " from a table of zero-padded rows, built
+    once, and cuts the zeros and the last ", "; an id past the table
+    raises IndexError."""
     import numpy as np
     table = np.array([b"%d, " % i for i in range(n_ids)])
 
@@ -512,52 +497,54 @@ def _entry_line(n_ids: int) -> Callable[[Sequence[int], list[int]], bytes]:
     return line
 
 
-def _write_entries(cfg: PipelineConfig, rows: Iterator[tuple], n_ids: int) -> list[tuple[str, int]]:
-    """Write the (entry, doc_boundaries) rows, of ids below `n_ids`, to
-    shards of entries_per_shard rows, each row as it comes and each
+def _write_entries(cfg: PipelineConfig, out: _Out, rows: Iterator[tuple], n_ids: int) -> None:
+    """Write the (entry, doc_boundaries) rows, of ids below `n_ids`, through
+    `out` to shards of entries_per_shard rows, each row as it comes and each
     shard closed once full; an empty build still writes one (empty) shard."""
-    os.makedirs(os.path.join(cfg.output_dir, ENTRIES_DIR), exist_ok=True)
     line = _entry_line(n_ids)
-    outputs: list[tuple[str, int]] = []
+    to_bin = cfg.build.output_format == "bin"
     for shard_idx in itertools.count():
         first = next(rows, None)
         if first is None and shard_idx:
-            return outputs
-        shard = itertools.islice(itertools.chain([first], rows), cfg.build.entries_per_shard) if first else ()
+            return
         stem = f"{ENTRIES_DIR}/entries-{shard_idx:05d}"
-        if cfg.build.output_format == "bin":
-            with open(os.path.join(cfg.output_dir, stem + ".bin"), "wb") as fh:
-                rel, n = _write_output(cfg, stem + ".boundaries.jsonl", _bin_shard(fh, shard))
-            outputs += [(stem + ".bin", n), (rel, n)]
-        else:
-            outputs.append(_write_output(cfg, stem + ".jsonl", itertools.starmap(line, shard)))
+        shard = (stem + ".bin", stem + ".boundaries.jsonl") if to_bin else (stem + ".jsonl",)
+        for rel in shard:
+            out.open(rel)
+        shard_rows = itertools.chain([first] if first else (), rows)
+        for row, bounds in itertools.islice(shard_rows, cfg.build.entries_per_shard):
+            if to_bin:
+                out.write(shard[0], row.astype("<u4", copy=False))
+                out.row(shard[1], {"doc_boundaries": bounds})
+            else:
+                out.row(shard[0], line(row, bounds))
+        out.close(*shard)
 
 
-def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> StageResult:
+def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]], out: _Out) -> None:
     """Disabled, the stage writes no entries. Enabled, it transforms one
     record, then encodes and packs it a slice at a time and writes each
     entry once it is full, so it holds one document, one slice's ids and
     the unfilled entry. (A slice is rejected only for a lone surrogate,
     which no earlier stage can write, so no document is cut short.)"""
-    fields = {"entry_len": cfg.build.entry_len, "fim_applied": 0, "total_tokens": 0,
-              "dropped_tokens": 0, "padded_tokens": 0}
+    fields = out.fields
+    fields.update(entry_len=cfg.build.entry_len, fim_applied=0, total_tokens=0, dropped_tokens=0,
+                  padded_tokens=0, input_records=0, output_records=0)
     records = read()
     if not cfg.stages.build:
-        return StageResult([], sum(1 for _ in records), 0, fields=fields)
+        fields["input_records"] = sum(1 for _ in records)
+        return
     sentinels = cfg.build.sentinel_set()
     fim_cfg = FimConfig(fim_rate=cfg.build.fim_rate, mode=cfg.build.fim_mode, seed=cfg.seed)
     tokenizer = ByteTokenizer(sentinels)
-    counters: collections.Counter[str] = collections.Counter()
-    n_records = n_entries = 0
 
     def pack(docs: list[str], carry: tuple, pad_final: bool = False, continued: bool = False):
         """Pack `docs` after `carry`; yield copies of the rows, so a row
         the writer still holds keeps no slice's ids; return the carry."""
-        nonlocal n_entries
         result = pack_entries(docs, tokenizer, cfg.build.entry_len, pad_final, carry, continued)
         if result.skipped_docs:
-            counters["tokenizer_failure"] += result.skipped_docs
-        n_entries += len(result.entries)
+            out.counters["tokenizer_failure"] += result.skipped_docs
+        fields["output_records"] += len(result.entries)
         fields["total_tokens"] += result.total_tokens
         fields.update(dropped_tokens=result.dropped_tokens, padded_tokens=result.padded_tokens)
         for row, bounds in zip(result.entries, result.doc_boundaries):
@@ -565,20 +552,19 @@ def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]]) -> Stag
         return result.carry
 
     def rows() -> Iterator[tuple]:
-        nonlocal n_records
         carry: tuple = ((), ())
-        for n_records, rec in enumerate(records, 1):
-            doc = fim_transform(rec.pop("text"), n_records - 1, fim_cfg, sentinels)
+        for i, rec in enumerate(records):
+            fields["input_records"] = i + 1
+            doc = fim_transform(rec.pop("text"), i, fim_cfg, sentinels)
             if doc is None:
-                counters["sentinel_collision"] += 1
+                out.counters["sentinel_collision"] += 1
                 continue
             fields["fim_applied"] += doc.startswith(sentinels.fim_start)
             for k, piece in enumerate(tokenizer.slices(doc)):
                 carry = yield from pack([piece], carry, continued=k > 0)
         yield from pack([], carry, cfg.build.pad_final)
 
-    outputs = _write_entries(cfg, rows(), tokenizer.vocab_size)
-    return StageResult(outputs, n_records, n_entries, counters, fields)
+    _write_entries(cfg, out, rows(), tokenizer.vocab_size)
 
 
 # -----------------------
@@ -699,24 +685,28 @@ def _execute(cfg: PipelineConfig, stage: Stage, upstream: str, key: str, ingeste
             source = ingested
         else:
             source = functools.partial(_read_jsonl, os.path.join(cfg.output_dir, stage.reads))
-        # Looked up at call time, so the stage functions can be wrapped.
-        result = globals()[f"stage_{stage.name}"](cfg, source)
+        out = _Out(cfg.output_dir)
+        try:
+            # Looked up at call time, so the stage functions can be wrapped.
+            globals()[f"stage_{stage.name}"](cfg, source, out)
+        finally:
+            out.close()
+        n_out = next(iter(out.rows.values()), 0)
         manifest = {
             "stage": stage.name,
             "completed": True,
             "config_hash": key,
             "upstream": upstream,
-            "input_records": result.input_records,
-            "output_records": (
-                result.outputs[0][1] if result.output_records is None else result.output_records
-            ),
-            "counters": dict(sorted(result.counters.items())),
+            # Unless the stage counts its input: every record written or dropped.
+            "input_records": n_out + sum(out.counters.values()),
+            "output_records": n_out,
+            "counters": dict(sorted(out.counters.items())),
             "outputs": [
                 {"path": rel, "sha256": sha256_file(os.path.join(cfg.output_dir, rel)),
                  "records": n}
-                for rel, n in result.outputs
+                for rel, n in out.rows.items()
             ],
-            **result.fields,
+            **out.fields,
         }
         _write_json(_manifest_path(cfg, stage.name), manifest)
         return manifest

@@ -217,6 +217,52 @@ class TestStageToggles:
         assert not (out / "entries").exists()
 
 
+class TestManifestIdentities:
+    """README's conservation identities and manifest fields hold with
+    every stage on and with each stage switched off in turn."""
+
+    EXTRA_FIELDS = {
+        "filter": ("raw_records", "ingest_counters"),
+        "order": ("output_file_total",),
+        "dedup": (),
+        "decontaminate": ("benchmark_strings_skipped_short",),
+        "build": ("entry_len", "fim_applied", "total_tokens", "dropped_tokens", "padded_tokens"),
+    }
+
+    @pytest.mark.parametrize("disabled", [None, "filter", "order", "dedup", "decontaminate", "build"])
+    def test_every_manifest_accounts_for_its_records(self, tmp_path, disabled):
+        from repopipe.pipeline import STAGES
+
+        cfg = fixture_config(tmp_path)
+        cfg.dump_graphs = True
+        if disabled:
+            setattr(cfg.stages, disabled, False)
+        run_pipeline(cfg)
+        out = Path(cfg.output_dir)
+        previous = None
+        for stage in STAGES:
+            m = read_manifest(cfg, stage.name)
+            assert all(name in m for name in self.EXTRA_FIELDS[stage.name]), stage.name
+            dropped = sum(m["counters"].values())
+            if stage.name == "order":
+                assert m["input_records"] == m["output_file_total"] + dropped
+            elif stage.name != "build":
+                assert m["input_records"] == m["output_records"] + dropped, stage.name
+            if previous is None:
+                assert m["raw_records"] == m["input_records"] + sum(m["ingest_counters"].values())
+            else:
+                assert m["input_records"] == previous["output_records"], stage.name
+            lines = {
+                entry["path"]: (out / entry["path"]).read_bytes().count(b"\n")
+                for entry in m["outputs"] if entry["path"].endswith(".jsonl")
+            }
+            assert {entry["path"]: entry["records"] for entry in m["outputs"]} == lines
+            if stage.name == "build":
+                assert m["output_records"] == sum(lines.values())
+                assert (m["output_records"] > 0) == (disabled != "build")
+            previous = m
+
+
 class TestWorkerCountInvariance:
     def test_screening_bytes_same_at_one_and_two_workers(self, tmp_path):
         # A second benchmark file adds an exact-length hit in repo_delta to
@@ -333,39 +379,42 @@ class TestInterruptedStage:
     a run that was never interrupted."""
 
     @pytest.mark.parametrize(
-        "stage, prefix", [("dedup", DEDUP_OUT), ("build", "entries/entries-")]
+        "stage, prefix, output_format",
+        [
+            pytest.param("dedup", DEDUP_OUT, "jsonl", id=f"dedup-{DEDUP_OUT}"),
+            pytest.param("build", "entries/entries-", "jsonl", id="build-entries/entries-"),
+            # A .bin row and its boundaries line per entry: stopped mid-shard.
+            pytest.param("build", "entries/entries-", "bin", id="build-bin"),
+        ],
     )
-    def test_resume_matches_uninterrupted_run(self, tmp_path, monkeypatch, stage, prefix):
+    def test_resume_matches_uninterrupted_run(self, tmp_path, monkeypatch, stage, prefix, output_format):
         import repopipe.pipeline as pipeline_module
         from repopipe.pipeline import StageFailure
 
         cfg = fixture_config(tmp_path)
+        cfg.build.output_format = output_format
         fresh = fresh_run(cfg, tmp_path / "fresh")
         manifest = json.loads((fresh / "manifests" / f"{stage}.json").read_text())
         limit = manifest["output_records"] // 2
         assert limit > 0
         written = 0
-        real_write = pipeline_module._write_jsonl
+        real_write = pipeline_module._Out.write
 
-        def interrupted_write(path, records):
-            if not os.path.relpath(path, cfg.output_dir).startswith(prefix):
-                return real_write(path, records)
+        def interrupted_write(self, rel, data):
+            nonlocal written
+            if rel.startswith(prefix):
+                if written == limit:
+                    raise RuntimeError("interrupted mid-write")
+                written += 1
+            real_write(self, rel, data)
 
-            def until_limit():
-                nonlocal written
-                for rec in records:
-                    if written == limit:
-                        raise RuntimeError("interrupted mid-write")
-                    written += 1
-                    yield rec
-
-            return real_write(path, until_limit())
-
-        monkeypatch.setattr(pipeline_module, "_write_jsonl", interrupted_write)
+        monkeypatch.setattr(pipeline_module._Out, "write", interrupted_write)
         with pytest.raises(StageFailure) as exc_info:
             run_pipeline(cfg)
         assert exc_info.value.stage == stage
         assert written == limit
+        if output_format == "bin":
+            assert limit % (2 * cfg.build.entries_per_shard)
         monkeypatch.undo()
         summary = run_pipeline(cfg)
         assert summary.completed_stages[0] == stage
@@ -428,24 +477,15 @@ class TestInterruptedStage:
         changed = copy.deepcopy(cfg)
         change(changed)
 
-        class StopAfterClose:
-            def __init__(self, fh):
-                self.fh = fh
+        real_close = pipeline_module._Out.close
 
-            def __enter__(self):
-                return self.fh.__enter__()
-
-            def __exit__(self, *exc):
-                self.fh.__exit__(*exc)
+        def stopping_close(self, *rels):
+            closing = rels or tuple(self.files)
+            real_close(self, *rels)
+            if any(rel.startswith(stop) for rel in closing):
                 raise RuntimeError("stopped after writing")
 
-        def stopping_open(path, mode="r", *args, **kwargs):
-            fh = open(path, mode, *args, **kwargs)
-            if "w" in mode and os.path.relpath(path, cfg.output_dir).startswith(stop):
-                return StopAfterClose(fh)
-            return fh
-
-        monkeypatch.setattr(pipeline_module, "open", stopping_open, raising=False)
+        monkeypatch.setattr(pipeline_module._Out, "close", stopping_close)
         with pytest.raises(StageFailure) as exc_info:
             run_pipeline(changed)
         assert exc_info.value.stage == stage
@@ -469,21 +509,14 @@ class TestChain:
         run_pipeline(cfg)
         rerun = copy.deepcopy(cfg)
         rerun.seed += 1
-        real_write = pipeline_module._write_jsonl
+        real_write = pipeline_module._Out.write
 
-        def one_row_then_stop(path, records):
-            if os.path.relpath(path, cfg.output_dir) != rel:
-                return real_write(path, records)
+        def one_row_then_stop(self, path, data):
+            if path == rel and self.rows[path] == 1:
+                raise RuntimeError("stopped after one row")
+            real_write(self, path, data)
 
-            def rows():
-                for n, rec in enumerate(records):
-                    if n == 1:
-                        raise RuntimeError("stopped after one row")
-                    yield rec
-
-            return real_write(path, rows())
-
-        monkeypatch.setattr(pipeline_module, "_write_jsonl", one_row_then_stop)
+        monkeypatch.setattr(pipeline_module._Out, "write", one_row_then_stop)
         with pytest.raises(StageFailure):
             run_pipeline(rerun)
         monkeypatch.undo()
@@ -722,7 +755,7 @@ class TestStageFailure:
         import repopipe.pipeline as pipeline_module
         from repopipe.pipeline import StageFailure
 
-        def boom(cfg, upstream):
+        def boom(cfg, source, out):
             raise RuntimeError("simulated crash")
 
         monkeypatch.setattr(pipeline_module, "stage_dedup", boom)

@@ -146,24 +146,28 @@ def traced_peak(fn, *args):
     return result, peak
 
 
-def stage_peaks(tmp_path: Path, copies: int, monkeypatch) -> dict[str, int]:
-    """Peaks of the order, dedup and decontaminate stage functions, not
-    counting the runner's hashing of their outputs, on `copies` copies
-    of the fixture corpus, each copy of a repo under its own repo id.
-    Each stage runs twice and the second run is measured, so what a
+def stage_peaks(
+    tmp_path: Path, copies: int, monkeypatch, stages=("order", "dedup", "decontaminate"), **fields
+) -> dict[str, int]:
+    """Peaks of the given stage functions, not counting the runner's
+    hashing of their outputs, on `copies` copies of the fixture corpus,
+    each copy of a repo under its own repo id, with the config `fields`
+    set. Each stage runs twice and the second run is measured, so what a
     first run leaves cached (reference extraction leaves a bounded set of
     small strings alive) counts at neither size. Decontaminate runs with dedup switched off,
     which would otherwise drop every copy."""
     cfg = fixture_config(tmp_path / f"copies-{copies}")
+    for name, value in fields.items():
+        setattr(cfg, name, value)
     corpus = Path(cfg.inputs[0])
     for repo in sorted(p.name for p in corpus.iterdir()):
         for k in range(1, copies):
             shutil.copytree(corpus / repo, corpus / f"{repo}_{k}")
     assert run_stage(cfg, "filter")["ingest_counters"] == {}
     peaks: dict[str, int] = {}
-    for stage in ("order", "dedup", "decontaminate"):
-        def traced(cfg, source, fn=getattr(pipeline, f"stage_{stage}"), stage=stage):
-            result, peaks[stage] = traced_peak(fn, cfg, source)
+    for stage in stages:
+        def traced(cfg, source, out, fn=getattr(pipeline, f"stage_{stage}"), stage=stage):
+            result, peaks[stage] = traced_peak(fn, cfg, source, out)
             return result
 
         if stage == "decontaminate":
@@ -183,6 +187,14 @@ def test_stage_peaks_do_not_grow_with_repo_count(tmp_path, monkeypatch):
               "dedup": 1.15 * one["dedup"] + 5_000 * 12}
     grown = {stage: (one[stage], four[stage]) for stage in limits if four[stage] > limits[stage]}
     assert not grown, f"peak bytes at 1x and 4x the repos: {grown}"
+
+
+def test_order_peak_with_graph_dump_does_not_grow_with_repo_count(tmp_path, monkeypatch):
+    # From 4x, not 1x: the first copies grow the peak about 13 % even
+    # without the dump, and a list of every repo's edges shows by 16x.
+    four = stage_peaks(tmp_path, 4, monkeypatch, ("order",), dump_graphs=True)["order"]
+    sixteen = stage_peaks(tmp_path, 16, monkeypatch, ("order",), dump_graphs=True)["order"]
+    assert sixteen <= 1.15 * four, f"order peak {four} bytes at 4x the repos, {sixteen} at 16x"
 
 
 def eight_mib_sample() -> str:

@@ -176,6 +176,10 @@ def _manifest_path(cfg: PipelineConfig, stage: str) -> str:
 
 _shared: tuple = ()  # (fn, args) in a pool worker, set once by _init_shared
 CHUNK_CHARS = 1 << 16  # text a pool task carries, unless one item holds more
+# Text `_pmap` maps in-process before it starts a pool: the smallest stage
+# input at which 2 workers beat 1, each stage timed in a fresh process (the
+# crossover table in CHANGES.md). Below it, no pool repaid its start-up.
+POOL_MIN_CHARS = 1 << 20
 
 
 def _init_shared(fn: Callable, args: tuple) -> None:
@@ -207,20 +211,31 @@ def _pmap(
     fn: Callable, items: Iterable, workers: int, shared: tuple = (), size: Callable | None = None
 ) -> Iterator:
     """Lazy order-preserving map of fn(item, *shared). With workers > 1
-    it runs over a process pool, one `_chunks` run per task and at most
-    2 * workers tasks in flight, so it holds a bounded window of items
-    and results. The pool is no wider than its first window, since it
-    starts every worker up front. `shared` reaches each pool worker
-    once, through the pool initializer, not with every task."""
+    it maps items in-process until their `size` (without `size`,
+    CHUNK_CHARS each) reaches POOL_MIN_CHARS, and the rest over a process
+    pool, one `_chunks` run per task and at most 2 * workers tasks in
+    flight, so it holds a bounded window of items and results. The pool
+    is no wider than its first window, since it starts every worker up
+    front. It forks, so `shared` reaches each worker once, unpickled,
+    through the pool initializer, and the workers inherit the parent's
+    imports."""
     items = iter(items)
+    mapped = 0
+    for item in items if workers > 1 and POOL_MIN_CHARS > 0 else ():
+        mapped += size(item) if size else CHUNK_CHARS
+        yield fn(item, *shared)
+        if mapped >= POOL_MIN_CHARS:
+            break
     chunks = _chunks(items, size, 2 * workers)
     window = list(itertools.islice(chunks, 2 * workers)) if workers > 1 else []
     if len(window) <= 1:
         yield from (fn(item, *shared) for item in itertools.chain(*window, items))
         return
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(
-        max_workers=min(workers, len(window)), initializer=_init_shared, initargs=(fn, shared)
+        max_workers=min(workers, len(window)), mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_shared, initargs=(fn, shared),
     ) as pool:
         pending = collections.deque(pool.submit(_call_shared, chunk) for chunk in window)
         while pending:
@@ -286,12 +301,14 @@ def ingest_and_fingerprint(cfg: PipelineConfig) -> tuple[list[RawRepo], dict[str
 
 def stage_filter(cfg: PipelineConfig, ingested: Sequence, out: _Out) -> None:
     """Writes the kept files repo by repo, in repo_id order. `ingested`
-    holds the repos and the counters that `ingest_and_fingerprint` returns."""
+    holds the repos and the counters that `ingest_and_fingerprint` returns.
+    It never pools, at any worker count: its kernel is the cheapest per
+    character, and a pool would pickle every file out and each kept one back."""
     raw_repos, ingest_counters = ingested
-    shared = (cfg.filters, LanguageMap.load(cfg.language_map), cfg.stages.filter)
-    size = lambda repo: sum(len(rf.content) for rf in repo.files)  # noqa: E731
+    lang_map = LanguageMap.load(cfg.language_map)
     out.open(FILES_OUT)
-    for kept, repo_counters in _pmap(_filter_repo_worker, raw_repos, cfg.workers, shared, size):
+    for repo in raw_repos:
+        kept, repo_counters = _filter_repo_worker(repo, cfg.filters, lang_map, cfg.stages.filter)
         for rec in kept:
             out.row(FILES_OUT, rec)
         out.counters.update(repo_counters)

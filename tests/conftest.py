@@ -8,6 +8,7 @@ file that gamma leaks.
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import random
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repopipe import pipeline
 from repopipe.config import PipelineConfig
 
 BENCH_TEXT = (
@@ -107,6 +109,27 @@ def output_digest(out: Path) -> dict[str, str]:
         for p in sorted(out.rglob("*"))
         if p.is_file() and p.name != "run.json"
     }
+
+
+@pytest.fixture
+def pooled(monkeypatch) -> list[int]:
+    """Pools start at a stage's first item (POOL_MIN_CHARS = 0). The list
+    gets one entry per process pool started, the number of items sent to
+    it, so a test can assert that its run really forked."""
+    counts: list[int] = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            counts.append(0)
+
+        def submit(self, fn, chunk):
+            counts[-1] += len(chunk)
+            return super().submit(fn, chunk)
+
+    monkeypatch.setattr(pipeline, "POOL_MIN_CHARS", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return counts
 
 
 @pytest.fixture

@@ -332,11 +332,12 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
     }
 
 
-def test_criterion_7_end_to_end_determinism(tmp_path):
+def test_criterion_7_end_to_end_determinism(tmp_path, pooled):
     cfg1 = fixture_config(tmp_path, out_name="run_w1", workers=1)
     cfg8 = fixture_config(tmp_path, out_name="run_w8", workers=8)
     run_pipeline(cfg1)
     run_pipeline(cfg8)
+    assert pooled == [4, 4, 3]  # order, dedup and decontaminate forked at 8 workers
 
     tree1 = _tree_bytes(Path(cfg1.output_dir))
     tree8 = _tree_bytes(Path(cfg8.output_dir))

@@ -98,7 +98,12 @@ def corpora(tmp_path_factory) -> Path:
 
 
 @pytest.mark.parametrize("corpus,variant", CASES)
-def test_output_bytes_match_the_golden_table(corpora, monkeypatch, corpus, variant):
+def test_output_bytes_match_the_golden_table(corpora, monkeypatch, request, corpus, variant):
     expected = json.loads(TABLE.read_text(encoding="utf-8"))[f"{corpus}/{variant}"]
     monkeypatch.chdir(corpus_dir(corpus, corpora))
+    # The small corpora are far below POOL_MIN_CHARS; `pooled` sets it
+    # to 0, so that the 2-worker cases still fork.
+    pooled = request.getfixturevalue("pooled") if variant.startswith("w2") else None
     assert run_case(variant) == expected
+    if pooled is not None:
+        assert len(pooled) == 3, pooled  # order, dedup and decontaminate

@@ -1,6 +1,7 @@
 """The package root loads no stage module, so importing it, the config
 and the language table loads neither numpy nor the pipeline; a resume
-and `stats` load neither numpy nor the process pool."""
+and `stats` load neither numpy nor the process pool; a 2-worker run
+whose stages all stay below the pool threshold loads no pool module."""
 
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ def test_config_and_corpus_load_no_numpy_or_pipeline():
     assert out.stdout.strip() == "[]"
 
 
-HEAVY = ["concurrent.futures.process", "multiprocessing", "numpy"]
+POOL = ["concurrent.futures.process", "multiprocessing"]
+HEAVY = [*POOL, "numpy"]
 
 
 def run_child(code: str, *args: str) -> str:
@@ -59,6 +61,22 @@ def test_resume_stats_and_default_config_load_no_numpy_or_pool(tmp_path):
     assert run_record["stages_completed"] == []
 
 
+def test_two_worker_run_below_the_pool_threshold_loads_no_pool(tmp_path):
+    # Every stage's input is far below POOL_MIN_CHARS, so no stage starts
+    # a pool, and the run pays for no pool module either.
+    cfg = fixture_config(tmp_path, workers=2)
+    config = write_config(cfg, tmp_path / "config.json")
+    code = (
+        "import sys\n"
+        "from repopipe.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        f"print(sorted(set({POOL!r}) & set(sys.modules)))\n"
+    )
+    assert run_child(code, "run", "--config", config) == "[]"
+    run_record = json.loads((tmp_path / "out" / "run.json").read_text())
+    assert run_record["stages_completed"] == ["filter", "order", "dedup", "decontaminate", "build"]
+
+
 def test_dedup_pool_starts_after_the_parent_imports_numpy(tmp_path):
     # Forked pool workers inherit the parent's modules; without numpy
     # there, each worker would import it again.
@@ -69,8 +87,10 @@ def test_dedup_pool_starts_after_the_parent_imports_numpy(tmp_path):
     config = write_config(cfg, tmp_path / "config.json")
     code = (
         "import concurrent.futures, sys\n"
+        "import repopipe.pipeline\n"
         "from repopipe.config import load_config\n"
         "from repopipe.pipeline import run_stage\n"
+        "repopipe.pipeline.POOL_MIN_CHARS = 0\n"
         "assert 'numpy' not in sys.modules\n"
         "seen = []\n"
         "class Pool(concurrent.futures.ProcessPoolExecutor):\n"

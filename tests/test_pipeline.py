@@ -264,7 +264,7 @@ class TestManifestIdentities:
 
 
 class TestWorkerCountInvariance:
-    def test_screening_bytes_same_at_one_and_two_workers(self, tmp_path):
+    def test_screening_bytes_same_at_one_and_two_workers(self, tmp_path, pooled):
         # A second benchmark file adds an exact-length hit in repo_delta to
         # the 10-gram hit in repo_gamma, so the pool workers find both kinds.
         probes = tmp_path / "probes.jsonl"
@@ -276,6 +276,9 @@ class TestWorkerCountInvariance:
             cfg.decontaminate.benchmark_files.append(str(probes))
             run_pipeline(cfg)
             digests[workers] = output_digest(Path(cfg.output_dir))
+        # Only the 2-worker run pools: every item of order, dedup and
+        # decontaminate; filter always runs in-process.
+        assert pooled == [4, 4, 3]
         report = read_jsonl(tmp_path / "w2" / "reports" / "contamination_report.jsonl")
         assert [(r["repo_id"], r["benchmarks"]) for r in report] == [
             ("repo_delta", ["probe"]), ("repo_gamma", ["bench-a"]),
@@ -285,6 +288,19 @@ class TestWorkerCountInvariance:
             assert digests[1][rel] == digests[2][rel], rel
         assert digests[1] == digests[2]
 
+    def test_bytes_same_when_the_pool_starts_inside_a_stage(self, tmp_path, pooled, monkeypatch):
+        # One character maps a stage's first item in-process and the rest
+        # in a pool.
+        import repopipe.pipeline as pipeline_module
+
+        monkeypatch.setattr(pipeline_module, "POOL_MIN_CHARS", 1)
+        digests = {}
+        for workers in (1, 2):
+            cfg = fixture_config(tmp_path, out_name=f"w{workers}", workers=workers)
+            run_pipeline(cfg)
+            digests[workers] = output_digest(Path(cfg.output_dir))
+        assert pooled == [3, 3, 2]
+        assert digests[1] == digests[2]
 
     def test_pool_is_no_wider_than_the_item_count(self, monkeypatch):
         # Under fork, the pool starts every worker up front, busy or not.
@@ -293,7 +309,8 @@ class TestWorkerCountInvariance:
         widths = []
 
         class SerialPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                assert mp_context.get_start_method() == "fork"
                 widths.append(max_workers)
                 initializer(*initargs)
 
@@ -310,6 +327,7 @@ class TestWorkerCountInvariance:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(pipeline_module, "_shared", ())
+        monkeypatch.setattr(pipeline_module, "POOL_MIN_CHARS", 0)
         assert list(pipeline_module._pmap(divmod, [7, 8, 9], 16, (2,))) == [(3, 1), (4, 0), (4, 1)]
         assert widths == [3]
 

@@ -22,6 +22,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 _TOKEN = re.compile(r"\w+")
+# On ASCII text `\w` is exactly [0-9A-Za-z_], so mapping every other ASCII
+# character to a space and splitting gives the tokens of _TOKEN.findall.
+_NOT_WORD = str.maketrans({c: " " for c in map(chr, range(128)) if not (c.isalnum() or c == "_")})
 # numpy loads in the functions that use it, so a resume never imports it.
 # Each constant meets an array as np.uint64(...), so every operation stays
 # in uint64 under numpy's old value-based casting as under NEP 50. (A bare
@@ -53,13 +56,17 @@ def shingle_set(text: str, width: int) -> np.ndarray:
     tokens. A shingle's hash is the polynomial of its tokens' 8-byte
     blake2b digests (read little-endian) in base _GOLDEN, mod 2**64.
     Texts shorter than one shingle yield the single truncated shingle.
-    Each slice of the text is lowered and tokenized into one id array.
+    Each slice of the text is lowered and tokenized into one id array;
+    a slice that is ASCII once lowered is split on a translated copy,
+    without the regex engine.
     """
     import numpy as np
     pos: defaultdict[str, int] = defaultdict(count().__next__)  # token -> id, in first-seen order
     ids = array("q")
     for part in text_slices(text):
-        ids.extend(map(pos.__getitem__, _TOKEN.findall(part.lower())))
+        low = part.lower()
+        tokens = low.translate(_NOT_WORD).split() if low.isascii() else _TOKEN.findall(low)
+        ids.extend(map(pos.__getitem__, tokens))
     digests = b"".join([hashlib.blake2b(t.encode(), digest_size=8).digest() for t in pos])
     seq = np.frombuffer(digests, "<u8")[np.frombuffer(ids, np.int64)]
     del ids

@@ -15,6 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
+from itertools import compress
 from operator import mul
 from typing import Iterator
 
@@ -197,6 +198,10 @@ def filter_data_file(
 _COMMENT_LINE = re.compile(r"^\s*(#|//|/\*|\*|--|;|%|')")
 
 
+def _is_code(line: str) -> bool:
+    return bool(line.strip()) and not _COMMENT_LINE.match(line)
+
+
 def apply_quality_heuristics(
     content: str,
     thresholds: FilterThresholds = DEFAULT_THRESHOLDS,
@@ -207,25 +212,38 @@ def apply_quality_heuristics(
       content's characters (degenerate repetition);
     - reject when more than 90% of non-comment lines exceed 200 chars
       (minified or generated blobs).
+
+    One pass counts token lengths and the long code lines. A token's
+    count times its length is at most its length's count times that
+    length, so tokens themselves are counted only when some length
+    passes the repetition limit; code lines only when a long one exists,
+    since with none the long-line rule cannot fire for a fraction >= 0.
     """
     if not content:
         return FilterVerdict()
-    counts: Counter[str] = Counter()
-    code_lines = long_lines = 0
+    by_len: Counter[int] = Counter()
+    long_lines = 0
     for part in text_slices(content, lines=True):
-        counts.update(part.split())
-        code = [ln for ln in part.splitlines() if ln.strip() and not _COMMENT_LINE.match(ln)]
-        code_lines += len(code)
-        long_lines += sum(len(ln) > thresholds.long_line_chars for ln in code)
-    if counts:
+        by_len.update(map(len, part.split()))
+        lines = part.splitlines()
+        longer = map(thresholds.long_line_chars.__lt__, map(len, lines))
+        long_lines += sum(map(_is_code, compress(lines, longer)))
+    limit = thresholds.max_repeated_token_fraction * len(content)
+    if by_len and max(map(mul, by_len.values(), by_len)) > limit:
+        counts: Counter[str] = Counter()
+        for part in text_slices(content, lines=True):
+            counts.update(part.split())
         covered = max(map(mul, counts.values(), map(len, counts)))
-        if covered > thresholds.max_repeated_token_fraction * len(content):
+        if covered > limit:
             top_tok = max(tok for tok, n in counts.items() if n * len(tok) == covered)
             return FilterVerdict(
                 RULE_TOKEN_REPETITION,
                 f"token {top_tok[:20]!r} covers {covered}/{len(content)} chars",
             )
-    if code_lines and long_lines / code_lines > thresholds.max_long_line_fraction:
+    if not long_lines:
+        return FilterVerdict()
+    code_lines = sum(sum(map(_is_code, part.splitlines())) for part in text_slices(content, lines=True))
+    if long_lines / code_lines > thresholds.max_long_line_fraction:
         return FilterVerdict(
             RULE_LONG_LINES,
             f"{long_lines}/{code_lines} non-comment lines > {thresholds.long_line_chars} chars",

@@ -54,12 +54,13 @@ UNKNOWN_LANGUAGE = "(unknown)"
 @dataclass(frozen=True)
 class Stage:
     """One step of the pipeline. The runner hands `stage_<name>` a function
-    that opens a lazy reader of `reads` (None: the ingested repos instead)
-    and the `_Out` sink it writes its rows through as it goes, the first
-    file opened there being the one the next stage reads. `writes` names
-    every file or directory the stage may write, and the runner deletes
-    them all before the stage runs. `config` lists the dotted config
-    fields the stage reads; its command takes the CLI flags that set them.
+    that opens a lazy reader of `reads`, `_read_jsonl` on that file (None:
+    the ingested repos instead), and the `_Out` sink it writes its rows
+    through as it goes, the first file opened there being the one the
+    next stage reads. `writes` names every file or directory the stage
+    may write, and the runner deletes them all before the stage runs.
+    `config` lists the dotted config fields the stage reads; its command
+    takes the CLI flags that set them.
     """
 
     name: str
@@ -145,11 +146,15 @@ class _Out:
             self.files.pop(rel).close()
 
 
-def _read_jsonl(path: str) -> Iterator[dict]:
-    """The file's records, one at a time; map holds no line it decoded,
-    and `isspace` finds blank lines (a read line is never empty) uncopied."""
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from map(json.loads, itertools.filterfalse(str.isspace, fh))
+def _read_jsonl(path: str, raw: bool = False) -> Iterator:
+    """The file's records, one at a time, or with `raw` the lines that
+    hold them, as read, "\n" included. Both come from one line reader, so
+    the n-th line holds the n-th record. Each map holds no line it
+    decoded, so a line's bytes are freed before its text is parsed, and
+    `isspace` finds blank lines (a read line is never empty) uncopied."""
+    with open(path, "rb") as fh:
+        lines = itertools.filterfalse(bytes.isspace, fh)
+        yield from lines if raw else map(json.loads, map(bytes.decode, lines))
 
 
 def _pmap_texts(fn: Callable, records: Iterable[dict], workers: int, shared: tuple) -> Iterator[tuple]:
@@ -379,12 +384,13 @@ def stage_order(cfg: PipelineConfig, read: Callable[[], Iterator[dict]], out: _O
 # Stage 3: dedup
 # -----------------------
 
-def stage_dedup(cfg: PipelineConfig, read: Callable[[], Iterator[dict]], out: _Out) -> None:
-    """Signs each sample on a first pass, writes the survivors on a second."""
+def stage_dedup(cfg: PipelineConfig, read: Callable[..., Iterator], out: _Out) -> None:
+    """Signs each sample on a first pass; the second copies the survivors'
+    lines as read."""
     out.open(DEDUP_OUT)
     if not cfg.stages.dedup:
-        for rec in read():
-            out.row(DEDUP_OUT, rec)
+        for line in read(raw=True):
+            out.write(DEDUP_OUT, line)
         return
     # Before the pool starts, so forked workers inherit numpy, not import it.
     import numpy  # noqa: F401
@@ -416,9 +422,11 @@ def stage_dedup(cfg: PipelineConfig, read: Callable[[], Iterator[dict]], out: _O
                 },
             })
         out.close(DEDUP_REPORT)
-    for rec in read():
-        if rec["repo_id"] not in drop:
-            out.row(DEDUP_OUT, rec)
+    # The n-th line holds the n-th record signed, and order wrote each line
+    # as `out.row` would write the record, so survivors are copied as read.
+    for repo_id, line in zip(signatures, read(raw=True), strict=True):
+        if repo_id not in drop:
+            out.write(DEDUP_OUT, line)
     if drop:
         out.counters["near_duplicate"] = len(drop)
     out.fields["input_records"] = len(signatures)
@@ -465,13 +473,13 @@ def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
     return rows
 
 
-def stage_decontaminate(cfg: PipelineConfig, read: Callable[[], Iterator[dict]], out: _Out) -> None:
+def stage_decontaminate(cfg: PipelineConfig, read: Callable[..., Iterator], out: _Out) -> None:
     """Screens and writes one sample at a time, and its report row."""
     out.open(CLEAN_OUT)
     out.fields["benchmark_strings_skipped_short"] = 0
     if not cfg.stages.decontaminate:
-        for rec in read():
-            out.row(CLEAN_OUT, rec)
+        for line in read(raw=True):
+            out.write(CLEAN_OUT, line)
         return
     index: ContaminationIndex | None = None
     if cfg.decontaminate.benchmark_files:
@@ -538,7 +546,7 @@ def _write_entries(cfg: PipelineConfig, out: _Out, rows: Iterator[tuple], n_ids:
         out.close(*shard)
 
 
-def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]], out: _Out) -> None:
+def stage_build(cfg: PipelineConfig, read: Callable[..., Iterator], out: _Out) -> None:
     """Disabled, the stage writes no entries. Enabled, it transforms one
     record, then encodes and packs it a slice at a time and writes each
     entry once it is full, so it holds one document, one slice's ids and
@@ -547,9 +555,8 @@ def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]], out: _O
     fields = out.fields
     fields.update(entry_len=cfg.build.entry_len, fim_applied=0, total_tokens=0, dropped_tokens=0,
                   padded_tokens=0, input_records=0, output_records=0)
-    records = read()
     if not cfg.stages.build:
-        fields["input_records"] = sum(1 for _ in records)
+        fields["input_records"] = sum(1 for _ in read(raw=True))
         return
     sentinels = cfg.build.sentinel_set()
     fim_cfg = FimConfig(fim_rate=cfg.build.fim_rate, mode=cfg.build.fim_mode, seed=cfg.seed)
@@ -570,7 +577,7 @@ def stage_build(cfg: PipelineConfig, read: Callable[[], Iterator[dict]], out: _O
 
     def rows() -> Iterator[tuple]:
         carry: tuple = ((), ())
-        for i, rec in enumerate(records):
+        for i, rec in enumerate(read()):
             fields["input_records"] = i + 1
             doc = fim_transform(rec.pop("text"), i, fim_cfg, sentinels)
             if doc is None:

@@ -473,10 +473,13 @@ def test_scan_named_cases_match_every_position_scan():
 # after "\r" would split, a final sigma and a dotted capital I, whose
 # lowercase depends on context or grows, other line and word
 # separators, comment starts, a token longer than one slice and the
-# sentinel literals.
+# sentinel literals. The Kelvin sign lowers to ASCII "k", and the
+# ASCII punctuation, digit and control pieces meet the shingler's
+# regex-free split of slices that are ASCII once lowered.
 SLICE_PIECES = [
     "a", "Σ", "İ", "ß", "x_1", "名前", "\r\n", "\r", "\n", " ", "\t", "\u3000", "\x1c", "\u2028",
     "# c", "//", "y" * 30, *DEFAULT_SENTINELS.as_tuple(),
+    "\u212a", "\x0b", "\x0c", "\x7f", "-", ".", "(", "9",
 ]
 sliced_texts = st.lists(st.sampled_from(SLICE_PIECES), max_size=40).map("".join)
 slice_sizes = st.integers(min_value=1, max_value=12)
@@ -514,6 +517,12 @@ def test_sliced_shingles_match_whole_text(text, width, size):
 @example("", 1, 0.5, 0, 0.0)
 @example("\r\n\r\n  ", 1, 0.5, 0, 0.0)
 @example("yyyy\r\nyyyy # c\n", 2, 0.5, 3, 0.0)
+# Tokens of length 2 cover 6 of 8 characters, but no one token passes 4.
+@example("ab cd ef", 12, 0.5, 8, 0.9)
+# The one long code line is in the last slice; 1 of 3 code lines is long.
+@example("x\ny\nab cd ef\n", 2, 0.5, 3, 0.5)
+# The long line is a comment, so no code line is long.
+@example("# ab cd ef\nx\n", 12, 0.5, 3, 0.0)
 def test_sliced_quality_heuristics_match_whole_text(text, size, repeated, long_chars, long_fraction):
     thresholds = FilterThresholds(
         max_repeated_token_fraction=repeated, long_line_chars=long_chars, max_long_line_fraction=long_fraction

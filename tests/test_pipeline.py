@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import copy
 import hashlib
@@ -208,6 +209,35 @@ class TestStageToggles:
         samples = {r["repo_id"]: r for r in read_jsonl(Path(cfg.output_dir) / SAMPLES_OUT)}
         assert samples["repo_delta"]["ordered_paths"] == ["main.py", "util.py"]
 
+    # sha256 of each manifest of the run below, recorded from stages that
+    # re-encoded each record they copied: lines copied as read must match.
+    MANIFESTS_DEDUP_AND_DECONTAMINATE_OFF = {
+        "manifests/filter.json":
+            "5a8d3db36b8c4622db03c11828f7c392b569a01c0e3a55be8dec8a99d748d004",
+        "manifests/order.json":
+            "2d977b92d51e1e0a8c33f26a912e9155eafe9bed170e8c98bcc9f2862ef5dd51",
+        "manifests/dedup.json":
+            "ed86820966497903555bbcc4be3aa175bd5c0f545c5401ebdc900f380abfd311",
+        "manifests/decontaminate.json":
+            "31669ef2cc326cfd3f45f6266b111c241f4e88873a2b651c5b2767a27c846d4b",
+        "manifests/build.json":
+            "c1c8442fd654e2dc5523af1d76a676c3c5abc573ca467a7cb13d58d95d7c1ec1",
+    }
+
+    def test_dedup_and_decontaminate_disabled_copy_their_input(self, tmp_path, monkeypatch):
+        build_fixture_corpus(tmp_path)
+        monkeypatch.chdir(tmp_path)  # relative paths, so config_hash is fixed
+        cfg = PipelineConfig(inputs=["corpus"], output_dir="out", seed=7)
+        cfg.decontaminate.benchmark_files = ["benchmarks.jsonl"]
+        cfg.stages.dedup = cfg.stages.decontaminate = False
+        run_pipeline(cfg)
+        out = tmp_path / "out"
+        samples = (out / SAMPLES_OUT).read_bytes()
+        assert (out / DEDUP_OUT).read_bytes() == samples
+        assert (out / CLEAN_OUT).read_bytes() == samples
+        manifests = {rel: digest for rel, digest in output_digest(out).items() if rel.startswith("manifests/")}
+        assert manifests == self.MANIFESTS_DEDUP_AND_DECONTAMINATE_OFF
+
     def test_build_disabled_stops_after_clean_samples(self, tmp_path):
         cfg = fixture_config(tmp_path)
         cfg.stages.build = False
@@ -215,6 +245,31 @@ class TestStageToggles:
         out = Path(cfg.output_dir)
         assert (out / CLEAN_OUT).exists()
         assert not (out / "entries").exists()
+
+
+def test_dedup_decodes_each_record_once(tmp_path, monkeypatch):
+    """The second pass of dedup reads lines, not records: each record of
+    its input is decoded once, on the pass that signs it."""
+    from repopipe import pipeline
+
+    passes: list[collections.Counter] = []
+    stage_dedup = pipeline.stage_dedup
+
+    def counted(cfg, read, out):
+        def counting(*args, **kwargs):
+            seen = collections.Counter()
+            passes.append(seen)
+            for item in read(*args, **kwargs):
+                seen[type(item)] += 1
+                yield item
+        stage_dedup(cfg, counting, out)
+
+    monkeypatch.setattr(pipeline, "stage_dedup", counted)
+    cfg = fixture_config(tmp_path)
+    run_pipeline(cfg)
+    n = read_manifest(cfg, "dedup")["input_records"]
+    assert n == 4
+    assert passes == [{dict: n}, {bytes: n}]
 
 
 class TestManifestIdentities:

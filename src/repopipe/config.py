@@ -13,7 +13,7 @@ import operator
 import os
 import types
 from dataclasses import dataclass, field
-from typing import Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Iterator, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .filters import FilterThresholds
 from .fim import PSM, SPM, SentinelSet
@@ -196,6 +196,16 @@ def _range_violations(section, where: str = ""):
                     yield f"{name}: must be {sign} {meta[sign]}, got {value}"
 
 
+def _file_violations(name: str, paths: Sequence[str]) -> Iterator[str]:
+    """A field's paths that do not name a regular file, whose bytes the
+    checkpoint key hashes."""
+    for path in paths:
+        if not os.path.exists(path):
+            yield f"{name}: path does not exist: {path}"
+        elif not os.path.isfile(path):
+            yield f"{name}: not a regular file: {path}"
+
+
 def validate_config(cfg: PipelineConfig) -> list[str]:
     """Every violation, not just the first."""
     v = list(_range_violations(cfg))
@@ -212,8 +222,13 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
                     via = "" if root == path else f" through the repo link {root}"
                     v.append(f"output_dir: {cfg.output_dir} lies in input directory {path}{via}, "
                              "which would ingest the outputs")
-    if cfg.language_map is not None and not os.path.exists(cfg.language_map):
-        v.append(f"language_map: path does not exist: {cfg.language_map}")
+    existing = os.path.abspath(cfg.output_dir)  # os.makedirs needs its nearest ancestor a directory
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        v.append(f"output_dir: {cfg.output_dir}: {existing} exists and is not a directory")
+    if cfg.language_map is not None:
+        v.extend(_file_violations("language_map", [cfg.language_map]))
 
     d = cfg.dedup
     if d.bands * d.rows != d.num_perm:
@@ -221,9 +236,7 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
             f"dedup.bands*rows must equal num_perm: {d.bands}*{d.rows} != {d.num_perm}"
         )
 
-    for path in cfg.decontaminate.benchmark_files:
-        if not os.path.exists(path):
-            v.append(f"decontaminate.benchmark_files: path does not exist: {path}")
+    v.extend(_file_violations("decontaminate.benchmark_files", cfg.decontaminate.benchmark_files))
 
     try:
         cfg.build.sentinel_set()

@@ -197,14 +197,13 @@ def _call_shared(chunk: list) -> list:
     return [fn(item, *args) for item in chunk]
 
 
-def _chunks(items: Iterable, size: Callable | None, singles: int) -> Iterator[list]:
-    """Runs of items: the first `singles` one item each, so that a few
-    items still spread over the workers, then each run closed once the
-    `size` of its items reaches CHUNK_CHARS (without `size`, one item)."""
+def _chunks(items: Iterable, size: Callable) -> Iterator[list]:
+    """Runs of items, each closed once the `size` of its items reaches
+    CHUNK_CHARS; a run shorter than that is left only at the end."""
     chunk, total = [], 0
-    for n, item in enumerate(items):
+    for item in items:
         chunk.append(item)
-        total += size(item) if size and n >= singles else CHUNK_CHARS
+        total += size(item)
         if total >= CHUNK_CHARS:
             yield chunk
             chunk, total = [], 0
@@ -212,26 +211,24 @@ def _chunks(items: Iterable, size: Callable | None, singles: int) -> Iterator[li
         yield chunk
 
 
-def _pmap(
-    fn: Callable, items: Iterable, workers: int, shared: tuple = (), size: Callable | None = None
-) -> Iterator:
+def _pmap(fn: Callable, items: Iterable, workers: int, shared: tuple, size: Callable) -> Iterator:
     """Lazy order-preserving map of fn(item, *shared). With workers > 1
-    it maps items in-process until their `size` (without `size`,
-    CHUNK_CHARS each) reaches POOL_MIN_CHARS, and the rest over a process
-    pool, one `_chunks` run per task and at most 2 * workers tasks in
-    flight, so it holds a bounded window of items and results. The pool
-    is no wider than its first window, since it starts every worker up
-    front. It forks, so `shared` reaches each worker once, unpickled,
+    it maps items in-process until their `size` reaches POOL_MIN_CHARS,
+    and the rest over a process pool, one `_chunks` run per task and at
+    most 2 * workers tasks in flight, so it holds a bounded window of
+    items and results. A rest of one run or less stays in-process. The
+    pool is no wider than its first window, since it starts every worker
+    up front. It forks, so `shared` reaches each worker once, unpickled,
     through the pool initializer, and the workers inherit the parent's
     imports."""
     items = iter(items)
     mapped = 0
     for item in items if workers > 1 and POOL_MIN_CHARS > 0 else ():
-        mapped += size(item) if size else CHUNK_CHARS
+        mapped += size(item)
         yield fn(item, *shared)
         if mapped >= POOL_MIN_CHARS:
             break
-    chunks = _chunks(items, size, 2 * workers)
+    chunks = _chunks(items, size)
     window = list(itertools.islice(chunks, 2 * workers)) if workers > 1 else []
     if len(window) <= 1:
         yield from (fn(item, *shared) for item in itertools.chain(*window, items))
@@ -252,35 +249,6 @@ def _pmap(
 # -----------------------
 # Stage 1: filter
 # -----------------------
-
-def _filter_repo_worker(
-    raw_repo: RawRepo, thresholds: FilterThresholds, lang_map: LanguageMap, enabled: bool
-) -> tuple[list[dict], dict[str, int]]:
-    kept: list[dict] = []
-    counters: collections.Counter[str] = collections.Counter()
-    for rf in raw_repo.files:
-        language = detect_language(rf.path, lang_map)
-        if enabled and language is None:
-            counters["unrecognized_language"] += 1
-            continue
-        byte_size = len(rf.content.encode("utf-8"))
-        if enabled:
-            sf = SourceFile(raw_repo.repo_id, rf.path, language, rf.content, byte_size)
-            stats = compute_file_stats(sf.content)
-            verdict = apply_base_filters(sf, stats, thresholds)
-            if verdict.accepted and language == "HTML":
-                verdict = filter_html(sf.content, thresholds)
-            if verdict.accepted and language in DATA_FILE_LANGUAGES:
-                verdict = filter_data_file(sf.content, language, thresholds)
-            if not verdict.accepted:
-                counters[verdict.rule_fired] += 1
-                continue
-        kept.append({
-            "repo_id": raw_repo.repo_id, "path": rf.path, "language": language,
-            "content": rf.content, "byte_size": byte_size,
-        })
-    return kept, counters
-
 
 def ingest_and_fingerprint(cfg: PipelineConfig) -> tuple[list[RawRepo], dict[str, int], str]:
     """Load the raw corpus and fingerprint it (content digests plus the
@@ -305,18 +273,32 @@ def ingest_and_fingerprint(cfg: PipelineConfig) -> tuple[list[RawRepo], dict[str
 
 
 def stage_filter(cfg: PipelineConfig, ingested: Sequence, out: _Out) -> None:
-    """Writes the kept files repo by repo, in repo_id order. `ingested`
-    holds the repos and the counters that `ingest_and_fingerprint` returns.
-    It never pools, at any worker count: its kernel is the cheapest per
-    character, and a pool would pickle every file out and each kept one back."""
+    """Judges and writes one file at a time, repo by repo, in repo_id
+    order. `ingested` holds the repos and the counters that
+    `ingest_and_fingerprint` returns. It never pools, at any worker count:
+    its kernel is the cheapest per character, and a pool would pickle
+    every file out and each kept one back."""
     raw_repos, ingest_counters = ingested
     lang_map = LanguageMap.load(cfg.language_map)
+    thresholds, enabled = cfg.filters, cfg.stages.filter
     out.open(FILES_OUT)
     for repo in raw_repos:
-        kept, repo_counters = _filter_repo_worker(repo, cfg.filters, lang_map, cfg.stages.filter)
-        for rec in kept:
-            out.row(FILES_OUT, rec)
-        out.counters.update(repo_counters)
+        for rf in repo.files:
+            language = detect_language(rf.path, lang_map)
+            if enabled and language is None:
+                out.counters["unrecognized_language"] += 1
+                continue
+            sf = SourceFile(repo.repo_id, rf.path, language, rf.content, len(rf.content.encode("utf-8")))
+            if enabled:
+                verdict = apply_base_filters(sf, compute_file_stats(sf.content), thresholds)
+                if verdict.accepted and language == "HTML":
+                    verdict = filter_html(sf.content, thresholds)
+                if verdict.accepted and language in DATA_FILE_LANGUAGES:
+                    verdict = filter_data_file(sf.content, language, thresholds)
+                if not verdict.accepted:
+                    out.counters[verdict.rule_fired] += 1
+                    continue
+            out.row(FILES_OUT, vars(sf))
     n_files = sum(len(r.files) for r in raw_repos)
     out.fields.update(input_records=n_files, raw_records=n_files + sum(ingest_counters.values()),
                       ingest_counters=dict(sorted(ingest_counters.items())))

@@ -113,9 +113,10 @@ def output_digest(out: Path) -> dict[str, str]:
 
 @pytest.fixture
 def pooled(monkeypatch) -> list[int]:
-    """Pools start at a stage's first item (POOL_MIN_CHARS = 0). The list
-    gets one entry per process pool started, the number of items sent to
-    it, so a test can assert that its run really forked."""
+    """Pools start at a stage's first item (POOL_MIN_CHARS = 0), one item
+    per task (CHUNK_CHARS = 1). The list gets one entry per process pool
+    started, the number of items sent to it, so a test can assert that its
+    run really forked."""
     counts: list[int] = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -128,6 +129,7 @@ def pooled(monkeypatch) -> list[int]:
             return super().submit(fn, chunk)
 
     monkeypatch.setattr(pipeline, "POOL_MIN_CHARS", 0)
+    monkeypatch.setattr(pipeline, "CHUNK_CHARS", 1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return counts
 

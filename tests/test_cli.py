@@ -58,6 +58,25 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,path", [
+        ("output_dir", "file"), ("output_dir", "file/out"), ("language_map", "."), ("benchmark_files", "."),
+    ])
+    def test_config_path_of_the_wrong_kind_exits_2(self, tmp_path, capsys, field, path):
+        # Each crashed with a traceback and exit 1.
+        corpus, bench = build_fixture_corpus(tmp_path)
+        config = write_config(tmp_path, corpus, bench)
+        raw = json.loads(config.read_text())
+        (tmp_path / "file").write_text("x")
+        if field == "benchmark_files":
+            raw["decontaminate"]["benchmark_files"] = [str(tmp_path / path)]
+        else:
+            raw[field] = str(tmp_path / path)
+        config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert field in err
+
     def test_unreadable_config_exits_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 

@@ -164,6 +164,41 @@ class TestValidation:
         cfg.output_dir = str(elsewhere / out)
         assert any(v.startswith("output_dir:") for v in validate_config(cfg)) == ingested
 
+    def test_file_fields_must_name_regular_files(self, tmp_path):
+        # The checkpoint key hashes these files' bytes; a directory here
+        # raised IsADirectoryError there instead of a violation.
+        corpus, missing = tmp_path / "corpus", tmp_path / "missing.jsonl"
+        corpus.mkdir()
+        cfg = default_config()
+        cfg.inputs = [str(corpus)]
+        cfg.output_dir = str(tmp_path / "out")
+        cfg.language_map = str(corpus)
+        cfg.decontaminate.benchmark_files = [str(corpus), str(missing)]
+        assert validate_config(cfg) == [
+            f"language_map: not a regular file: {corpus}",
+            f"decontaminate.benchmark_files: not a regular file: {corpus}",
+            f"decontaminate.benchmark_files: path does not exist: {missing}",
+        ]
+
+    @pytest.mark.parametrize("out,bad", [
+        ("file", True), ("file/out", True), ("file/a/b", True), ("dangling", True),
+        ("dir", False), ("dir/out", False), ("dir/a/b", False), ("link/out", False),
+    ])
+    def test_output_dir_that_cannot_be_a_directory_is_a_violation(self, tmp_path, out, bad):
+        # os.makedirs raised FileExistsError or NotADirectoryError here.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (tmp_path / "file").write_text("x")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "dir")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+        cfg = default_config()
+        cfg.inputs = [str(corpus)]
+        cfg.output_dir = str(tmp_path / out)
+        violations = validate_config(cfg)
+        assert violations == ([f"output_dir: {cfg.output_dir}: {tmp_path / out.split('/')[0]} "
+                               "exists and is not a directory"] if bad else [])
+
     def test_empty_inputs_rejected(self):
         cfg = default_config()
         cfg.inputs = []

@@ -96,6 +96,16 @@ class TestExtractDependencies:
         for text, want in cases.items():
             assert sorted(extract_dependencies(sf("main.py", text + "\n"), paths)) == want, text
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: imports are matched line by line, by regex")
+    @pytest.mark.parametrize("text,want", [
+        ("import c, \\\n    d", ["c.py", "d.py"]),
+        ("import c; import d", ["c.py", "d.py"]),
+        ("x = '''\nimport d\n'''", []),
+    ])
+    def test_python_import_forms_the_regex_misreads(self, text, want):
+        paths = {"main.py", "c.py", "d.py"}
+        assert sorted(extract_dependencies(sf("main.py", text + "\n"), paths)) == want
+
     def test_python_parenthesised_relative_import(self):
         paths = {"pkg/__init__.py", "pkg/a.py", "pkg/b.py"}
         f = sf("pkg/a.py", "from . import (b)\n")

@@ -93,6 +93,13 @@ class TestTransform:
         outs = {fim_transform(doc, i, cfg) for i in range(20)}
         assert len(outs) > 1
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: streams are seeded with seed + doc_index")
+    def test_adjacent_seeds_are_not_shifted_streams(self):
+        doc = "the contents of a file with enough length to cut differently"
+        seed0 = [fim_transform(doc, i + 1, FimConfig(seed=0)) for i in range(40)]
+        seed1 = [fim_transform(doc, i, FimConfig(seed=1)) for i in range(40)]
+        assert seed1 != seed0
+
     def test_sentinel_collision_returns_none(self):
         cfg = FimConfig(fim_rate=0.5, seed=1)
         assert fim_transform(f"evil {FIM_HOLE} doc", 0, cfg) is None

@@ -91,6 +91,7 @@ def test_dedup_pool_starts_after_the_parent_imports_numpy(tmp_path):
         "from repopipe.config import load_config\n"
         "from repopipe.pipeline import run_stage\n"
         "repopipe.pipeline.POOL_MIN_CHARS = 0\n"
+        "repopipe.pipeline.CHUNK_CHARS = 1\n"
         "assert 'numpy' not in sys.modules\n"
         "seen = []\n"
         "class Pool(concurrent.futures.ProcessPoolExecutor):\n"

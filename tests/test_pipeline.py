@@ -148,6 +148,24 @@ class TestFileRecords:
             run_stage(cfg, "order")
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: files with no edges keep their JSONL line order")
+def test_order_does_not_follow_jsonl_line_order(tmp_path):
+    from repopipe.pipeline import run_stage
+
+    orders = []
+    for name, numbers in (("sorted", range(6)), ("shuffled", (0, 2, 3, 5, 4, 1))):
+        corpus = tmp_path / f"{name}.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"repo_id": "r", "path": f"m{i}.py", "content": code_lines(i)}) + "\n" for i in numbers
+        ))
+        cfg = PipelineConfig(inputs=[str(corpus)], output_dir=str(tmp_path / name))
+        run_stage(cfg, "filter")
+        run_stage(cfg, "order")
+        [sample] = read_jsonl(tmp_path / name / SAMPLES_OUT)
+        orders.append(sample["ordered_paths"])
+    assert orders[0] == orders[1]
+
+
 class TestVacuousRun:
     def test_empty_input_directory(self, tmp_path):
         empty = tmp_path / "empty"
@@ -357,8 +375,10 @@ class TestWorkerCountInvariance:
         assert pooled == [3, 3, 2]
         assert digests[1] == digests[2]
 
-    def test_pool_is_no_wider_than_the_item_count(self, monkeypatch):
-        # Under fork, the pool starts every worker up front, busy or not.
+    @pytest.fixture
+    def widths(self, monkeypatch) -> list[int]:
+        """Each pool `_pmap` starts runs its tasks in-process and adds its
+        width here."""
         import repopipe.pipeline as pipeline_module
 
         widths = []
@@ -382,9 +402,30 @@ class TestWorkerCountInvariance:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(pipeline_module, "_shared", ())
+        return widths
+
+    def test_pool_is_no_wider_than_the_item_count(self, monkeypatch, widths):
+        # Under fork, the pool starts every worker up front, busy or not.
+        import repopipe.pipeline as pipeline_module
+
         monkeypatch.setattr(pipeline_module, "POOL_MIN_CHARS", 0)
-        assert list(pipeline_module._pmap(divmod, [7, 8, 9], 16, (2,))) == [(3, 1), (4, 0), (4, 1)]
+        monkeypatch.setattr(pipeline_module, "CHUNK_CHARS", 1)  # one task per item
+        assert list(pipeline_module._pmap(divmod, [7, 8, 9], 16, (2,), lambda n: 1)) == [(3, 1), (4, 0), (4, 1)]
         assert widths == [3]
+
+    def test_a_tail_shorter_than_a_chunk_starts_no_pool(self, monkeypatch, widths):
+        # Past POOL_MIN_CHARS, a tail that fills at most one task of
+        # CHUNK_CHARS stays in-process; one of two tasks starts a pool.
+        import repopipe.pipeline as pipeline_module
+
+        monkeypatch.setattr(pipeline_module, "POOL_MIN_CHARS", 10)
+        chunk = pipeline_module.CHUNK_CHARS
+        tail = ["a" * 10, "b" * 3, "c" * 3, "d" * 3]
+        assert list(pipeline_module._pmap(len, tail, 2, (), len)) == [10, 3, 3, 3]
+        assert widths == []
+        two_chunks = ["a" * 10, "b" * chunk, "c" * 3, "d" * chunk]
+        assert list(pipeline_module._pmap(len, two_chunks, 2, (), len)) == [10, chunk, 3, chunk]
+        assert widths == [2]
 
 
 class TestResume:

@@ -1,12 +1,18 @@
 """Pipeline configuration: typed sections, JSON round-trip, validation
 that reports every violation at once, and the content hashes that key
 the stage checkpoints.
+
+A leaf module: it imports no other repopipe module, so loading and
+validating a config compiles no stage kernel. The sections that the
+kernels also take, `FilterThresholds` and `SentinelSet` with the FIM
+layouts and sentinel literals, are defined here, and `filters` and
+`fim` import them from here. hashlib, and OpenSSL with it, is imported
+only by the functions that hash.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import operator
@@ -15,10 +21,17 @@ import types
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union, get_args, get_origin, get_type_hints
 
-from .filters import FilterThresholds
-from .fim import PSM, SPM, SentinelSet
-
 OUTPUT_FORMATS = ("jsonl", "bin")
+PSM = "psm"
+SPM = "spm"
+
+# The fim_* sentinels use the fullwidth vertical bar (U+FF5C); the eos
+# sentinel uses the ASCII bar. Both forms are intentional.
+FIM_START = "<｜fim_start｜>"
+FIM_HOLE = "<｜fim_hole｜>"
+FIM_END = "<｜fim_end｜>"
+EOS = "<|eos_token|>"
+
 # Field metadata keys that bound a number: {">=": 0, "<=": 1} is [0, 1].
 _BOUNDS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
 
@@ -29,6 +42,48 @@ class ConfigError(Exception):
     def __init__(self, violations: list[str]) -> None:
         self.violations = violations
         super().__init__("invalid config:\n" + "\n".join(f"  - {v}" for v in violations))
+
+
+@dataclass(frozen=True)
+class SentinelSet:
+    """The four reserved literals. They must be pairwise distinct and
+    must never occur in document content (checked per document).
+    """
+
+    fim_start: str = FIM_START
+    fim_hole: str = FIM_HOLE
+    fim_end: str = FIM_END
+    eos: str = EOS
+
+    def __post_init__(self) -> None:
+        four = (self.fim_start, self.fim_hole, self.fim_end, self.eos)
+        if len(set(four)) != 4 or not all(four):
+            raise ValueError("sentinels must be four distinct non-empty strings")
+
+    def as_tuple(self) -> tuple[str, str, str, str]:
+        return (self.fim_start, self.fim_hole, self.fim_end, self.eos)
+
+    def collides_with(self, doc: str) -> bool:
+        return any(s in doc for s in self.as_tuple())
+
+
+@dataclass(frozen=True)
+class FilterThresholds:
+    """All numeric filter knobs; overridable via the pipeline config,
+    which checks each against the range in its metadata."""
+
+    max_avg_line_len: float = field(default=100.0, metadata={">=": 0})
+    max_line_len: int = field(default=1000, metadata={">=": 0})
+    min_alpha_fraction: float = field(default=0.25, metadata={">=": 0, "<=": 1})
+    xml_window: int = field(default=100, metadata={">=": 0})
+    html_min_visible_chars: int = field(default=100, metadata={">=": 0})
+    html_min_visible_ratio: float = field(default=0.20, metadata={">=": 0, "<=": 1})
+    data_min_chars: int = field(default=50, metadata={">=": 0})
+    data_max_chars: int = field(default=5000, metadata={">=": 0})
+    # Quality-screening heuristics (applied at the screening stage).
+    max_repeated_token_fraction: float = field(default=0.5, metadata={">=": 0, "<=": 1})
+    long_line_chars: int = field(default=200, metadata={">=": 0})
+    max_long_line_fraction: float = field(default=0.9, metadata={">=": 0, "<=": 1})
 
 
 @dataclass
@@ -72,14 +127,7 @@ class BuildConfig:
     pad_final: bool = False
     output_format: str = field(default="jsonl", metadata={"choices": OUTPUT_FORMATS})
     entries_per_shard: int = field(default=1000, metadata={">=": 1})
-    sentinels: dict[str, str] = field(
-        default_factory=lambda: {
-            "fim_start": SentinelSet().fim_start,
-            "fim_hole": SentinelSet().fim_hole,
-            "fim_end": SentinelSet().fim_end,
-            "eos": SentinelSet().eos,
-        }
-    )
+    sentinels: dict[str, str] = field(default_factory=lambda: dataclasses.asdict(SentinelSet()))
 
     def sentinel_set(self) -> SentinelSet:
         return SentinelSet(**self.sentinels)
@@ -214,8 +262,11 @@ def validate_config(cfg: PipelineConfig) -> list[str]:
         if not os.path.exists(path):
             v.append(f"inputs: path does not exist: {path}")
         elif os.path.isdir(path):  # ingest skips only '.'-named directories, and follows repo links
-            with os.scandir(path) as it:
-                links = [e.path for e in it if not e.name.startswith(".") and e.is_symlink() and e.is_dir()]
+            try:
+                with os.scandir(path) as it:
+                    links = [e.path for e in it if not e.name.startswith(".") and e.is_symlink() and e.is_dir()]
+            except OSError:  # ingest cannot list it either, and fails the filter stage
+                continue
             for root in [path, *links]:
                 rel = os.path.relpath(out, os.path.realpath(root))
                 if rel == os.curdir or not any(part.startswith(".") for part in rel.split(os.sep)):
@@ -258,10 +309,16 @@ PATH_FIELDS = ("language_map", "decontaminate.benchmark_files")
 
 
 def sha256_file(path: str) -> str:
+    """The file's sha256, read unbuffered into one reused 64 KiB buffer,
+    so hashing a file of any size allocates no block per read."""
+    import hashlib
+
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
+    buf = bytearray(1 << 16)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -282,6 +339,8 @@ def config_hash(cfg: PipelineConfig) -> str:
     """Hash of every field but UNKEYED_FIELDS, plus the contents of each
     file a PATH_FIELDS entry names: the key of every stage's checkpoint.
     """
+    import hashlib
+
     raw = config_to_dict(cfg)
     payload = {name: value for name, value in raw.items() if name not in UNKEYED_FIELDS}
     for name in PATH_FIELDS:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from html.parser import HTMLParser
 from itertools import compress
 from operator import mul
 from typing import Iterator
 
+from .config import FilterThresholds  # defined there, so config loads without this module
 from .corpus import FileStats, SourceFile
 
 # Rule identifiers, in evaluation order per rule family.
@@ -63,25 +64,6 @@ class FilterVerdict:
     @property
     def accepted(self) -> bool:
         return self.rule_fired is None
-
-
-@dataclass(frozen=True)
-class FilterThresholds:
-    """All numeric filter knobs; overridable via the pipeline config,
-    which checks each against the range in its metadata."""
-
-    max_avg_line_len: float = field(default=100.0, metadata={">=": 0})
-    max_line_len: int = field(default=1000, metadata={">=": 0})
-    min_alpha_fraction: float = field(default=0.25, metadata={">=": 0, "<=": 1})
-    xml_window: int = field(default=100, metadata={">=": 0})
-    html_min_visible_chars: int = field(default=100, metadata={">=": 0})
-    html_min_visible_ratio: float = field(default=0.20, metadata={">=": 0, "<=": 1})
-    data_min_chars: int = field(default=50, metadata={">=": 0})
-    data_max_chars: int = field(default=5000, metadata={">=": 0})
-    # Quality-screening heuristics (applied at the screening stage).
-    max_repeated_token_fraction: float = field(default=0.5, metadata={">=": 0, "<=": 1})
-    long_line_chars: int = field(default=200, metadata={">=": 0})
-    max_long_line_fraction: float = field(default=0.9, metadata={">=": 0, "<=": 1})
 
 
 DEFAULT_THRESHOLDS = FilterThresholds()

@@ -13,39 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-PSM = "psm"
-SPM = "spm"
-
-# The fim_* sentinels use the fullwidth vertical bar (U+FF5C); the eos
-# sentinel uses the ASCII bar. Both forms are intentional.
-FIM_START = "<｜fim_start｜>"
-FIM_HOLE = "<｜fim_hole｜>"
-FIM_END = "<｜fim_end｜>"
-EOS = "<|eos_token|>"
-
-
-@dataclass(frozen=True)
-class SentinelSet:
-    """The four reserved literals. They must be pairwise distinct and
-    must never occur in document content (checked per document).
-    """
-
-    fim_start: str = FIM_START
-    fim_hole: str = FIM_HOLE
-    fim_end: str = FIM_END
-    eos: str = EOS
-
-    def __post_init__(self) -> None:
-        four = (self.fim_start, self.fim_hole, self.fim_end, self.eos)
-        if len(set(four)) != 4 or not all(four):
-            raise ValueError("sentinels must be four distinct non-empty strings")
-
-    def as_tuple(self) -> tuple[str, str, str, str]:
-        return (self.fim_start, self.fim_hole, self.fim_end, self.eos)
-
-    def collides_with(self, doc: str) -> bool:
-        return any(s in doc for s in self.as_tuple())
-
+# Defined in config, which loads without this module.
+from .config import EOS, FIM_END, FIM_HOLE, FIM_START, PSM, SPM, SentinelSet  # noqa: F401
 
 DEFAULT_SENTINELS = SentinelSet()
 

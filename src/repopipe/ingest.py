@@ -14,6 +14,8 @@ Files that fail UTF-8 decoding, or whose repo id, path or content holds
 a lone surrogate (no UTF-8 output can hold one), or that repeat a path
 within their repo are dropped with a counted reason. A JSONL line that
 is not UTF-8 counts as a decode error, whichever field holds the byte.
+A file that cannot be read or a directory that cannot be listed raises
+OSError, which fails the filter stage.
 """
 
 from __future__ import annotations
@@ -68,16 +70,15 @@ def read_jsonl(path: str) -> Iterator[tuple[int, object, str | None]]:
 def _walk_repo_dir(root: str, counters: dict[str, int]) -> list[tuple[str, str]]:
     """(repo-relative posix path, absolute path) pairs, each directory's
     files then its subdirectories' in sorted order. A symlink or an entry
-    that is neither file nor directory is skipped and counted."""
+    that is neither file nor directory is skipped and counted; a
+    directory that cannot be listed raises OSError, as a file that
+    cannot be read does when load_repos opens it."""
     out: list[tuple[str, str]] = []
     stack = [(root, "")]
     while stack:
         path, rel = stack.pop()
-        try:
-            with os.scandir(path) as it:
-                entries = sorted(it, key=lambda e: e.name)
-        except OSError:
-            continue
+        with os.scandir(path) as it:
+            entries = sorted(it, key=lambda e: e.name)
         subdirs = []
         for entry in entries:
             if entry.name.startswith("."):

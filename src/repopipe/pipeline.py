@@ -433,14 +433,13 @@ def _screen(
     return None, None
 
 
-def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
+def load_benchmark_strings(paths: Sequence[str]) -> Iterator[tuple[str, str]]:
     """Benchmark test data as (text, benchmark) pairs from JSONL files
-    of {"text": ..., "benchmark": ...} records; a missing benchmark
-    field falls back to the file's basename. A malformed line, one that
-    is not UTF-8 included, raises ValueError naming its path and line
-    number.
+    of {"text": ..., "benchmark": ...} records, one at a time; a missing
+    benchmark field falls back to the file's basename. A malformed line,
+    one that is not UTF-8 included, raises ValueError naming its path
+    and line number.
     """
-    rows: list[tuple[str, str]] = []
     for path in paths:
         default_label = os.path.splitext(os.path.basename(path))[0]
         for number, obj, problem in read_jsonl(path):
@@ -451,8 +450,7 @@ def load_benchmark_strings(paths: Sequence[str]) -> list[tuple[str, str]]:
             text, label = obj["text"], obj.get("benchmark", default_label)
             if not (isinstance(text, str) and isinstance(label, str)):
                 raise ValueError(f'{path}:{number}: "text" and "benchmark" must be strings')
-            rows.append((text, label))
-    return rows
+            yield text, label
 
 
 def stage_decontaminate(cfg: PipelineConfig, read: Callable[..., Iterator], out: _Out) -> None:

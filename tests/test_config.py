@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -13,6 +16,7 @@ from repopipe.config import (
     config_to_dict,
     default_config,
     load_config,
+    sha256_file,
     validate_config,
 )
 
@@ -258,6 +262,25 @@ class TestConfigHash:
         b = default_config()
         b.dedup.threshold = 0.9
         assert config_hash(a) != config_hash(b)
+
+
+class TestSha256File:
+    @pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 3 * 65_536 + 5])
+    def test_digest_at_block_edges(self, tmp_path, size):
+        data = random.Random(size).randbytes(size)
+        (tmp_path / "f").write_bytes(data)
+        assert sha256_file(str(tmp_path / "f")) == hashlib.sha256(data).hexdigest()
+
+    def test_peak_is_one_block_not_the_file(self, tmp_path):
+        (tmp_path / "f").write_bytes(random.Random(0).randbytes(8 << 20))
+        sha256_file(str(tmp_path / "f"))  # hashlib imported outside the measurement
+        tracemalloc.start()
+        try:
+            sha256_file(str(tmp_path / "f"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 10, f"peak {peak} bytes hashing 8 MiB"
 
 
 class TestTypes:

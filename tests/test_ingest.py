@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -8,11 +9,12 @@ import tempfile
 from pathlib import Path
 
 import oracles
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from repopipe.config import PipelineConfig
 from repopipe.ingest import _walk_repo_dir, load_repos, read_jsonl
-from repopipe.pipeline import CLEAN_OUT, load_benchmark_strings, run_pipeline
+from repopipe.pipeline import CLEAN_OUT, StageFailure, load_benchmark_strings, run_pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -222,7 +224,7 @@ def test_carriage_return_inside_a_jsonl_record_stays_in_it(tmp_path):
 def test_carriage_return_inside_a_benchmark_record_stays_in_it(tmp_path):
     bench = tmp_path / "bench.jsonl"
     bench.write_bytes(b'{"text": "one",\r"benchmark": "x"}\n{"text": "two"}\r\n')
-    assert load_benchmark_strings([str(bench)]) == [("one", "x"), ("two", "bench")]
+    assert list(load_benchmark_strings([str(bench)])) == [("one", "x"), ("two", "bench")]
 
 
 def test_fifo_skipped_and_counted(tmp_path):
@@ -240,6 +242,35 @@ def test_fifo_skipped_and_counted(tmp_path):
     manifest = json.loads((tmp_path / "out" / "manifests" / "filter.json").read_text())
     assert manifest["ingest_counters"] == {"not_regular_file": 1}
     assert manifest["input_records"] == 1
+
+
+@pytest.mark.parametrize("refused", ["r1/sub", "."], ids=["repo-subdirectory", "input-directory"])
+def test_directory_that_cannot_be_listed_fails_the_filter_stage(tmp_path, monkeypatch, refused):
+    # Root lists a directory whatever its mode, so the refusal is patched in.
+    corpus = tmp_path / "corpus"
+    (corpus / "r1" / "sub").mkdir(parents=True)
+    (corpus / "r1" / "a.py").write_text("a = 1\n")
+    (corpus / "r1" / "sub" / "b.py").write_text("b = 2\n")
+
+    def refusing(listing):
+        def refuse(path="."):
+            if os.path.normpath(path) == os.path.normpath(corpus / refused):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return listing(path)
+        return refuse
+
+    monkeypatch.setattr(os, "scandir", refusing(os.scandir))
+    monkeypatch.setattr(os, "listdir", refusing(os.listdir))
+    counters: dict[str, int] = {}
+    with pytest.raises(PermissionError):
+        load_repos([str(corpus)], counters)
+    assert counters == {}
+    cfg = PipelineConfig(inputs=[str(corpus)], output_dir=str(tmp_path / "out"))
+    with pytest.raises(StageFailure) as exc_info:
+        run_pipeline(cfg)
+    assert exc_info.value.stage == "filter"
+    assert isinstance(exc_info.value.cause, PermissionError)
+    assert not (tmp_path / "out" / "manifests").exists()
 
 
 # Names that sort around one another, dot-names, non-ASCII and `%` names.

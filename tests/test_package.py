@@ -1,7 +1,11 @@
-"""The package root loads no stage module, so importing it, the config
-and the language table loads neither numpy nor the pipeline; a resume
-and `stats` load neither numpy nor the process pool; a 2-worker run
-whose stages all stay below the pool threshold loads no pool module."""
+"""The package root loads no stage module, and the config module no
+other repopipe module. So importing the root, the config and the
+language table, then loading and validating a config, loads neither
+numpy, the pipeline, the filter and FIM kernels, `html.parser` (the
+HTML filter's) nor OpenSSL's `_hashlib`; the kernels take their config
+sections from the config module. A resume and `stats` load neither
+numpy nor the process pool; a 2-worker run whose stages all stay below
+the pool threshold loads no pool module."""
 
 from __future__ import annotations
 
@@ -14,17 +18,6 @@ import repopipe
 from conftest import fixture_config
 from repopipe.config import config_to_dict
 from repopipe.pipeline import run_pipeline, run_stage
-
-
-def test_config_and_corpus_load_no_numpy_or_pipeline():
-    code = (
-        "import sys, repopipe, repopipe.config, repopipe.corpus\n"
-        "print(sorted({'numpy', 'repopipe.pipeline'} & set(sys.modules)))\n"
-    )
-    src = os.path.dirname(os.path.dirname(repopipe.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
 
 
 POOL = ["concurrent.futures.process", "multiprocessing"]
@@ -43,6 +36,22 @@ def run_child(code: str, *args: str) -> str:
 def write_config(cfg, path) -> str:
     path.write_text(json.dumps(config_to_dict(cfg)))
     return str(path)
+
+
+def test_config_and_corpus_load_no_numpy_or_pipeline(tmp_path):
+    path = write_config(fixture_config(tmp_path), tmp_path / "config.json")
+    unloaded = ["numpy", "repopipe.pipeline", "repopipe.filters", "repopipe.fim", "html.parser", "_hashlib"]
+    code = (
+        "import sys, repopipe, repopipe.config, repopipe.corpus\n"
+        "from repopipe.config import load_config, require_valid\n"
+        "require_valid(load_config(sys.argv[1]))\n"
+        f"print(sorted(set({unloaded!r}) & set(sys.modules)))\n"
+    )
+    assert run_child(code, path) == "[]"
+    from repopipe import config, filters, fim
+
+    assert filters.FilterThresholds is config.FilterThresholds
+    assert fim.SentinelSet is config.SentinelSet
 
 
 def test_resume_stats_and_default_config_load_no_numpy_or_pool(tmp_path):

@@ -28,7 +28,7 @@ from repopipe.dedup import minhash_signature
 from repopipe.deps import EXTRACTION_LANGUAGES, extract_dependencies, order_repo_files
 from repopipe.filters import apply_quality_heuristics
 from repopipe.packing import ByteTokenizer, pack_entries
-from repopipe.pipeline import CLEAN_OUT, run_stage
+from repopipe.pipeline import CLEAN_OUT, FILES_OUT, run_stage
 
 
 def dense_repo(n_files: int = 4000, seed: int = 0) -> list[SourceFile]:
@@ -213,6 +213,26 @@ def eight_mib_sample() -> str:
 @pytest.fixture(scope="module")
 def big_sample() -> str:
     return eight_mib_sample()
+
+
+def test_runner_work_after_a_stage_adds_little_to_its_peak(tmp_path, monkeypatch, big_sample):
+    # stage_peaks measures the stage function alone. After it returns, the
+    # runner hashes each output and writes the manifest; that must not
+    # grow with the output.
+    write_repo(tmp_path / "corpus", "big", {"main.py": big_sample})
+    cfg = PipelineConfig(inputs=[str(tmp_path / "corpus")], output_dir=str(tmp_path / "out"))
+    held: list[int] = []
+
+    def stage_then_reset_peak(cfg, source, out, fn=pipeline.stage_filter):
+        fn(cfg, source, out)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(pipeline, "stage_filter", stage_then_reset_peak)
+    manifest, peak = traced_peak(run_stage, cfg, "filter")
+    assert manifest["outputs"][0]["records"] == 1
+    assert (Path(cfg.output_dir) / FILES_OUT).stat().st_size > len(big_sample)
+    assert peak - held[0] < 256 << 10, f"the runner added {(peak - held[0]) >> 10} KiB"
 
 
 def test_minhash_peak_within_six_times_the_sample(big_sample):

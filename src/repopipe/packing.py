@@ -1,4 +1,4 @@
-"""Tokenization interface and fixed-length entry packing.
+"""The byte tokenizer build uses, and fixed-length entry packing.
 
 Token streams of documents are concatenated in order into one uint32
 stream, viewed as entries of exactly entry_len tokens. The trailing
@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .fim import DEFAULT_SENTINELS, SentinelSet
 
@@ -23,23 +23,8 @@ if TYPE_CHECKING:
 ENCODE_SLICE = 1 << 16  # characters per numpy conversion: a 256 KiB uint32 temporary
 
 
-@runtime_checkable
-class Tokenizer(Protocol):
-    """Pluggable text -> token-id mapping; a trained BPE vocabulary can
-    be dropped in as long as sentinels encode to stable id sequences.
-    """
-
-    eos_id: int
-
-    def encode(self, text: str) -> Sequence[int]:
-        ...
-
-    def decode(self, ids: Iterable[int]) -> str:
-        ...
-
-
 class ByteTokenizer:
-    """Fallback tokenizer: one id per byte (0..255), one reserved id per
+    """Build's tokenizer: one id per byte (0..255), one reserved id per
     sentinel literal (256..259). Exact and dependency-free, which keeps
     packing byte-auditable.
     """
@@ -124,7 +109,7 @@ class PackResult:
 
 def pack_entries(
     docs: Iterable[str],
-    tokenizer: Tokenizer,
+    tokenizer: ByteTokenizer,
     entry_len: int,
     pad_final: bool = False,
     carry: tuple[Sequence[int], Sequence[int]] = ((), ()),
@@ -132,8 +117,9 @@ def pack_entries(
 ) -> PackResult:
     """Single ordered pass that appends every document's ids to one
     uint32 stream and views it as rows of entry_len tokens. A document
-    the tokenizer rejects is skipped and counted, never truncated.
-    `encode` must return a sequence of ids below 2**32.
+    the tokenizer rejects is skipped and counted, never truncated. Any
+    `tokenizer` with `encode` and `eos_id` will do, if `encode` returns a
+    sequence of ids below 2**32.
 
     A previous result's `carry` starts the stream, so chained calls, the
     last with no documents, give the rows of one call over them all.

@@ -502,36 +502,15 @@ def _entry_line(n_ids: int) -> Callable[[Sequence[int], list[int]], bytes]:
     return line
 
 
-def _write_entries(cfg: PipelineConfig, out: _Out, rows: Iterator[tuple], n_ids: int) -> None:
-    """Write the (entry, doc_boundaries) rows, of ids below `n_ids`, through
-    `out` to shards of entries_per_shard rows, each row as it comes and each
-    shard closed once full; an empty build still writes one (empty) shard."""
-    line = _entry_line(n_ids)
-    to_bin = cfg.build.output_format == "bin"
-    for shard_idx in itertools.count():
-        first = next(rows, None)
-        if first is None and shard_idx:
-            return
-        stem = f"{ENTRIES_DIR}/entries-{shard_idx:05d}"
-        shard = (stem + ".bin", stem + ".boundaries.jsonl") if to_bin else (stem + ".jsonl",)
-        for rel in shard:
-            out.open(rel)
-        shard_rows = itertools.chain([first] if first else (), rows)
-        for row, bounds in itertools.islice(shard_rows, cfg.build.entries_per_shard):
-            if to_bin:
-                out.write(shard[0], row.astype("<u4", copy=False))
-                out.row(shard[1], {"doc_boundaries": bounds})
-            else:
-                out.row(shard[0], line(row, bounds))
-        out.close(*shard)
-
-
 def stage_build(cfg: PipelineConfig, read: Callable[..., Iterator], out: _Out) -> None:
     """Disabled, the stage writes no entries. Enabled, it transforms one
     record, then encodes and packs it a slice at a time and writes each
-    entry once it is full, so it holds one document, one slice's ids and
-    the unfilled entry. (A slice is rejected only for a lone surrogate,
-    which no earlier stage can write, so no document is cut short.)"""
+    entry as it is packed, so it holds one document, one slice's ids and
+    the unfilled entry. Shard 0 opens at the start, so an empty build
+    writes one empty shard; shard k opens at entry k * entries_per_shard
+    and closes shard k - 1. (A slice is rejected only for a lone
+    surrogate, which no earlier stage can write, so no document is cut
+    short.)"""
     fields = out.fields
     fields.update(entry_len=cfg.build.entry_len, fim_applied=0, total_tokens=0, dropped_tokens=0,
                   padded_tokens=0, input_records=0, output_records=0)
@@ -541,34 +520,51 @@ def stage_build(cfg: PipelineConfig, read: Callable[..., Iterator], out: _Out) -
     sentinels = cfg.build.sentinel_set()
     fim_cfg = FimConfig(fim_rate=cfg.build.fim_rate, mode=cfg.build.fim_mode, seed=cfg.seed)
     tokenizer = ByteTokenizer(sentinels)
+    line = _entry_line(tokenizer.vocab_size)
+    per_shard, to_bin = cfg.build.entries_per_shard, cfg.build.output_format == "bin"
 
-    def pack(docs: list[str], carry: tuple, pad_final: bool = False, continued: bool = False):
-        """Pack `docs` after `carry`; yield copies of the rows, so a row
-        the writer still holds keeps no slice's ids; return the carry."""
+    def open_shard(k: int) -> tuple[str, ...]:
+        """Close the open shard, open shard k and return its files."""
+        out.close()
+        stem = f"{ENTRIES_DIR}/entries-{k:05d}"
+        files = (stem + ".bin", stem + ".boundaries.jsonl") if to_bin else (stem + ".jsonl",)
+        for rel in files:
+            out.open(rel)
+        return files
+
+    def pack(docs: list[str], carry: tuple, pad_final: bool = False, continued: bool = False) -> tuple:
+        """Pack `docs` after `carry`, write each row to its shard, and
+        return the new carry."""
+        nonlocal shard
         result = pack_entries(docs, tokenizer, cfg.build.entry_len, pad_final, carry, continued)
         if result.skipped_docs:
             out.counters["tokenizer_failure"] += result.skipped_docs
-        fields["output_records"] += len(result.entries)
         fields["total_tokens"] += result.total_tokens
         fields.update(dropped_tokens=result.dropped_tokens, padded_tokens=result.padded_tokens)
         for row, bounds in zip(result.entries, result.doc_boundaries):
-            yield row.copy(), bounds
+            n = fields["output_records"]
+            if n and not n % per_shard:
+                shard = open_shard(n // per_shard)
+            if to_bin:
+                out.write(shard[0], row.astype("<u4", copy=False))
+                out.row(shard[1], {"doc_boundaries": bounds})
+            else:
+                out.row(shard[0], line(row, bounds))
+            fields["output_records"] = n + 1
         return result.carry
 
-    def rows() -> Iterator[tuple]:
-        carry: tuple = ((), ())
-        for i, rec in enumerate(read()):
-            fields["input_records"] = i + 1
-            doc = fim_transform(rec.pop("text"), i, fim_cfg, sentinels)
-            if doc is None:
-                out.counters["sentinel_collision"] += 1
-                continue
-            fields["fim_applied"] += doc.startswith(sentinels.fim_start)
-            for k, piece in enumerate(tokenizer.slices(doc)):
-                carry = yield from pack([piece], carry, continued=k > 0)
-        yield from pack([], carry, cfg.build.pad_final)
-
-    _write_entries(cfg, out, rows(), tokenizer.vocab_size)
+    shard = open_shard(0)
+    carry: tuple = ((), ())
+    for i, rec in enumerate(read()):
+        fields["input_records"] = i + 1
+        doc = fim_transform(rec.pop("text"), i, fim_cfg, sentinels)
+        if doc is None:
+            out.counters["sentinel_collision"] += 1
+            continue
+        fields["fim_applied"] += doc.startswith(sentinels.fim_start)
+        for k, piece in enumerate(tokenizer.slices(doc)):
+            carry = pack([piece], carry, continued=k > 0)
+    pack([], carry, cfg.build.pad_final)
 
 
 # -----------------------

@@ -49,7 +49,7 @@ from repopipe.filters import (
     FilterVerdict,
 )
 from repopipe.ingest import DROP_SYMLINK
-from repopipe.packing import PackResult, Tokenizer
+from repopipe.packing import ByteTokenizer, PackResult
 
 # The reference patterns and helpers as first written, copied rather
 # than imported, so a change to their forms in `deps` is checked against
@@ -314,7 +314,7 @@ def letter_count(content: str) -> int:
     return sum(map(str.isalpha, content))
 
 
-def pack_entries(docs: Iterable[str], tokenizer: Tokenizer, entry_len: int, pad_final: bool = False) -> PackResult:
+def pack_entries(docs: Iterable[str], tokenizer: ByteTokenizer, entry_len: int, pad_final: bool = False) -> PackResult:
     rows: list[list[int]] = []
     bounds: list[list[int]] = []
     skipped = total = dropped = padded = 0

@@ -8,14 +8,19 @@ size patched down to a few characters, exactly the results of their
 whole-text forms kept there. The byte-table entry-line writer, the
 string-split path name and suffix, and the top token looked up only on
 rejection give exactly `json.dumps`, the `PurePosixPath` rules and the
-keyed `max` kept there.
+keyed `max` kept there. The build stage writes exactly the shards and
+manifest of one oracle pack over all its documents, cut into shards.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import posixpath
 import string
 import sys
+import tempfile
 from pathlib import PurePosixPath
 from unittest import mock
 
@@ -26,6 +31,7 @@ from hypothesis import strategies as st
 
 import oracles
 from repopipe import deps, filters, packing, pipeline
+from repopipe.config import PipelineConfig
 from repopipe.corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
 from repopipe.decontam import ContaminationReport, build_contamination_index, scan_text
 from repopipe.dedup import minhash_signature, shingle_set
@@ -36,7 +42,7 @@ from repopipe.deps import (
     topological_sort,
 )
 from repopipe.filters import FilterThresholds, apply_quality_heuristics, text_slices
-from repopipe.fim import DEFAULT_SENTINELS, SentinelSet
+from repopipe.fim import DEFAULT_SENTINELS, FimConfig, SentinelSet, fim_transform
 from repopipe.packing import ByteTokenizer, PackResult, pack_entries
 
 # A small vocabulary makes collisions likely: duplicate basenames,
@@ -586,6 +592,100 @@ def test_packing_each_document_slice_by_slice_matches_one_pass(texts, sentinels,
         skipped_docs=sum(c.skipped_docs for c in calls),
     )
     assert_same_pack(chained, oracles.pack_entries(texts, tok, entry_len, pad_final))
+
+
+def reference_build(texts: list[str], cfg: PipelineConfig) -> tuple[dict[str, tuple[bytes, int]], dict]:
+    """Build's entries/ files, each as (bytes, rows) in the order opened,
+    and its manifest fields: every text through `fim_transform`, the kept
+    documents through one oracle pack, its rows cut into shards of
+    entries_per_shard, and one empty shard when there are no rows."""
+    build = cfg.build
+    sentinels = build.sentinel_set()
+    fim_cfg = FimConfig(fim_rate=build.fim_rate, mode=build.fim_mode, seed=cfg.seed)
+    docs = [fim_transform(text, i, fim_cfg, sentinels) for i, text in enumerate(texts)]
+    kept = [doc for doc in docs if doc is not None]
+    packed = oracles.pack_entries(kept, ByteTokenizer(sentinels), build.entry_len, build.pad_final)
+    rows = list(zip(packed.entries, packed.doc_boundaries))
+    per = build.entries_per_shard
+    files: dict[str, tuple[bytes, int]] = {}
+    for n, shard in enumerate([rows[k : k + per] for k in range(0, len(rows), per)] or [[]]):
+        stem = f"{pipeline.ENTRIES_DIR}/entries-{n:05d}"
+        if build.output_format == "bin":
+            files[stem + ".bin"] = (b"".join(row.astype("<u4").tobytes() for row, _ in shard), len(shard))
+            sidecar = "".join(json.dumps({"doc_boundaries": bounds}) + "\n" for _, bounds in shard)
+            files[stem + ".boundaries.jsonl"] = (sidecar.encode(), len(shard))
+        else:
+            files[stem + ".jsonl"] = (b"".join(oracles.entry_line(*row) for row in shard), len(shard))
+    collisions = len(docs) - len(kept)
+    fields = {
+        "output_records": len(rows),
+        "total_tokens": packed.total_tokens,
+        "dropped_tokens": packed.dropped_tokens,
+        "padded_tokens": packed.padded_tokens,
+        "fim_applied": sum(doc.startswith(sentinels.fim_start) for doc in kept),
+        "counters": {"sentinel_collision": collisions} if collisions else {},
+    }
+    return files, fields
+
+
+# Non-empty texts of 1-, 2-, 3- and 4-byte characters ("｜" is in the
+# FIM literals), half of them holding a whole sentinel literal.
+plain_texts = st.text(alphabet="ab é\n<|｜😀", min_size=1, max_size=30)
+build_texts = st.lists(
+    st.one_of(
+        plain_texts,
+        st.tuples(plain_texts, st.sampled_from(DEFAULT_SENTINELS.as_tuple()), plain_texts).map("".join),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    texts=build_texts,
+    entry_len=st.integers(min_value=2, max_value=24),
+    entries_per_shard=st.integers(min_value=1, max_value=4),
+    pad_final=st.booleans(),
+    output_format=st.sampled_from(["jsonl", "bin"]),
+    fim_rate=st.sampled_from([0.0, 0.5, 1.0]),
+    size=st.integers(min_value=1, max_value=8),
+)
+@example(texts=[], entry_len=4, entries_per_shard=2, pad_final=True, output_format="bin", fim_rate=0.5, size=4)
+# "abcd" and "efgh" with eos are 10 ids: two entries, one full shard.
+@example(texts=["abcd", "efgh"], entry_len=5, entries_per_shard=2, pad_final=False, output_format="jsonl",
+         fim_rate=0.0, size=3)
+@example(texts=["abcdef", "é😀"], entry_len=3, entries_per_shard=1, pad_final=True, output_format="bin",
+         fim_rate=0.0, size=2)
+def test_build_stage_matches_reference(texts, entry_len, entries_per_shard, pad_final, output_format, fim_rate, size):
+    """The build stage, run through `_execute` on drawn records with the
+    encode slice patched small, writes exactly the reference's files and
+    manifest."""
+    with tempfile.TemporaryDirectory() as root:
+        cfg = PipelineConfig(inputs=[root], output_dir=root, seed=5)
+        cfg.build.entry_len = entry_len
+        cfg.build.entries_per_shard = entries_per_shard
+        cfg.build.pad_final = pad_final
+        cfg.build.output_format = output_format
+        cfg.build.fim_rate = fim_rate
+        clean = os.path.join(root, pipeline.CLEAN_OUT)
+        os.makedirs(os.path.dirname(clean))
+        with open(clean, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps({"text": text}) + "\n" for text in texts)
+        with mock.patch.object(packing, "ENCODE_SLICE", size):
+            manifest = pipeline._execute(cfg, pipeline.STAGES[-1], "upstream", "key")
+        files, fields = reference_build(texts, cfg)
+        entries = os.path.join(root, pipeline.ENTRIES_DIR)
+        written = {f"{pipeline.ENTRIES_DIR}/{name}" for name in os.listdir(entries)}
+        assert written == set(files)
+        for rel, (data, _) in files.items():
+            with open(os.path.join(root, rel), "rb") as fh:
+                assert fh.read() == data, rel
+    assert manifest["outputs"] == [
+        {"path": rel, "sha256": hashlib.sha256(data).hexdigest(), "records": n}
+        for rel, (data, n) in files.items()
+    ]
+    assert {key: manifest[key] for key in fields} == fields
+    assert manifest["input_records"] == len(texts)
 
 
 @st.composite

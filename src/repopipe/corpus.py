@@ -7,10 +7,9 @@ over files without shared state.
 from __future__ import annotations
 
 import json
+import os
 import string
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -22,7 +21,17 @@ class LanguageMap:
     basenames: dict[str, str]
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "LanguageMap":
+    def from_dict(cls, raw: object) -> "LanguageMap":
+        if not isinstance(raw, dict):
+            raise ValueError("not a JSON object")
+        for key in ("languages", "extensions", "basenames"):
+            if key not in raw:
+                raise ValueError(f"missing key {key!r}")
+        if not (isinstance(raw["languages"], list) and all(isinstance(v, str) for v in raw["languages"])):
+            raise ValueError('"languages" must be a list of strings')
+        for key in ("extensions", "basenames"):
+            if not (isinstance(raw[key], dict) and all(isinstance(v, str) for v in raw[key].values())):
+                raise ValueError(f'"{key}" must map strings to strings')
         languages = frozenset(raw["languages"])
         extensions = dict(raw["extensions"])
         basenames = dict(raw["basenames"])
@@ -34,10 +43,18 @@ class LanguageMap:
 
     @classmethod
     def load(cls, path: str | None = None) -> "LanguageMap":
-        """Load the bundled table, or an override file with the same schema."""
-        source = resources.files("repopipe.data").joinpath("languages.json") if path is None else Path(path)
-        with source.open("rb") as fh:
-            return cls.from_dict(json.load(fh))
+        """Load the bundled table, or an override file with the same schema.
+        A malformed file raises ValueError naming its path and the problem."""
+        source = path if path is not None else os.path.join(os.path.dirname(__file__), "data", "languages.json")
+        with open(source, "rb") as fh:
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError
+                raise ValueError(f"{source}: not JSON: {exc}") from None
+        try:
+            return cls.from_dict(raw)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
 
 
 def detect_language(path: str, lang_map: LanguageMap) -> str | None:
@@ -76,24 +93,21 @@ class FileStats:
     avg_line_len: float
     max_line_len: int
     alphabetic_fraction: float
-    char_count: int
 
 
 def compute_file_stats(content: str) -> FileStats:
-    """Line lengths in characters (code points), newlines excluded from
-    lines but counted in char_count; alphabetic = Unicode letter category.
+    """Line lengths in characters (code points), newlines excluded;
+    alphabetic = Unicode letter category, as a fraction of all characters.
     """
-    char_count = len(content)
-    if char_count == 0:
-        return FileStats(0.0, 0, 0.0, 0)
+    if not content:
+        return FileStats(0.0, 0, 0.0)
     line_lens = [len(line) for line in content.splitlines()]
     if content.isascii():  # the letters are then exactly ascii_letters
-        alpha = char_count - len(content.encode().translate(None, string.ascii_letters.encode()))
+        alpha = len(content) - len(content.encode().translate(None, string.ascii_letters.encode()))
     else:
         alpha = sum(map(str.isalpha, content))
     return FileStats(
         avg_line_len=sum(line_lens) / len(line_lens),
         max_line_len=max(line_lens),
-        alphabetic_fraction=alpha / char_count,
-        char_count=char_count,
+        alphabetic_fraction=alpha / len(content),
     )

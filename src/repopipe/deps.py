@@ -329,7 +329,7 @@ _COMMENT_TOKENS: dict[str, tuple[str, str]] = {
     "Literate CoffeeScript": ("#", ""),
     "Stan": ("#", ""),
     "Maple": ("#", ""),
-    "Crystal": ("#", ""),
+    "Sparql": ("#", ""),
     "Haskell": ("--", ""),
     "Literate Haskell": ("--", ""),
     "Lua": ("--", ""),
@@ -341,6 +341,7 @@ _COMMENT_TOKENS: dict[str, tuple[str, str]] = {
     "Idris": ("--", ""),
     "VHDL": ("--", ""),
     "AppleScript": ("--", ""),
+    "Lean": ("--", ""),
     "Clojure": (";", ""),
     "Common Lisp": (";", ""),
     "Emacs Lisp": (";", ""),
@@ -357,11 +358,15 @@ _COMMENT_TOKENS: dict[str, tuple[str, str]] = {
     "HTML": ("<!--", " -->"),
     "XSLT": ("<!--", " -->"),
     "CSS": ("/*", " */"),
+    "SAS": ("/*", " */"),
     "OCaml": ("(*", " *)"),
     "Standard ML": ("(*", " *)"),
     "Pascal": ("(*", " *)"),
     "Isabelle": ("(*", " *)"),
     "Mathematica": ("(*", " *)"),
+    "Augeas": ("(*", " *)"),
+    "Smalltalk": ('"', ' "'),
+    "Java Server Pages": ("<%--", " --%>"),
 }
 _FALLBACK_COMMENT = ("//", "")
 

@@ -24,7 +24,7 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 DROP_DECODE_ERROR = "decode_error"
@@ -45,7 +45,7 @@ class RawFile:
 @dataclass
 class RawRepo:
     repo_id: str
-    files: list[RawFile] = field(default_factory=list)
+    files: list[RawFile]
 
 
 def read_jsonl(path: str) -> Iterator[tuple[int, object, str | None]]:
@@ -103,8 +103,10 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
     by repo_id. Drop reasons accumulate into `counters` when given.
     """
     counters = counters if counters is not None else {}
-    repos: dict[str, RawRepo] = {}
-    seen_paths: dict[str, set[str]] = {}
+    repos: dict[str, dict[str, RawFile]] = {}  # repo_id -> path -> file, in first-seen order
+
+    def drop(reason: str) -> None:
+        counters[reason] = counters.get(reason, 0) + 1
 
     def add_file(repo_id: str, path: str, content: str, data: bytes | None = None) -> None:
         """`data`, when given, is the bytes `content` was decoded from."""
@@ -112,15 +114,11 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
             (repo_id + path).encode("utf-8")
             data = content.encode("utf-8") if data is None else data
         except UnicodeEncodeError:
-            counters[DROP_DECODE_ERROR] = counters.get(DROP_DECODE_ERROR, 0) + 1
-            return
-        repo = repos.setdefault(repo_id, RawRepo(repo_id=repo_id))
-        seen = seen_paths.setdefault(repo_id, set())
-        if path in seen:
-            counters[DROP_DUPLICATE_PATH] = counters.get(DROP_DUPLICATE_PATH, 0) + 1
-            return
-        seen.add(path)
-        repo.files.append(RawFile(path, content, hashlib.sha256(data).digest()))
+            return drop(DROP_DECODE_ERROR)
+        files = repos.setdefault(repo_id, {})
+        if path in files:
+            return drop(DROP_DUPLICATE_PATH)
+        files[path] = RawFile(path, content, hashlib.sha256(data).digest())
 
     for source in inputs:
         if os.path.isdir(source):
@@ -137,21 +135,21 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
                     try:
                         content = raw.decode("utf-8")
                     except UnicodeDecodeError:
-                        counters[DROP_DECODE_ERROR] = counters.get(DROP_DECODE_ERROR, 0) + 1
+                        drop(DROP_DECODE_ERROR)
                         continue
                     add_file(entry, rel, content, raw)
         else:
             for _, obj, problem in read_jsonl(source):
                 if problem == NOT_UTF8:
-                    counters[DROP_DECODE_ERROR] = counters.get(DROP_DECODE_ERROR, 0) + 1
+                    drop(DROP_DECODE_ERROR)
                     continue
                 try:  # a line that is not JSON has obj None
                     texts = (obj["repo_id"], obj["path"], obj["content"])
                 except (KeyError, TypeError):
                     texts = (None, None, None)
                 if not (texts[0] and texts[1] and all(isinstance(t, str) for t in texts)):
-                    counters[DROP_BAD_RECORD] = counters.get(DROP_BAD_RECORD, 0) + 1
+                    drop(DROP_BAD_RECORD)
                     continue
                 add_file(*texts)
 
-    return [repos[rid] for rid in sorted(repos)]
+    return [RawRepo(rid, list(repos[rid].values())) for rid in sorted(repos)]

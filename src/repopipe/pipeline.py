@@ -262,12 +262,9 @@ def ingest_and_fingerprint(cfg: PipelineConfig) -> tuple[list[RawRepo], dict[str
         raise StageFailure(STAGES[0].name, exc) from exc
     h = hashlib.sha256()
     for repo in repos:
+        repo_id = repo.repo_id.encode("utf-8")
         for rf in repo.files:
-            h.update(repo.repo_id.encode("utf-8"))
-            h.update(b"\x00")
-            h.update(rf.path.encode("utf-8"))
-            h.update(b"\x00")
-            h.update(rf.sha256)
+            h.update(b"%s\0%s\0%s" % (repo_id, rf.path.encode("utf-8"), rf.sha256))
     h.update(json.dumps(counters, sort_keys=True).encode("utf-8"))
     return repos, counters, h.hexdigest()
 
@@ -437,8 +434,8 @@ def load_benchmark_strings(paths: Sequence[str]) -> Iterator[tuple[str, str]]:
     """Benchmark test data as (text, benchmark) pairs from JSONL files
     of {"text": ..., "benchmark": ...} records, one at a time; a missing
     benchmark field falls back to the file's basename. A malformed line,
-    one that is not UTF-8 included, raises ValueError naming its path
-    and line number.
+    one that is not UTF-8 or escapes a lone surrogate included, raises
+    ValueError naming its path and line number.
     """
     for path in paths:
         default_label = os.path.splitext(os.path.basename(path))[0]
@@ -450,6 +447,10 @@ def load_benchmark_strings(paths: Sequence[str]) -> Iterator[tuple[str, str]]:
             text, label = obj["text"], obj.get("benchmark", default_label)
             if not (isinstance(text, str) and isinstance(label, str)):
                 raise ValueError(f'{path}:{number}: "text" and "benchmark" must be strings')
+            try:  # a JSON `\ud800` escape, which no UTF-8 report row can hold
+                (text + label).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f'{path}:{number}: a lone surrogate in "text" or "benchmark"') from None
             yield text, label
 
 

@@ -128,7 +128,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "bad_line, problem",
         [(b'{"benchmark": "b"}', '"text" field'), (b"not json", "not JSON"),
-         (b'{"text": null}', "must be strings"), (b'{"text": "caf\xff"}', "not UTF-8")],
+         (b'{"text": null}', "must be strings"), (b'{"text": "caf\xff"}', "not UTF-8"),
+         (b'{"text": "caf\\ud800"}', "lone surrogate"),
+         (b'{"text": "one two three", "benchmark": "\\udfff"}', "lone surrogate")],
     )
     def test_malformed_benchmark_line_is_named(self, tmp_path, capsys, bad_line, problem):
         corpus, bench = build_fixture_corpus(tmp_path)
@@ -140,6 +142,21 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "decontaminate" in err
         assert f"{bench}:{line}: " in err and problem in err
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [('{"languages": ["Python"], "extensions": {".py": "Python"}}', "missing key 'basenames'"),
+         ("not json", "not JSON")],
+    )
+    def test_malformed_language_map_is_named(self, tmp_path, capsys, text, problem):
+        corpus, bench = build_fixture_corpus(tmp_path)
+        lang_map = tmp_path / "langs.json"
+        lang_map.write_text(text)
+        cfg_path = write_config(tmp_path, corpus, bench)
+        cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "language_map": str(lang_map)}))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_STAGE
+        err = capsys.readouterr().err
+        assert "filter" in err and f"{lang_map}: {problem}" in err
 
 
 class TestFullRun:

@@ -60,6 +60,26 @@ class TestDetectLanguage:
         assert detect_language("a.py", lang_map) == "Python"
         assert detect_language("a.go", lang_map) is None
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('{"languages": ["Python"], "extensions": {".py": "Python"}}', "missing key 'basenames'"),
+            ("not json", "not JSON: Expecting value"),
+            ('["Python"]', "not a JSON object"),
+            ('{"languages": "Python", "extensions": {}, "basenames": {}}', '"languages" must be a list of strings'),
+            ('{"languages": ["Python"], "extensions": {}, "basenames": {"x": 3}}',
+             '"basenames" must map strings to strings'),
+        ],
+        ids=["missing-key", "not-json", "not-an-object", "languages-type", "table-type"],
+    )
+    def test_malformed_override_map_named(self, tmp_path, text, problem):
+        override = tmp_path / "langs.json"
+        override.write_text(text)
+        with pytest.raises(ValueError) as exc_info:
+            LanguageMap.load(str(override))
+        assert str(exc_info.value).startswith(f"{override}: ")
+        assert problem in str(exc_info.value)
+
     def test_override_map_unknown_target_rejected(self):
         with pytest.raises(ValueError):
             LanguageMap.from_dict(
@@ -73,11 +93,10 @@ class TestFileStats:
         assert s.avg_line_len == 2
         assert s.max_line_len == 2
         assert s.alphabetic_fraction == pytest.approx(4 / 5)
-        assert s.char_count == 5
 
     def test_empty_content(self):
         s = compute_file_stats("")
-        assert (s.avg_line_len, s.max_line_len, s.alphabetic_fraction, s.char_count) == (0, 0, 0, 0)
+        assert (s.avg_line_len, s.max_line_len, s.alphabetic_fraction) == (0, 0, 0)
 
     def test_three_line_mixed_lengths(self):
         content = "\n".join(["a" * 10, "b" * 20, "c" * 1200])
@@ -92,11 +111,6 @@ class TestFileStats:
     def test_line_length_in_characters_not_bytes(self):
         s = compute_file_stats("中中中")  # 3 chars, 9 utf-8 bytes
         assert s.max_line_len == 3
-
-    def test_single_line_char_count_bound(self):
-        for content in ("hello", "x", "a b c"):
-            s = compute_file_stats(content)
-            assert s.char_count >= s.max_line_len
 
     def test_fraction_in_unit_interval(self):
         for content in ("", "123", "abc", "a1\n\n\n", "  \t "):

@@ -8,6 +8,7 @@ import pytest
 
 from repopipe.corpus import LanguageMap, SourceFile, detect_language
 from repopipe.deps import (
+    _COMMENT_TOKENS,
     concatenate_with_paths,
     extract_dependencies,
     order_repo_files,
@@ -337,6 +338,23 @@ class TestConcatenate:
 
     def test_html_comment_wrapped(self):
         assert path_comment("page.html", "HTML") == "<!-- page.html -->"
+
+    def test_every_comment_row_names_a_bundled_language(self):
+        assert sorted(set(_COMMENT_TOKENS) - LANG_MAP.languages) == []
+
+    @pytest.mark.parametrize(
+        "path, header",
+        [
+            ("Main.lean", "-- Main.lean"),
+            ("query.rq", "# query.rq"),
+            ("hosts.aug", "(* hosts.aug *)"),
+            ("report.sas", "/* report.sas */"),
+            ("Point.st", '" Point.st "'),
+            ("index.jsp", "<%-- index.jsp --%>"),
+        ],
+    )
+    def test_non_slash_comment_headers(self, path, header):
+        assert concatenate_with_paths([sf(path, "body")]) == f"{header}\nbody\n\n"
 
     def test_fallback_comment_token(self):
         assert path_comment("weird.xyz", None) == "// weird.xyz"

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from repopipe.config import PipelineConfig
 from repopipe.ingest import _walk_repo_dir, load_repos, read_jsonl
-from repopipe.pipeline import CLEAN_OUT, StageFailure, load_benchmark_strings, run_pipeline
+from repopipe.pipeline import CLEAN_OUT, StageFailure, ingest_and_fingerprint, load_benchmark_strings, run_pipeline
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -225,6 +225,32 @@ def test_carriage_return_inside_a_benchmark_record_stays_in_it(tmp_path):
     bench = tmp_path / "bench.jsonl"
     bench.write_bytes(b'{"text": "one",\r"benchmark": "x"}\n{"text": "two"}\r\n')
     assert list(load_benchmark_strings([str(bench)])) == [("one", "x"), ("two", "bench")]
+
+
+def test_directory_and_jsonl_inputs_fill_one_table_per_repo(tmp_path):
+    # A repo id that two inputs share keeps its files in first-seen
+    # order, and a path the second input repeats is dropped and counted.
+    # The fingerprint pins the bytes hashed for each file and the counters.
+    repo = tmp_path / "corpus" / "shared"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "b.py").write_text("b = 1\n")
+    (repo / "pkg" / "a.py").write_text("a = 1\n")
+    stream = tmp_path / "more.jsonl"
+    rows = [
+        {"repo_id": "shared", "path": "c.py", "content": "c = 1\n"},
+        {"repo_id": "other", "path": "z.py", "content": "z = 1\n"},
+        {"repo_id": "shared", "path": "b.py", "content": "b = 2\n"},
+        {"repo_id": "shared", "path": "a.py", "content": "a = 2\n"},
+    ]
+    stream.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    cfg = PipelineConfig(inputs=[str(tmp_path / "corpus"), str(stream)], output_dir=str(tmp_path / "out"))
+    repos, counters, fingerprint = ingest_and_fingerprint(cfg)
+    assert [(r.repo_id, [(f.path, f.content) for f in r.files]) for r in repos] == [
+        ("other", [("z.py", "z = 1\n")]),
+        ("shared", [("b.py", "b = 1\n"), ("pkg/a.py", "a = 1\n"), ("c.py", "c = 1\n"), ("a.py", "a = 2\n")]),
+    ]
+    assert counters == {"duplicate_path": 1}
+    assert fingerprint == "dc0eedff5130a39a494f134efb55c426eb1a521d8d04efce82cb9b37d74ace9b"
 
 
 def test_fifo_skipped_and_counted(tmp_path):

@@ -35,6 +35,15 @@ class LanguageMap:
         languages = frozenset(raw["languages"])
         extensions = dict(raw["extensions"])
         basenames = dict(raw["basenames"])
+        # `detect_language` looks up a name's lower-cased suffix from its
+        # last dot, and a name holds no "/" and is not "" or ".", so any
+        # other key could match no file.
+        for ext in extensions:
+            if not (len(ext) > 1 and ext.rfind(".") == 0 and "/" not in ext and ext == ext.lower()):
+                raise ValueError(f"extension {ext!r} is not a lower-case suffix such as '.py'")
+        for base in basenames:
+            if base in ("", ".") or "/" in base:
+                raise ValueError(f"basename {base!r} is not a file name")
         unknown = {v for v in extensions.values() if v not in languages}
         unknown |= {v for v in basenames.values() if v not in languages}
         if unknown:

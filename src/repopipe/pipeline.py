@@ -14,6 +14,7 @@ from __future__ import annotations
 import collections
 import functools
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -22,23 +23,43 @@ from array import array
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
-from .config import PipelineConfig, config_hash, require_valid, sha256_file
-from .corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
-from .decontam import ContaminationIndex, ContaminationReport, build_contamination_index, scan_text
-from .dedup import find_near_duplicates, minhash_signature, signature_similarity
-from .deps import concatenate_with_paths, order_repo_files
-from .filters import (
-    DATA_FILE_LANGUAGES,
-    FilterThresholds,
-    apply_base_filters,
-    apply_quality_heuristics,
-    filter_data_file,
-    filter_html,
-)
-from .fim import FimConfig, fim_transform
+from .config import FilterThresholds, PipelineConfig, config_hash, require_valid, sha256_file
 from .ingest import RawRepo, load_repos, read_jsonl
-from .packing import ByteTokenizer, pack_entries
 from .stats import compute_corpus_stats, render_stats_table
+
+# The kernel names the stages use, by module, bound into this namespace
+# before a stage runs or on first access from outside, so a resume and
+# `stats` load no kernel module. The stages call the bare names, so a
+# function set here in place of one (a tracer's wrapper) is the one called.
+_KERNELS = {
+    "corpus": ("LanguageMap", "SourceFile", "compute_file_stats", "detect_language"),
+    "decontam": ("ContaminationIndex", "ContaminationReport", "build_contamination_index", "scan_text"),
+    "dedup": ("find_near_duplicates", "minhash_signature", "signature_similarity"),
+    "deps": ("concatenate_with_paths", "order_repo_files"),
+    "filters": ("DATA_FILE_LANGUAGES", "apply_base_filters", "apply_quality_heuristics",
+                "filter_data_file", "filter_html"),
+    "fim": ("FimConfig", "fim_transform"),
+    "packing": ("ByteTokenizer", "pack_entries"),
+}
+
+
+def _bind_kernels() -> None:
+    """Import the kernel modules and bind each `_KERNELS` name this
+    namespace lacks; a name already set here stays."""
+    namespace = globals()
+    for module, names in _KERNELS.items():
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            namespace.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    """`pipeline.<kernel name>` before any stage ran (PEP 562)."""
+    if any(name in names for names in _KERNELS.values()):
+        _bind_kernels()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 FILES_OUT = "work/files.jsonl"
 SAMPLES_OUT = "work/samples.jsonl"
@@ -618,6 +639,16 @@ def _input_digest(manifest: dict) -> str:
     return manifest["outputs"][0]["sha256"]
 
 
+def _read_manifest(cfg: PipelineConfig, stage: Stage) -> dict | None:
+    """The stage's manifest if it parses to a JSON object."""
+    try:
+        with open(_manifest_path(cfg, stage.name), "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):  # missing, not UTF-8 or not JSON
+        return None
+    return manifest if isinstance(manifest, dict) else None
+
+
 def _done(cfg: PipelineConfig, stage: Stage, upstream: str | None, key: str | None = None) -> dict | None:
     """The stage's manifest if it parses to an object that records a
     completed run on the input whose digest is `upstream` (None: any
@@ -625,13 +656,9 @@ def _done(cfg: PipelineConfig, stage: Stage, upstream: str | None, key: str | No
     objects with string `path` and `sha256`, and every output it lists
     is a regular file that still has its recorded sha256.
     """
-    try:
-        with open(_manifest_path(cfg, stage.name), "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError):  # missing, not UTF-8 or not JSON
-        return None
+    manifest = _read_manifest(cfg, stage)
     if (
-        not isinstance(manifest, dict)
+        manifest is None
         or not manifest.get("completed")
         or upstream is not None and manifest.get("upstream") != upstream
         or key is not None and manifest.get("config_hash") != key
@@ -686,6 +713,7 @@ def _execute(cfg: PipelineConfig, stage: Stage, upstream: str, key: str, ingeste
             source = ingested
         else:
             source = functools.partial(_read_jsonl, os.path.join(cfg.output_dir, stage.reads))
+        _bind_kernels()
         out = _Out(cfg.output_dir)
         try:
             # Looked up at call time, so the stage functions can be wrapped.
@@ -722,6 +750,7 @@ def run_stage(cfg: PipelineConfig, name: str) -> dict:
     missing.
     """
     require_valid(cfg)
+    _bind_kernels()
     i = [stage.name for stage in STAGES].index(name)
     if i == 0:
         *ingested, upstream = ingest_and_fingerprint(cfg)
@@ -742,7 +771,12 @@ def run_pipeline(cfg: PipelineConfig) -> RunSummary:
     os.makedirs(cfg.output_dir, exist_ok=True)
     summary = RunSummary()
     key = config_hash(cfg)
-
+    # A stage will run unless the last one is done under this key, so bind
+    # the kernels now: importing them after ingest, with every repo held,
+    # raised a fresh run's peak RSS. `_done` still decides what runs.
+    last = _read_manifest(cfg, STAGES[-1])
+    if last is None or last.get("config_hash") != key:
+        _bind_kernels()
     *ingested, upstream = ingest_and_fingerprint(cfg)
     chain: list[dict] = []
     for stage in STAGES:

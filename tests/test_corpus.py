@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repopipe.corpus import (
@@ -79,6 +81,40 @@ class TestDetectLanguage:
             LanguageMap.load(str(override))
         assert str(exc_info.value).startswith(f"{override}: ")
         assert problem in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "table, key",
+        [
+            ("extensions", ".PY"),
+            ("extensions", "py"),
+            ("extensions", ".tar.gz"),
+            ("extensions", "."),
+            ("extensions", ""),
+            ("extensions", "./py"),
+            ("basenames", "sub/Makefile"),
+            ("basenames", "."),
+            ("basenames", ""),
+        ],
+    )
+    def test_override_key_no_path_can_match_is_named(self, tmp_path, table, key):
+        # detect_language looks up a name's last-dot suffix lower-cased,
+        # and a basename without "/": these keys would silently match no
+        # file, and every file of their language would be dropped.
+        raw = {"languages": ["Python"], "extensions": {".py": "Python"}, "basenames": {}}
+        raw[table][key] = "Python"
+        override = tmp_path / "langs.json"
+        override.write_text(json.dumps(raw))
+        with pytest.raises(ValueError) as exc_info:
+            LanguageMap.load(str(override))
+        assert str(exc_info.value).startswith(f"{override}: ")
+        assert repr(key) in str(exc_info.value)
+
+    def test_every_bundled_key_can_match(self):
+        lang_map = LanguageMap.load()
+        for ext, language in lang_map.extensions.items():
+            assert detect_language("a" + ext.upper(), lang_map) == language
+        for base, language in lang_map.basenames.items():
+            assert detect_language("dir/" + base, lang_map) == language
 
     def test_override_map_unknown_target_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from repopipe.deps import (
     path_comment,
     topological_sort,
 )
-from repopipe.pipeline import _order_repo_worker
+from repopipe.pipeline import _bind_kernels, _order_repo_worker
 
 
 LANG_MAP = LanguageMap.load()
@@ -327,6 +327,8 @@ class TestConcatenate:
         assert out.index("# b.py") < out.index("# a.py")
         # The order stage's record of that sample (ordering off keeps
         # the given order) lists the same paths and counts its chars.
+        # The worker calls the kernel names the runner binds before a stage.
+        _bind_kernels()
         record, _ = _order_repo_worker(("r", [asdict(f) for f in files]), False)
         assert record["text"] == out
         assert record["ordered_paths"] == ["b.py", "a.py"]

@@ -4,8 +4,11 @@ language table, then loading and validating a config, loads neither
 numpy, the pipeline, the filter and FIM kernels, `html.parser` (the
 HTML filter's) nor OpenSSL's `_hashlib`; the kernels take their config
 sections from the config module. A resume and `stats` load neither
-numpy nor the process pool; a 2-worker run whose stages all stay below
-the pool threshold loads no pool module."""
+numpy, the process pool, nor any stage kernel module: `pipeline` binds
+the kernel names on first use, before ingest on a run that will run a
+stage, and a name set in its namespace before that, such as a tracer's
+wrapper, is the one the stages call. A 2-worker run whose stages all
+stay below the pool threshold loads no pool module."""
 
 from __future__ import annotations
 
@@ -21,7 +24,8 @@ from repopipe.pipeline import run_pipeline, run_stage
 
 
 POOL = ["concurrent.futures.process", "multiprocessing"]
-HEAVY = [*POOL, "numpy"]
+KERNELS = [f"repopipe.{name}" for name in ("corpus", "decontam", "dedup", "deps", "filters", "fim", "packing")]
+HEAVY = [*POOL, "numpy", *KERNELS, "html.parser"]
 
 
 def run_child(code: str, *args: str) -> str:
@@ -112,3 +116,52 @@ def test_dedup_pool_starts_after_the_parent_imports_numpy(tmp_path):
         "print(seen)\n"
     )
     assert run_child(code, config) == "[True]"
+
+
+def test_a_run_binds_the_kernels_before_ingest_unless_it_resumes(tmp_path):
+    # Kernels imported after ingest, with every repo held, raised a fresh
+    # run's peak RSS; a resume must not import them at all.
+    cfg = fixture_config(tmp_path)
+    config = write_config(cfg, tmp_path / "config.json")
+    code = (
+        "import sys\n"
+        "from repopipe import pipeline\n"
+        "from repopipe.cli import main\n"
+        "seen = []\n"
+        "load_repos = pipeline.load_repos\n"
+        "def loading(*args):\n"
+        "    seen.append('repopipe.dedup' in sys.modules)\n"
+        "    return load_repos(*args)\n"
+        "pipeline.load_repos = loading\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(seen)\n"
+    )
+    assert run_child(code, "run", "--config", config) == "[True]"
+    assert run_child(code, "run", "--config", config) == "[False]"
+
+
+def test_kernel_names_resolve_and_wrappers_set_before_a_run_apply(tmp_path):
+    # How bench/traced_run.py times the kernels: it replaces names in
+    # `pipeline`'s namespace before the run starts.
+    cfg = fixture_config(tmp_path)
+    config = write_config(cfg, tmp_path / "config.json")
+    code = (
+        "import sys\n"
+        "from repopipe import pipeline\n"
+        "from repopipe.config import load_config\n"
+        "assert 'repopipe.dedup' not in sys.modules\n"
+        "from repopipe import dedup\n"
+        "assert pipeline.minhash_signature is dedup.minhash_signature\n"
+        "assert not hasattr(pipeline, 'no_such_name')\n"
+        "calls = []\n"
+        "detect = pipeline.detect_language\n"
+        "def counted(*args):\n"
+        "    calls.append(args[0])\n"
+        "    return detect(*args)\n"
+        "setattr(pipeline, 'detect_language', counted)\n"
+        "pipeline.run_pipeline(load_config(sys.argv[1]))\n"
+        "print(len(calls))\n"
+    )
+    calls = int(run_child(code, config))
+    filter_manifest = json.loads((tmp_path / "out" / "manifests" / "filter.json").read_text())
+    assert calls == filter_manifest["input_records"] > 0

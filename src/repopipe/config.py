@@ -6,7 +6,7 @@ A leaf module: it imports no other repopipe module, so loading and
 validating a config compiles no stage kernel. The sections that the
 kernels also take, `FilterThresholds` and `SentinelSet` with the FIM
 layouts and sentinel literals, are defined here, and `filters` and
-`fim` import them from here. hashlib, and OpenSSL with it, is imported
+`packing` import them from here. hashlib, and OpenSSL with it, is imported
 only by the functions that hash.
 """
 
@@ -62,9 +62,6 @@ class SentinelSet:
 
     def as_tuple(self) -> tuple[str, str, str, str]:
         return (self.fim_start, self.fim_hole, self.fim_end, self.eos)
-
-    def collides_with(self, doc: str) -> bool:
-        return any(s in doc for s in self.as_tuple())
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,6 @@ NGRAM_SIZE = 10
 EXACT_MIN_TOKENS = 3
 
 
-def tokenize(text: str) -> list[str]:
-    """Whitespace tokenization; splitting collapses runs implicitly."""
-    return text.split()
-
-
 @dataclass
 class ContaminationIndex:
     """Lookup tables built once from benchmark test data, then read-only.
@@ -48,7 +43,7 @@ def build_contamination_index(
     """
     index = ContaminationIndex()
     for text, benchmark in test_strings:
-        tokens = tokenize(text)
+        tokens = text.split()
         if len(tokens) < EXACT_MIN_TOKENS:
             index.skipped_short += 1
             continue
@@ -88,7 +83,7 @@ def scan_text(text: str, index: ContaminationIndex) -> ContaminationReport:
     tokens: list[str] = []
     for part in text_slices(text):
         carried = len(tokens)
-        tokens += tokenize(part)
+        tokens += part.split()
         starts: dict[int, list[int]] = {}  # entry length -> candidate positions, ascending
         for i in compress(count(), map(index.first_tokens.__contains__, tokens)):
             for n in index.first_tokens[tokens[i]]:

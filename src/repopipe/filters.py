@@ -66,13 +66,10 @@ class FilterVerdict:
         return self.rule_fired is None
 
 
-DEFAULT_THRESHOLDS = FilterThresholds()
-
-
 def apply_base_filters(
     file: SourceFile,
     stats: FileStats,
-    thresholds: FilterThresholds = DEFAULT_THRESHOLDS,
+    thresholds: FilterThresholds = FilterThresholds(),
 ) -> FilterVerdict:
     """Line-length, alphabetic-fraction, and XML-declaration rules.
 
@@ -139,7 +136,7 @@ def extract_visible_text(content: str) -> str:
 
 def filter_html(
     content: str,
-    thresholds: FilterThresholds = DEFAULT_THRESHOLDS,
+    thresholds: FilterThresholds = FilterThresholds(),
 ) -> FilterVerdict:
     """Keep HTML only when visible text is both long enough and a large
     enough share of the whole document.
@@ -164,7 +161,7 @@ def filter_html(
 def filter_data_file(
     content: str,
     language: str,
-    thresholds: FilterThresholds = DEFAULT_THRESHOLDS,
+    thresholds: FilterThresholds = FilterThresholds(),
 ) -> FilterVerdict:
     """Size window for data-heavy formats (JSON, YAML); bounds inclusive."""
     if language not in DATA_FILE_LANGUAGES:
@@ -186,7 +183,7 @@ def _is_code(line: str) -> bool:
 
 def apply_quality_heuristics(
     content: str,
-    thresholds: FilterThresholds = DEFAULT_THRESHOLDS,
+    thresholds: FilterThresholds = FilterThresholds(),
 ) -> FilterVerdict:
     """Declared stand-ins for compiler/quality-model screening:
 

@@ -9,6 +9,8 @@ Two input shapes are accepted per configured path:
     nowhere, and a FIFO or other entry that is not a regular file;
   - a *.jsonl file: one object per file with repo_id, path, content,
     one per line; only "\n" ends a line, so a bare "\r" stays inside it.
+    Each path is normalised (`./a.py` is `a.py`, `a//b.py` is `a/b.py`),
+    and one that leaves the repo or names no file is a bad record.
 
 Files that fail UTF-8 decoding, or whose repo id, path or content holds
 a lone surrogate (no UTF-8 output can hold one), or that repeat a path
@@ -24,6 +26,7 @@ import functools
 import hashlib
 import json
 import os
+import posixpath
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -143,11 +146,13 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
                 if problem == NOT_UTF8:
                     drop(DROP_DECODE_ERROR)
                     continue
-                try:  # a line that is not JSON has obj None
-                    texts = (obj["repo_id"], obj["path"], obj["content"])
+                try:  # a line that is not JSON has obj None; normpath takes str paths only
+                    texts = (obj["repo_id"], posixpath.normpath(obj["path"]), obj["content"])
                 except (KeyError, TypeError):
-                    texts = (None, None, None)
-                if not (texts[0] and texts[1] and all(isinstance(t, str) for t in texts)):
+                    texts = (None, ".", None)
+                # normpath made "./a.py" "a.py"; a first part "" (absolute), "." or ".." is no repo file.
+                if not (texts[0] and all(isinstance(t, str) for t in texts)) \
+                        or texts[1].partition("/")[0] in ("", ".", ".."):
                     drop(DROP_BAD_RECORD)
                     continue
                 add_file(*texts)

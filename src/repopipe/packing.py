@@ -1,4 +1,13 @@
-"""The byte tokenizer build uses, and fixed-length entry packing.
+"""Build's kernels: the document-level fill-in-the-middle transform,
+the byte tokenizer, and fixed-length entry packing.
+
+With probability fim_rate a document is split at two uniformly chosen
+character positions into prefix / middle / suffix and re-emitted with
+sentinel literals so the middle trails its surrounding context;
+otherwise the document passes through with only the end-of-sequence
+sentinel appended. One derived RNG stream per document, so results are
+independent of scheduling. The tokenizer maps each sentinel literal to
+one reserved id and never cuts one.
 
 Token streams of documents are concatenated in order into one uint32
 stream, viewed as entries of exactly entry_len tokens. The trailing
@@ -10,17 +19,73 @@ call, so a caller can pack one document at a time.
 
 from __future__ import annotations
 
+import random
 import re
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .fim import DEFAULT_SENTINELS, SentinelSet
+from .config import PSM, SPM, SentinelSet
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # numpy loads where it is used: see `dedup`'s imports
     import numpy as np
 
 ENCODE_SLICE = 1 << 16  # characters per numpy conversion: a 256 KiB uint32 temporary
+
+
+@dataclass(frozen=True)
+class FimConfig:
+    fim_rate: float = 0.5
+    mode: str = PSM
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.fim_rate <= 1.0:
+            raise ValueError(f"fim_rate must be in [0, 1], got {self.fim_rate}")
+        if self.mode not in (PSM, SPM):
+            raise ValueError(f"mode must be {PSM!r} or {SPM!r}, got {self.mode!r}")
+
+
+def fim_split(
+    doc: str,
+    i: int,
+    j: int,
+    sentinels: SentinelSet = SentinelSet(),
+    mode: str = PSM,
+) -> str:
+    """Lay out the three segments for fixed cut points 0 <= i <= j <= len.
+
+    psm: fim_start + prefix + fim_hole + suffix + fim_end + middle + eos
+    spm: fim_start + suffix + fim_hole + prefix + fim_end + middle + eos
+    """
+    if not 0 <= i <= j <= len(doc):
+        raise ValueError(f"cut points out of range: i={i}, j={j}, len={len(doc)}")
+    pre, middle, suf = doc[:i], doc[i:j], doc[j:]
+    first, second = (pre, suf) if mode == PSM else (suf, pre)
+    s = sentinels
+    return "".join((s.fim_start, first, s.fim_hole, second, s.fim_end, middle, s.eos))
+
+
+def fim_transform(
+    doc: str,
+    doc_index: int,
+    cfg: FimConfig,
+    sentinels: SentinelSet = SentinelSet(),
+) -> str | None:
+    """Transform one document; None means a sentinel literal occurred in
+    the content and the document must be dropped (callers count these).
+    """
+    if not doc:
+        raise ValueError("document must be non-empty")
+    if any(s in doc for s in sentinels.as_tuple()):
+        return None
+    rng = random.Random(cfg.seed + doc_index)
+    if rng.random() >= cfg.fim_rate:
+        return doc + sentinels.eos
+    a = rng.randint(0, len(doc))
+    b = rng.randint(0, len(doc))
+    i, j = min(a, b), max(a, b)
+    return fim_split(doc, i, j, sentinels, cfg.mode)
 
 
 class ByteTokenizer:
@@ -29,7 +94,7 @@ class ByteTokenizer:
     packing byte-auditable.
     """
 
-    def __init__(self, sentinels: SentinelSet = DEFAULT_SENTINELS) -> None:
+    def __init__(self, sentinels: SentinelSet = SentinelSet()) -> None:
         literals = sentinels.as_tuple()
         self._sentinel_ids = {s: 256 + i for i, s in enumerate(literals)}
         self._ids_to_sentinel = {v: k for k, v in self._sentinel_ids.items()}

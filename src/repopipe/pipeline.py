@@ -38,8 +38,7 @@ _KERNELS = {
     "deps": ("concatenate_with_paths", "order_repo_files"),
     "filters": ("DATA_FILE_LANGUAGES", "apply_base_filters", "apply_quality_heuristics",
                 "filter_data_file", "filter_html"),
-    "fim": ("FimConfig", "fim_transform"),
-    "packing": ("ByteTokenizer", "pack_entries"),
+    "packing": ("ByteTokenizer", "FimConfig", "fim_transform", "pack_entries"),
 }
 
 
@@ -154,12 +153,10 @@ class _Out:
         self.files[rel].write(data)
         self.rows[rel] += 1
 
-    def row(self, rel: str, rec: dict | bytes) -> None:
-        """One UTF-8 line, as bytes, so no platform writes "\r\n"; a
-        record given as bytes is the line already encoded, without "\n"."""
-        self.write(rel, rec if isinstance(rec, bytes)
-                   else json.dumps(rec, sort_keys=True, ensure_ascii=False).encode())
-        self.files[rel].write(b"\n")
+    def row(self, rel: str, rec: dict) -> None:
+        """One UTF-8 line, as bytes, so no platform writes "\r\n"."""
+        self.write(rel, json.dumps(rec, sort_keys=True, ensure_ascii=False).encode())
+        self.files[rel].write(b"\n")  # not appended: that would copy a sample's bytes
 
     def close(self, *rels: str) -> None:
         """Close the named files (none named: every one still open)."""
@@ -429,7 +426,6 @@ def stage_dedup(cfg: PipelineConfig, read: Callable[..., Iterator], out: _Out) -
             out.write(DEDUP_OUT, line)
     if drop:
         out.counters["near_duplicate"] = len(drop)
-    out.fields["input_records"] = len(signatures)
 
 
 # -----------------------
@@ -510,7 +506,7 @@ def stage_decontaminate(cfg: PipelineConfig, read: Callable[..., Iterator], out:
 
 def _entry_line(n_ids: int) -> Callable[[Sequence[int], list[int]], bytes]:
     """A function from an entry's ids, each below `n_ids`, and its
-    doc_boundaries to the line, without "\n", that the sink's `row`
+    doc_boundaries to the line, "\n" included, that the sink's `row`
     writes for {"token_ids": ids, "doc_boundaries": bounds}. It gathers
     each id's digits and ", " from a table of zero-padded rows, built
     once, and cuts the zeros and the last ", "; an id past the table
@@ -520,7 +516,7 @@ def _entry_line(n_ids: int) -> Callable[[Sequence[int], list[int]], bytes]:
 
     def line(ids: Sequence[int], bounds: list[int]) -> bytes:
         body = table[ids].tobytes().replace(b"\0", b"")[:-2]
-        return b'{"doc_boundaries": %s, "token_ids": [%s]}' % (json.dumps(bounds).encode(), body)
+        return b'{"doc_boundaries": %s, "token_ids": [%s]}\n' % (json.dumps(bounds).encode(), body)
     return line
 
 
@@ -571,7 +567,7 @@ def stage_build(cfg: PipelineConfig, read: Callable[..., Iterator], out: _Out) -
                 out.write(shard[0], row.astype("<u4", copy=False))
                 out.row(shard[1], {"doc_boundaries": bounds})
             else:
-                out.row(shard[0], line(row, bounds))
+                out.write(shard[0], line(row, bounds))
             fields["output_records"] = n + 1
         return result.carry
 

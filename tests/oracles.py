@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repopipe.corpus import LanguageMap, SourceFile
-from repopipe.decontam import NGRAM_SIZE, ContaminationIndex, ContaminationReport, tokenize
+from repopipe.decontam import NGRAM_SIZE, ContaminationIndex, ContaminationReport
 from repopipe.dedup import _GOLDEN, _TOKEN
 from repopipe.filters import (
     _COMMENT_LINE,
@@ -415,7 +415,7 @@ def full_table_values(text: str, num_perm: int, shingle_width: int, seed: int) -
 
 
 def scan_text(text: str, index: ContaminationIndex) -> ContaminationReport:
-    tokens = tokenize(text)
+    tokens = text.split()
     matched: list[str] = []
     seen: set[str] = set()
     if len(tokens) >= NGRAM_SIZE:
@@ -474,7 +474,7 @@ def whole_text_quality_heuristics(content: str, thresholds: FilterThresholds) ->
 
 
 def whole_text_scan(text: str, index: ContaminationIndex) -> ContaminationReport:
-    tokens = tokenize(text)
+    tokens = text.split()
     starts: dict[int, list[int]] = {}
     for i in compress(count(), map(index.first_tokens.__contains__, tokens)):
         for n in index.first_tokens[tokens[i]]:

@@ -17,13 +17,13 @@ from pathlib import Path
 
 
 from conftest import fixture_config
+from repopipe.config import EOS, FIM_START, SentinelSet
 from repopipe.corpus import SourceFile, compute_file_stats
 from repopipe.decontam import build_contamination_index, scan_text
 from repopipe.dedup import find_near_duplicates, minhash_signature
 from repopipe.deps import topological_sort
 from repopipe.filters import apply_base_filters, filter_data_file, filter_html
-from repopipe.fim import EOS, FIM_START, DEFAULT_SENTINELS, FimConfig, fim_split, fim_transform
-from repopipe.packing import ByteTokenizer, pack_entries
+from repopipe.packing import ByteTokenizer, FimConfig, fim_split, fim_transform, pack_entries
 from repopipe.pipeline import run_pipeline
 from repopipe.stats import compute_corpus_stats, render_stats_table
 
@@ -273,7 +273,7 @@ def test_criterion_5_fim_properties():
     n = 10_000
     for i in range(n):
         doc = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 160)))
-        out = fim_transform(doc, i, cfg, DEFAULT_SENTINELS)
+        out = fim_transform(doc, i, cfg, SentinelSet())
         assert out is not None
         if out.startswith(FIM_START):
             transformed += 1
@@ -284,7 +284,7 @@ def test_criterion_5_fim_properties():
     fraction = transformed / n
     assert abs(fraction - 0.5) <= half_width, f"fraction {fraction} outside 99% CI"
 
-    forced = fim_split("abcdef", 2, 4, DEFAULT_SENTINELS, "psm")
+    forced = fim_split("abcdef", 2, 4, SentinelSet(), "psm")
     assert forced == "<｜fim_start｜>ab<｜fim_hole｜>ef<｜fim_end｜>cd<|eos_token|>"
     assert forced == FIM_START + "ab" + "<｜fim_hole｜>" + "ef" + "<｜fim_end｜>" + "cd" + EOS
 

@@ -236,6 +236,16 @@ class TestFindNearDuplicates:
         with pytest.raises(ValueError):
             find_near_duplicates({"a": s}, {"a": 180}, bands=10, rows=10)
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5])
+    def test_threshold_outside_the_open_unit_interval_rejected(self, threshold):
+        s = minhash_signature("x y z " * 30)
+        with pytest.raises(ValueError, match="threshold must be in"):
+            find_near_duplicates({"a": s}, {"a": 180}, threshold=threshold)
+
+    def test_similarity_of_signatures_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="different lengths"):
+            signature_similarity((1, 2, 3), (1, 2))
+
     def test_representative_uses_sizes_when_given(self):
         rng = random.Random(41)
         base = random_text(rng, "s")

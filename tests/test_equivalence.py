@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 import oracles
 from repopipe import deps, filters, packing, pipeline
-from repopipe.config import PipelineConfig
+from repopipe.config import PipelineConfig, SentinelSet
 from repopipe.corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
 from repopipe.decontam import ContaminationReport, build_contamination_index, scan_text
 from repopipe.dedup import minhash_signature, shingle_set
@@ -42,8 +42,7 @@ from repopipe.deps import (
     topological_sort,
 )
 from repopipe.filters import FilterThresholds, apply_quality_heuristics, text_slices
-from repopipe.fim import DEFAULT_SENTINELS, FimConfig, SentinelSet, fim_transform
-from repopipe.packing import ByteTokenizer, PackResult, pack_entries
+from repopipe.packing import ByteTokenizer, FimConfig, PackResult, fim_transform, pack_entries
 
 # A small vocabulary makes collisions likely: duplicate basenames,
 # directories that are suffixes of one another, refs that hit many paths,
@@ -307,7 +306,7 @@ def assert_same_pack(got, want):
 docs = st.lists(
     st.one_of(
         st.text(alphabet="ab!é\n", max_size=40),
-        st.sampled_from(DEFAULT_SENTINELS.as_tuple()),
+        st.sampled_from(SentinelSet().as_tuple()),
         st.integers(min_value=0, max_value=400).map(lambda n: "x" * n),
     ),
     max_size=12,
@@ -484,7 +483,7 @@ def test_scan_named_cases_match_every_position_scan():
 # regex-free split of slices that are ASCII once lowered.
 SLICE_PIECES = [
     "a", "Σ", "İ", "ß", "x_1", "名前", "\r\n", "\r", "\n", " ", "\t", "\u3000", "\x1c", "\u2028",
-    "# c", "//", "y" * 30, *DEFAULT_SENTINELS.as_tuple(),
+    "# c", "//", "y" * 30, *SentinelSet().as_tuple(),
     "\u212a", "\x0b", "\x0c", "\x7f", "-", ".", "(", "9",
 ]
 sliced_texts = st.lists(st.sampled_from(SLICE_PIECES), max_size=40).map("".join)
@@ -551,11 +550,11 @@ def test_sliced_scan_matches_whole_text(data, size):
 
 # The default literals, and literals that hold whitespace and overlap,
 # which a cut after whitespace alone could split.
-SENTINEL_SETS = [DEFAULT_SENTINELS, SentinelSet("<s>", "<s><s>", "s s", " <")]
+SENTINEL_SETS = [SentinelSet(), SentinelSet("<s>", "<s><s>", "s s", " <")]
 sentinel_texts = st.lists(
     st.one_of(
         st.text(alphabet="ab é\n<s>", max_size=6),
-        st.sampled_from([*DEFAULT_SENTINELS.as_tuple(), *SENTINEL_SETS[1].as_tuple()]),
+        st.sampled_from([*SentinelSet().as_tuple(), *SENTINEL_SETS[1].as_tuple()]),
     ),
     max_size=8,
 ).map("".join)
@@ -634,7 +633,7 @@ plain_texts = st.text(alphabet="ab é\n<|｜😀", min_size=1, max_size=30)
 build_texts = st.lists(
     st.one_of(
         plain_texts,
-        st.tuples(plain_texts, st.sampled_from(DEFAULT_SENTINELS.as_tuple()), plain_texts).map("".join),
+        st.tuples(plain_texts, st.sampled_from(SentinelSet().as_tuple()), plain_texts).map("".join),
     ),
     max_size=6,
 )
@@ -708,7 +707,7 @@ def entry_rows(draw) -> tuple[np.ndarray, list[int]]:
 @example((np.array([10, 9, 100, 255], dtype=np.uint32), [0, 1, 3]))
 def test_entry_line_matches_json_dumps(row):
     line = pipeline._entry_line(ByteTokenizer().vocab_size)
-    assert line(*row) + b"\n" == oracles.entry_line(*row)
+    assert line(*row) == oracles.entry_line(*row)
 
 
 def test_entry_line_rejects_an_id_past_the_table():

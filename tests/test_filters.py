@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from repopipe import filters
 from repopipe.corpus import SourceFile, compute_file_stats
 from repopipe.filters import (
     RULE_ALPHA_FRACTION,
@@ -136,6 +137,19 @@ class TestHtmlFilter:
 
     def test_whitespace_collapsed(self):
         assert extract_visible_text("<p>a\n\n  b\t c</p>") == "a b c"
+
+    def test_text_collected_before_the_parser_raises_is_kept(self, monkeypatch):
+        # Whether HTMLParser raises on input such as "<![foo[" depends on
+        # the Python version, so a patched tag handler raises instead.
+        starttag = filters._VisibleTextExtractor.handle_starttag
+
+        def handle_starttag(self, tag, attrs):
+            if tag == "boom":
+                raise ValueError("unparseable")
+            starttag(self, tag, attrs)
+
+        monkeypatch.setattr(filters._VisibleTextExtractor, "handle_starttag", handle_starttag)
+        assert extract_visible_text("<p>kept  text</p><boom>lost<p>lost too</p>") == "kept text"
 
     def test_malformed_html_best_effort(self):
         v = filter_html("<p><div>" + "w" * 300 + "<broken")

@@ -5,22 +5,13 @@ import string
 
 import pytest
 
-from repopipe.fim import (
-    DEFAULT_SENTINELS,
-    EOS,
-    FIM_END,
-    FIM_HOLE,
-    FIM_START,
-    FimConfig,
-    SentinelSet,
-    fim_split,
-    fim_transform,
-)
+from repopipe.config import EOS, FIM_END, FIM_HOLE, FIM_START, SentinelSet
+from repopipe.packing import FimConfig, fim_split, fim_transform
 
 _ALPHABET = string.ascii_letters + string.digits + " \n(){}=.,_"
 
 
-def reassemble(out: str, sentinels: SentinelSet = DEFAULT_SENTINELS, mode: str = "psm") -> str:
+def reassemble(out: str, sentinels: SentinelSet = SentinelSet(), mode: str = "psm") -> str:
     """Test-side inverse: recover the original document from the
     sentinel-delimited layout.
     """

@@ -14,7 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from repopipe.config import PipelineConfig
 from repopipe.ingest import _walk_repo_dir, load_repos, read_jsonl
-from repopipe.pipeline import CLEAN_OUT, StageFailure, ingest_and_fingerprint, load_benchmark_strings, run_pipeline
+from repopipe.pipeline import (
+    CLEAN_OUT,
+    GRAPHS_OUT,
+    SAMPLES_OUT,
+    StageFailure,
+    ingest_and_fingerprint,
+    load_benchmark_strings,
+    run_pipeline,
+    run_stage,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -37,6 +46,20 @@ def test_dot_directories_and_files_skipped(tmp_path):
     (root / "kept.py").write_text("k = 1\n")
     repos = load_repos([str(tmp_path / "corpus")])
     assert [f.path for f in repos[0].files] == ["kept.py"]
+
+
+def test_top_level_files_and_dot_entries_of_an_input_directory_skipped_uncounted(tmp_path):
+    corpus = tmp_path / "corpus"
+    (corpus / "repo").mkdir(parents=True)
+    (corpus / "repo" / "kept.py").write_text("k = 1\n")
+    (corpus / "README.md").write_text("not a repo\n")
+    (corpus / ".cache").mkdir()
+    (corpus / ".cache" / "c.py").write_text("c = 1\n")
+    (corpus / ".top.py").write_text("t = 1\n")
+    counters: dict[str, int] = {}
+    repos = load_repos([str(corpus)], counters)
+    assert [(r.repo_id, [f.path for f in r.files]) for r in repos] == [("repo", ["kept.py"])]
+    assert counters == {}
 
 
 def test_decode_error_counted_and_dropped(tmp_path):
@@ -208,6 +231,41 @@ def test_jsonl_input_through_full_pipeline(tmp_path):
     ]
     assert clean[0]["repo_id"] == "jr"
     assert clean[0]["ordered_paths"] == ["util.py", "main.py"]
+
+
+def test_jsonl_paths_are_normalised_and_stay_inside_their_repo(tmp_path):
+    # A directory input never yields "./a.py", "a//b.py" or "../up.py";
+    # a JSONL path is read as the file it names, and one naming no file
+    # of its repo is a bad record.
+    stream = tmp_path / "files.jsonl"
+    paths = ["./a.py", "b.py", "a.py", "a//b.py", "sub/./c.py", "sub/../d.py",
+             "../up.py", "/abs.py", "//abs.py", "..", ".", "sub/..", "x/../../y.py"]
+    stream.write_text("".join(json.dumps({"repo_id": "r", "path": p, "content": p}) + "\n" for p in paths))
+    counters: dict[str, int] = {}
+    repos = load_repos([str(stream)], counters)
+    assert [(f.path, f.content) for f in repos[0].files] == [
+        ("a.py", "./a.py"), ("b.py", "b.py"), ("a/b.py", "a//b.py"), ("sub/c.py", "sub/./c.py"),
+        ("d.py", "sub/../d.py"),
+    ]
+    assert counters == {"duplicate_path": 1, "bad_record": 7}
+
+
+def test_a_dot_slash_jsonl_path_resolves_its_relative_imports(tmp_path):
+    stream = tmp_path / "files.jsonl"
+    rows = [
+        {"repo_id": "r", "path": "./a.py", "content": "from . import b\nrun(b)\n"},
+        {"repo_id": "r", "path": "b.py", "content": "value = 1\n"},
+        {"repo_id": "r", "path": "a.py", "content": "again = 1\n"},
+    ]
+    stream.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    cfg = PipelineConfig(inputs=[str(stream)], output_dir=str(tmp_path / "out"), dump_graphs=True)
+    run_stage(cfg, "filter")
+    run_stage(cfg, "order")
+    out = Path(cfg.output_dir)
+    [sample] = [json.loads(line) for line in (out / SAMPLES_OUT).read_text().splitlines()]
+    [graph] = [json.loads(line) for line in (out / GRAPHS_OUT).read_text().splitlines()]
+    assert sample["ordered_paths"] == ["b.py", "a.py"]
+    assert graph["edges"] == [["a.py", "b.py"]]
 
 
 def test_carriage_return_inside_a_jsonl_record_stays_in_it(tmp_path):

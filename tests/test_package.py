@@ -1,7 +1,7 @@
 """The package root loads no stage module, and the config module no
 other repopipe module. So importing the root, the config and the
 language table, then loading and validating a config, loads neither
-numpy, the pipeline, the filter and FIM kernels, `html.parser` (the
+numpy, the pipeline, the filter and build kernels, `html.parser` (the
 HTML filter's) nor OpenSSL's `_hashlib`; the kernels take their config
 sections from the config module. A resume and `stats` load neither
 numpy, the process pool, nor any stage kernel module: `pipeline` binds
@@ -24,7 +24,7 @@ from repopipe.pipeline import run_pipeline, run_stage
 
 
 POOL = ["concurrent.futures.process", "multiprocessing"]
-KERNELS = [f"repopipe.{name}" for name in ("corpus", "decontam", "dedup", "deps", "filters", "fim", "packing")]
+KERNELS = [f"repopipe.{name}" for name in ("corpus", "decontam", "dedup", "deps", "filters", "packing")]
 HEAVY = [*POOL, "numpy", *KERNELS, "html.parser"]
 
 
@@ -44,7 +44,7 @@ def write_config(cfg, path) -> str:
 
 def test_config_and_corpus_load_no_numpy_or_pipeline(tmp_path):
     path = write_config(fixture_config(tmp_path), tmp_path / "config.json")
-    unloaded = ["numpy", "repopipe.pipeline", "repopipe.filters", "repopipe.fim", "html.parser", "_hashlib"]
+    unloaded = ["numpy", "repopipe.pipeline", "repopipe.filters", "repopipe.packing", "html.parser", "_hashlib"]
     code = (
         "import sys, repopipe, repopipe.config, repopipe.corpus\n"
         "from repopipe.config import load_config, require_valid\n"
@@ -52,10 +52,10 @@ def test_config_and_corpus_load_no_numpy_or_pipeline(tmp_path):
         f"print(sorted(set({unloaded!r}) & set(sys.modules)))\n"
     )
     assert run_child(code, path) == "[]"
-    from repopipe import config, filters, fim
+    from repopipe import config, filters, packing
 
     assert filters.FilterThresholds is config.FilterThresholds
-    assert fim.SentinelSet is config.SentinelSet
+    assert packing.SentinelSet is config.SentinelSet
 
 
 def test_resume_stats_and_default_config_load_no_numpy_or_pool(tmp_path):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from repopipe.fim import EOS, FIM_START, SentinelSet
+from repopipe.config import EOS, FIM_START, SentinelSet
 from repopipe.packing import ByteTokenizer, pack_entries
 
 

@@ -173,10 +173,10 @@ def find_near_duplicates(
     rows: int = 8,
 ) -> list[DuplicateCluster]:
     """LSH banding over signatures keyed by repo id proposes candidate
-    pairs; pairs are kept only when their signature similarity reaches
-    the threshold; clusters are the connected components of kept pairs,
-    each represented by the member `choose_representative` picks from
-    char_counts. Singletons are omitted.
+    pairs; clusters are the connected components of the pairs whose
+    similarity reaches the threshold, compared at most once and only
+    while their ends are apart, each represented by the member
+    `choose_representative` picks from char_counts. Singletons are omitted.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
@@ -192,20 +192,18 @@ def find_near_duplicates(
             key = (band, arr[band * rows : (band + 1) * rows].tobytes())
             buckets.setdefault(key, []).append(idx)
 
-    # Each bucket lists its indices in ascending order, so x < y.
-    checked: set[tuple[int, int]] = set()
-    merged: list[tuple[int, int]] = []
-    for bucket in buckets.values():
-        for i, x in enumerate(bucket):
-            for y in bucket[i + 1 :]:
-                if (x, y) in checked:
-                    continue
-                checked.add((x, y))
-                if signature_similarity(sigs[x], sigs[y]) >= threshold:
-                    merged.append((x, y))
+    failed: set[tuple[int, int]] = set()  # compared, below the threshold
 
+    def joins(x: int, y: int) -> bool:
+        if (x, y) not in failed and signature_similarity(sigs[x], sigs[y]) >= threshold:
+            return True
+        failed.add((x, y))
+        return False
+
+    # Each bucket lists its indices in ascending order, so x < y.
+    pairs = ((x, y) for bucket in buckets.values() for i, x in enumerate(bucket) for y in bucket[i + 1 :])
     clusters: list[DuplicateCluster] = []
-    for members in connected_components(len(sigs), merged):
+    for members in connected_components(len(sigs), pairs, joins):
         if len(members) < 2:
             continue
         member_ids = tuple(sorted(ids[i] for i in members))

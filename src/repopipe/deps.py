@@ -234,8 +234,11 @@ def extract_dependencies(file: SourceFile, repo_paths: Iterable[str]) -> list[st
     return [p for p in dict.fromkeys(hits) if p != file.path]
 
 
-def connected_components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """The connected components of nodes 0..n-1 joined by `pairs`,
+def connected_components(
+    n: int, pairs: Iterable[tuple[int, int]], joins: Callable[[int, int], bool] | None = None
+) -> list[list[int]]:
+    """The connected components of nodes 0..n-1 joined by `pairs` (by
+    those `joins(x, y)` accepts, asked only while x and y are apart),
     ordered by smallest member, each ascending. A union-find with path
     halving whose root is always its set's smallest member, so listing
     the sets by root lists them by smallest member.
@@ -250,7 +253,7 @@ def connected_components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[
 
     for x, y in pairs:
         rx, ry = find(x), find(y)
-        if rx != ry:
+        if rx != ry and (joins is None or joins(x, y)):
             parent[max(rx, ry)] = min(rx, ry)
     members: list[list[int]] = [[] for _ in range(n)]
     for x in range(n):

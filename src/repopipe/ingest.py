@@ -113,6 +113,8 @@ def load_repos(inputs: list[str], counters: dict[str, int] | None = None) -> lis
 
     def add_file(repo_id: str, path: str, content: str, data: bytes | None = None) -> None:
         """`data`, when given, is the bytes `content` was decoded from."""
+        if path.splitlines() != [path]:  # a line break would split its path header
+            return drop(DROP_BAD_RECORD)
         try:  # lone surrogates, from a JSON `\ud800` escape or a non-UTF-8 file name
             (repo_id + path).encode("utf-8")
             data = content.encode("utf-8") if data is None else data

@@ -4,7 +4,8 @@ filtered code and the line-bounded patterns in `repopipe`.
 
 Each is the straightforward form of its algorithm: a linear scan of
 every repo path per candidate reference, the reference patterns as first
-written, a depth-first search for connected components, a `min` over
+written, a depth-first search for connected components, near-duplicate
+clustering that compares every pair sharing a band, a `min` over
 the unselected nodes per toposort step, a packer that slices and copies
 its buffer per entry, shingles joined from one list slice each, shingle
 hashes and a densified one-permutation MinHash in Python ints mod 2**64,
@@ -34,13 +35,13 @@ import posixpath
 import re
 from collections import Counter
 from itertools import compress, count
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repopipe.corpus import LanguageMap, SourceFile
 from repopipe.decontam import NGRAM_SIZE, ContaminationIndex, ContaminationReport
-from repopipe.dedup import _GOLDEN, _TOKEN
+from repopipe.dedup import _GOLDEN, _TOKEN, DuplicateCluster
 from repopipe.filters import (
     _COMMENT_LINE,
     RULE_LONG_LINES,
@@ -276,6 +277,37 @@ def connected_components(n: int, pairs: Iterable[tuple[int, int]]) -> list[list[
                     stack.append(nxt)
         components.append(sorted(members))
     return components
+
+
+def find_near_duplicates(
+    signatures: Mapping[str, Sequence[int]], char_counts: Mapping[str, int], threshold: float, bands: int, rows: int
+) -> list[DuplicateCluster]:
+    """Every distinct pair that shares a band bucket is compared once,
+    whether or not its ends are already joined, and the clusters are the
+    components of the pairs at or above the threshold."""
+    ids = list(signatures)
+    sigs = list(signatures.values())
+    buckets: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for idx, sig in enumerate(sigs):
+        for band in range(bands):
+            buckets.setdefault((band, tuple(sig[band * rows : (band + 1) * rows])), []).append(idx)
+    checked: set[tuple[int, int]] = set()
+    merged: list[tuple[int, int]] = []
+    for bucket in buckets.values():
+        for i, x in enumerate(bucket):
+            for y in bucket[i + 1 :]:
+                if (x, y) in checked:
+                    continue
+                checked.add((x, y))
+                if sum(a == b for a, b in zip(sigs[x], sigs[y])) / len(sigs[x]) >= threshold:
+                    merged.append((x, y))
+    clusters = []
+    for members in connected_components(len(sigs), merged):
+        if len(members) > 1:
+            member_ids = tuple(sorted(ids[i] for i in members))
+            rep = min(member_ids, key=lambda rid: (-char_counts[rid], rid))
+            clusters.append(DuplicateCluster(member_ids, rep))
+    return clusters
 
 
 def topological_sort(paths: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[list[str]]:

@@ -1,7 +1,8 @@
 """Property tests: the indexed dependency resolver, line-bounded
 reference patterns, bounded JS/TS import pattern, union-find
-components, heap toposort, uint32-stream packer, numpy shingle hashing
-and densified one-permutation MinHash give exactly the results of the
+components, near-duplicate clusters that skip pairs already joined,
+heap toposort, uint32-stream packer, numpy shingle hashing and
+densified one-permutation MinHash give exactly the results of the
 brute-force oracles in `oracles.py` on generated inputs. The kernels
 that work through a sample one slice at a time give, with the slice
 size patched down to a few characters, exactly the results of their
@@ -14,7 +15,9 @@ manifest of one oracle pack over all its documents, cut into shards.
 
 from __future__ import annotations
 
+import collections
 import hashlib
+import itertools
 import json
 import os
 import posixpath
@@ -30,11 +33,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repopipe import deps, filters, packing, pipeline
+from repopipe import dedup, deps, filters, packing, pipeline
 from repopipe.config import PipelineConfig, SentinelSet
 from repopipe.corpus import LanguageMap, SourceFile, compute_file_stats, detect_language
 from repopipe.decontam import ContaminationReport, build_contamination_index, scan_text
-from repopipe.dedup import minhash_signature, shingle_set
+from repopipe.dedup import find_near_duplicates, minhash_signature, shingle_set
 from repopipe.deps import (
     connected_components,
     extract_dependencies,
@@ -197,15 +200,69 @@ def node_pairs(draw) -> tuple[int, list[tuple[int, int]]]:
 
 
 @settings(max_examples=500, deadline=None)
-@given(node_pairs())
-@example((0, []))
-@example((3, []))
-@example((3, [(1, 1)]))
-@example((4, [(3, 0), (0, 3), (3, 0), (2, 2), (1, 3)]))
-@example((5, [(4, 2), (2, 0), (3, 1)]))
-def test_connected_components_match_depth_first_search(case):
+@given(node_pairs(), st.lists(st.booleans(), max_size=80))
+@example((0, []), [])
+@example((3, []), [])
+@example((3, [(1, 1)]), [True])
+@example((4, [(3, 0), (0, 3), (3, 0), (2, 2), (1, 3)]), [False, True, False, True, True])
+@example((5, [(4, 2), (2, 0), (3, 1)]), [True, True, True])
+def test_connected_components_match_depth_first_search(case, accept):
+    # `joins` accepts the pairs that `accept` marks, and is never asked
+    # of a pair whose ends the pairs it accepted so far connect.
     n, pairs = case
     assert connected_components(n, pairs) == oracles.connected_components(n, pairs)
+    accepted = set(itertools.compress(pairs, accept))
+    joined: list[tuple[int, int]] = []
+
+    def joins(x: int, y: int) -> bool:
+        assert not any(x in c and y in c for c in oracles.connected_components(n, joined)), (x, y)
+        if (x, y) in accepted:
+            joined.append((x, y))
+        return (x, y) in accepted
+
+    kept = [pair for pair in pairs if pair in accepted]
+    assert connected_components(n, pairs, joins) == oracles.connected_components(n, kept)
+
+
+@st.composite
+def planted_signatures(draw):
+    """find_near_duplicates' arguments: signatures drawn from a few
+    roots, each with a few slots redrawn, over a 4-value alphabet, and
+    few bands of few rows, so buckets collide often and many pairs fall
+    either side of the threshold."""
+    bands, rows = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    width = bands * rows
+    value = st.integers(0, 3)
+    roots = draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=4))
+    n = draw(st.integers(1, 14))
+    signatures = {}
+    for name in draw(st.permutations(range(n))):
+        sig = list(draw(st.sampled_from(roots)))
+        for slot in draw(st.lists(st.integers(0, width - 1), max_size=width)):
+            sig[slot] = draw(value)
+        signatures[f"r{name:02d}"] = tuple(sig)
+    char_counts = {rid: draw(st.integers(1, 3)) for rid in signatures}
+    threshold = draw(st.one_of(st.sampled_from([0.25, 1 / 3, 0.5, 2 / 3, 0.75]), st.floats(0.01, 0.99)))
+    return signatures, char_counts, threshold, bands, rows
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(planted_signatures())
+def test_near_duplicates_match_comparing_every_candidate_pair(case):
+    # Same clusters and representatives, and no pair compared twice.
+    signatures, char_counts, threshold, bands, rows = case
+    name = {id(sig): rid for rid, sig in signatures.items()}
+    compared = collections.Counter()
+    signature_similarity = dedup.signature_similarity
+
+    def similarity(a, b):
+        compared[name[id(a)], name[id(b)]] += 1
+        return signature_similarity(a, b)
+
+    with mock.patch.object(dedup, "signature_similarity", similarity):
+        clusters = find_near_duplicates(signatures, char_counts, threshold, bands, rows)
+    assert clusters == oracles.find_near_duplicates(signatures, char_counts, threshold, bands, rows)
+    assert all(times == 1 for times in compared.values())
 
 
 # Import fragments and whitespace, including the `\s` characters after

@@ -250,6 +250,28 @@ def test_jsonl_paths_are_normalised_and_stay_inside_their_repo(tmp_path):
     assert counters == {"duplicate_path": 1, "bad_record": 7}
 
 
+# Every break `str.splitlines` splits on, "\n", "\r", "\x0b", "\x85" and U+2028 among them.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_a_path_holding_a_line_break_is_a_bad_record(tmp_path):
+    # A path header is one line: the file "a\nimport os.py" would give
+    # "# a" and then a line "import os.py" that reads as code.
+    names = [f"a{brk}import os.py" for brk in LINE_BREAKS] + [f"d{brk}x/b.py" for brk in LINE_BREAKS]
+    stream = tmp_path / "files.jsonl"
+    stream.write_text("".join(json.dumps({"repo_id": "r", "path": p, "content": "x = 1\n"}) + "\n"
+                              for p in [*names, "ok.py"]))
+    root = tmp_path / "corpus" / "r"
+    for name in [*names, "ok.py"]:
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text("x = 1\n")
+    for source in (stream, tmp_path / "corpus"):
+        counters: dict[str, int] = {}
+        [repo] = load_repos([str(source)], counters)
+        assert [f.path for f in repo.files] == ["ok.py"], source
+        assert counters == {"bad_record": len(names)}, source
+
+
 def test_a_dot_slash_jsonl_path_resolves_its_relative_imports(tmp_path):
     stream = tmp_path / "files.jsonl"
     rows = [

@@ -26,6 +26,11 @@ class TestByteTokenizer:
         text = FIM_START + "héllo" + EOS
         assert tok.decode(tok.encode(text)) == text
 
+    def test_round_trip_ending_in_plain_bytes(self):
+        tok = ByteTokenizer()
+        assert tok.decode(tok.encode("ab")) == "ab"
+        assert tok.decode(tok.encode(f"{EOS}héllo")) == f"{EOS}héllo"
+
     def test_multibyte_chars(self):
         tok = ByteTokenizer()
         assert len(tok.encode("中")) == 3

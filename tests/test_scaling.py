@@ -4,8 +4,10 @@ graph, packing one multi-MB document, and extracting references from a
 file with a long run of blank lines, many unclosed Go import blocks or
 many JavaScript imports that never reach a `from`. And memory budgets:
 the peak of each stage is set by its largest document, not by how many
-there are, and the per-sample kernels hold a slice of their sample, not
-a token list of all of it.
+there are, the per-sample kernels hold a slice of their sample, not
+a token list of all of it, and near-dedup of a cluster of identical
+repos holds little per repo. A call count stands in for time where
+one is deterministic.
 """
 
 from __future__ import annotations
@@ -17,15 +19,16 @@ import shutil
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import code_lines, fixture_config, write_repo
-from repopipe import pipeline
+from repopipe import dedup, pipeline
 from repopipe.config import PipelineConfig
 from repopipe.corpus import SourceFile
 from repopipe.decontam import build_contamination_index, scan_text
 from repopipe.dedup import minhash_signature
-from repopipe.deps import EXTRACTION_LANGUAGES, extract_dependencies, order_repo_files
+from repopipe.deps import EXTRACTION_LANGUAGES, connected_components, extract_dependencies, order_repo_files
 from repopipe.filters import apply_quality_heuristics
 from repopipe.packing import ByteTokenizer, pack_entries
 from repopipe.pipeline import CLEAN_OUT, FILES_OUT, run_stage
@@ -144,6 +147,56 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def identical_cluster(n: int) -> tuple[dict[str, tuple[int, ...]], dict[str, int]]:
+    """find_near_duplicates' signatures and char_counts for n repos with
+    one signature, as forks and vendored copies of one repo have: every
+    pair shares all 16 default bands."""
+    signatures = {f"fork{i:04d}": tuple(range(128)) for i in range(n)}
+    return signatures, dict.fromkeys(signatures, 1000)
+
+
+@pytest.mark.parametrize("n", [250, 500])
+def test_identical_cluster_compares_n_minus_one_pairs_in_linear_memory(n):
+    signatures, char_counts = identical_cluster(n)
+    calls = 0
+    signature_similarity = dedup.signature_similarity
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return signature_similarity(a, b)
+
+    with mock.patch.object(dedup, "signature_similarity", counted):
+        [cluster] = dedup.find_near_duplicates(signatures, char_counts)
+    assert cluster.member_repo_ids == tuple(signatures)
+    assert cluster.representative == "fork0000"
+    assert calls == n - 1
+    _, peak = traced_peak(dedup.find_near_duplicates, signatures, char_counts)
+    assert peak <= n << 10, f"peak {peak / n:.0f} bytes per repo"
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 15: each LSH bucket still yields every pair of its members"
+)
+def test_identical_cluster_draws_few_candidate_pairs(monkeypatch):
+    n, bands = 500, 16
+    signatures, char_counts = identical_cluster(n)
+    drawn = 0
+
+    def counting(size, pairs, joins):
+        def counted():
+            nonlocal drawn
+            for pair in pairs:
+                drawn += 1
+                yield pair
+        return connected_components(size, counted(), joins)
+
+    monkeypatch.setattr(dedup, "connected_components", counting)
+    [cluster] = dedup.find_near_duplicates(signatures, char_counts, bands=bands)
+    assert len(cluster.member_repo_ids) == n
+    assert drawn <= 2 * n * bands, f"{drawn} candidate pairs drawn"
 
 
 def stage_peaks(
